@@ -292,6 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
+    if args.command == "eigenrank" and args.p < 2:
+        raise ValueError(f"cover degree must be at least 2, got {args.p}")
     if args.command == "class":
         needs_n = args.kind in ("hodge", "boundary", "combo", "p5", "logcanonical")
         if needs_n and args.n is None:

@@ -1,10 +1,13 @@
-"""Exact rational polyhedral cone engine.
+"""Exact polyhedral cone engine.
 
 A cone is given either by homogeneous inequalities (ConeH: normal·x ≥ 0)
 or by generators (ConeV: extreme rays plus a lineality basis).  The
 conversion from H to V is the double description method with incremental
-inequality insertion and exact adjacency tests; everything runs over
-Fractions, so the output is exact and canonical.
+inequality insertion (Fukuda & Prodon, "Double description method
+revisited", LNCS 1120, 1996).  It runs on plain integers: each ray keeps
+its integer slack against every normal, its tight set is an int bitmask,
+and adjacency is decided combinatorially from those bitmasks, so the
+output is exact without any rational arithmetic or rank computation.
 
 Canonical forms: normals and rays are primitive integer vectors (no sign
 flip, orientation is meaningful); the lineality basis is the reduced row
@@ -18,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import dot, kernel_basis, primitive, rank
@@ -148,67 +153,114 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
     return Certificate(tuple(chosen), full_rank)
 
 
+# A ray during double description: the primitive vector, its slack against
+# every normal of the cone, and the bitmask of processed normals tight at it.
+_Ray = tuple[tuple[int, ...], list[int], int]
+
+
+def _dot(a: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, a, v))
+
+
+def _combine(x: int, u: _Ray, y: int, w: _Ray, tight: int) -> _Ray:
+    """The ray x·u − y·w in primitive form; its slacks are x·su − y·sw
+    divided by the same content, so they stay exact without a dot product."""
+    vec = [x * p - y * q for p, q in zip(u[0], w[0])]
+    g = gcd(*vec)
+    slacks = [(x * p - y * q) // g for p, q in zip(u[1], w[1])]
+    return tuple(v // g for v in vec), slacks, tight
+
+
+def _tally(violated: list[int], slacks: Sequence[int], step: int) -> None:
+    for i, s in enumerate(slacks):
+        if s < 0:
+            violated[i] += step
+
+
+def _adjacent(common: int, masks: Sequence[int]) -> bool:
+    """No third ray's tight set contains ``common``.
+
+    The two rays of the pair always contain their common tight set, so
+    the pair is adjacent iff exactly two masks contain it.  Counting hits
+    excludes the pair by position: a third ray whose mask equals one of
+    theirs still counts.
+    """
+    hits = 0
+    for m in masks:
+        if m & common == common:
+            hits += 1
+            if hits > 2:
+                return False
+    return True
+
+
 def extreme_rays(c: ConeH) -> ConeV:
     """V-representation via double description with incremental insertion.
 
     State: a lineality basis plus extreme rays (mod lineality) of the cone
-    cut by the inequalities processed so far, each ray carrying its tight
-    set.  A new inequality either slices the lineality space (every ray is
+    cut by the inequalities processed so far.  Each ray carries its integer
+    slack against every normal, computed when the ray is made, and its tight
+    set over the processed normals as a bitmask.  Per normal, a count of the
+    rays violating it picks the next inequality: fewest violated rays
+    first, ties broken by the normal.
+
+    A new inequality either slices the lineality space (every ray is
     projected onto the new wall and the surviving lineality direction
     becomes a ray) or removes the strictly negative rays, replacing them
     with combinations of adjacent positive/negative pairs.  Adjacency is
-    the exact rank test: common tight normals of rank dim − lineality − 2.
+    the combinatorial test of Fukuda & Prodon: the common tight set has at
+    least dim − lineality − 2 elements and no third ray's tight set
+    contains it.
     """
-    dim = c.dim
+    dim, normals = c.dim, c.normals
     lineality: list[tuple[int, ...]] = [_unit(i, dim) for i in range(dim)]
-    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
-    processed: set[int] = set()
-    remaining = list(range(len(c.normals)))
+    rays: list[_Ray] = []
+    violated = [0] * len(normals)
+    processed = 0
+    remaining = list(range(len(normals)))
     while remaining:
-        # cheapest-first heuristic: fewest currently violated rays
-        nxt = min(
-            remaining,
-            key=lambda i: (sum(1 for r, _ in rays if dot(c.normals[i], r) < 0), c.normals[i]),
-        )
+        nxt = min(remaining, key=lambda i: (violated[i], normals[i]))
         remaining.remove(nxt)
-        a = c.normals[nxt]
-        hit = next((v for v in lineality if dot(a, v) != 0), None)
+        a, bit = normals[nxt], 1 << nxt
+        hit = next((v for v in lineality if _dot(a, v)), None)
         if hit is not None:
-            v0 = hit if dot(a, hit) > 0 else tuple(-x for x in hit)
-            av0 = dot(a, v0)
+            av0 = _dot(a, hit)
+            v0 = hit if av0 > 0 else tuple(-x for x in hit)
+            av0 = abs(av0)
             new_lin = []
             for v in lineality:
                 if v is hit:
                     continue
-                av = dot(a, v)
-                vec = v if av == 0 else tuple(av0 * x - av * y for x, y in zip(v, v0))
-                new_lin.append(primitive(vec))
+                av = _dot(a, v)
+                new_lin.append(primitive([av0 * x - av * y for x, y in zip(v, v0)]) if av else v)
             lineality = new_lin
-            new_rays = []
-            for r, tight in rays:
-                ar = dot(a, r)
-                vec = r if ar == 0 else tuple(av0 * x - ar * y for x, y in zip(r, v0))
-                new_rays.append((primitive(vec, flip_sign=False), tight | {nxt}))
-            new_rays.append((primitive(v0, flip_sign=False), frozenset(processed)))
-            rays = new_rays
+            ray0 = (v0, [_dot(b, v0) for b in normals], processed)
+            rays = [
+                (r, s, t | bit) if s[nxt] == 0 else _combine(av0, (r, s, t), s[nxt], ray0, t | bit)
+                for r, s, t in rays
+            ]
+            rays.append(ray0)
+            violated = [0] * len(normals)
+            for _, s, _ in rays:
+                _tally(violated, s, 1)
         else:
-            values = [(dot(a, r), r, tight) for r, tight in rays]
-            negative = [(ar, r, tight) for ar, r, tight in values if ar < 0]
-            if negative:
-                kept = [(r, tight | {nxt}) if ar == 0 else (r, tight)
-                        for ar, r, tight in values if ar >= 0]
-                positive = [(ar, r, tight) for ar, r, tight in values if ar > 0]
-                adjacency_rank = dim - len(lineality) - 2
-                for ap, rp, tp in positive:
-                    for an, rn, tn in negative:
-                        common = tp & tn
-                        if rank([c.normals[i] for i in common]) != adjacency_rank:
-                            continue
-                        vec = tuple(ap * x - an * y for x, y in zip(rn, rp))
-                        kept.append((primitive(vec, flip_sign=False), common | {nxt}))
-                rays = kept
-        processed.add(nxt)
-    return ConeV(dim, tuple(r for r, _ in rays), tuple(lineality))
+            masks = [t for _, _, t in rays]
+            positive = [ray for ray in rays if ray[1][nxt] > 0]
+            negative = [ray for ray in rays if ray[1][nxt] < 0]
+            kept = [(r, s, t | bit if s[nxt] == 0 else t) for r, s, t in rays if s[nxt] >= 0]
+            need = dim - len(lineality) - 2
+            for rp in positive:
+                for rn in negative:
+                    common = rp[2] & rn[2]
+                    if common.bit_count() >= need and _adjacent(common, masks):
+                        ray = _combine(rp[1][nxt], rn, rn[1][nxt], rp, common | bit)
+                        _tally(violated, ray[1], 1)
+                        kept.append(ray)
+            for _, s, _ in negative:
+                _tally(violated, s, -1)
+            rays = kept
+        processed |= bit
+    return ConeV(dim, tuple(r for r, _, _ in rays), tuple(lineality))
 
 
 def extreme_rays_by_enumeration(c: ConeH) -> ConeV:

@@ -486,7 +486,7 @@ def parse_divisor(text: str, n: int) -> SymDivisor:
             raise ValueError(f"missing +/- between terms in {text!r}")
         m = _TERM.match(tok)
         if m:
-            coef = sign * (Fraction(m.group("coef")) if m.group("coef") else Fraction(1))
+            coef = sign * (parse_rational(m.group("coef")) if m.group("coef") else Fraction(1))
             if m.group("sym") == "psi":
                 psi += coef
             else:

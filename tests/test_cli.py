@@ -221,6 +221,12 @@ def test_eigenrank_single(capsys):
          "ray enumeration needs at least 5 markings, got 4"),
         (("eigenrank", "1,1,1,1", "--p", "3"),
          "tail weights (1, 1, 1, 1) do not sum to 0 mod 3"),
+        (("eigenrank", "1,1,1,1", "--p", "0"),
+         "cover degree must be at least 2, got 0"),
+        (("eigenrank", "1,1,1,1", "--p", "-3"),
+         "cover degree must be at least 2, got -3"),
+        (("fnef", "1/0*D2", "--n", "6"),
+         "malformed rational literal '1/0'"),
     ],
 )
 def test_usage_errors(capsys, argv, message):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcone.cones import (
     Certificate,
@@ -14,6 +15,7 @@ from fcone.cones import (
     parse_cone,
 )
 from fcone.exactlin import dot, rank
+from fcone.tables import fcone_rays, fcurve_cone
 
 
 def random_pointed_cone(rng, max_normals=10):
@@ -148,6 +150,46 @@ def test_rays_lie_in_cone_and_lineality_is_tight():
             assert contains(cone, r)
         for w in v.lineality:
             assert all(dot(a, w) == 0 for a in cone.normals)
+
+
+@st.composite
+def cones_with_repeats(draw):
+    """Random cones, some of them not pointed or not full-dimensional: after
+    the random normals come repeats of them scaled by k in -3..3, which
+    gives duplicate (k = 1), parallel (k > 1), opposite (k < 0) and zero
+    normals."""
+    dim = draw(st.integers(2, 6))
+    vector = st.tuples(*[st.integers(-3, 3)] * dim)
+    normals = draw(st.lists(vector, max_size=8))
+    if normals:
+        for a in draw(st.lists(st.sampled_from(normals), max_size=3)):
+            k = draw(st.integers(-3, 3))
+            normals.append(tuple(k * x for x in a))
+    return ConeH(dim, tuple(normals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone=cones_with_repeats(), data=st.data())
+def test_double_description_properties(cone, data):
+    v = extreme_rays(cone)
+    shuffled = data.draw(st.permutations(cone.normals))
+    assert extreme_rays(ConeH(cone.dim, tuple(shuffled))) == v
+    for r in v.rays:
+        assert contains(cone, r)
+    for w in v.lineality:
+        assert all(dot(a, w) == 0 for a in cone.normals)
+    if cone.normals and rank(cone.normals) == cone.dim:
+        assert v == extreme_rays_by_enumeration(cone)
+
+
+@pytest.mark.parametrize("n", range(6, 18))
+def test_fcone_dual_round_trip(n):
+    # n stops at 17: the dual's intermediate ray sets blow up beyond it
+    rays = fcone_rays(n)
+    facets = extreme_rays(ConeH(rays.dim, rays.rays))
+    assert facets.lineality == ()
+    assert set(facets.rays) <= set(fcurve_cone(n).normals)
+    assert extreme_rays(ConeH(rays.dim, facets.rays)) == rays
 
 
 def test_enumeration_oracle_requires_pointed():
