@@ -5,13 +5,14 @@ pairings, and polyhedral certificates for extremal rays."""
 from .exactlin import (
     dot,
     format_rational,
+    independent_rows,
     kernel_basis,
     parse_rational,
     primitive,
     qmatrix,
     qvector,
     rank,
-    solve,
+    rref,
 )
 from .cones import (
     Certificate,

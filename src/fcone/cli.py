@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .covers import (
@@ -28,7 +29,7 @@ from .covers import (
     weighted_pullbacks,
 )
 from .eigenforms import eigen_rank_degree_fcurve
-from .exactlin import parse_rational, primitive, rank
+from .exactlin import independent_rows, parse_rational, primitive
 from .moduli import (
     SymFCurve,
     enumerate_sym_fcurves,
@@ -56,6 +57,18 @@ def _parse_parts(text: str) -> tuple[int, int, int, int]:
     if len(parts) != 4:
         raise ValueError(f"expected four comma-separated parts, got {text!r}")
     return parts
+
+
+def _cover_weights(args) -> WeightData:
+    """Weight data of a connected cover: p and the weights have gcd 1."""
+    w = WeightData(_parse_weights(args.weights), args.p)
+    common = gcd(w.p, *w.d)
+    if common > 1:
+        raise ValueError(
+            f"weights {args.weights} and degree {w.p} share the factor {common},"
+            " so the cover is disconnected"
+        )
+    return w
 
 
 def _print_class(div, args) -> int:
@@ -99,12 +112,10 @@ def cmd_class(args) -> int:
     elif kind == "logcanonical":
         div = log_canonical_class(args.n, args.p)
     elif kind == "weighted":
-        w = WeightData(_parse_weights(args.weights), args.p)
-        full = weighted_pullbacks(w)[("lambda", "irr", "red").index(args.part_w)]
-        div = symmetrize(full)
+        parts = weighted_pullbacks(_cover_weights(args))
+        div = symmetrize(parts[("lambda", "irr", "red").index(args.part_w)])
     elif kind == "eigen":
-        w = WeightData(_parse_weights(args.weights), args.p)
-        div = symmetrize(eigen_det_class(w, args.j))
+        div = symmetrize(eigen_det_class(_cover_weights(args), args.j))
     elif kind == "cb":
         div = symmetrize(conformal_blocks_class(args.p, _parse_weights(args.weights)))
     else:
@@ -128,7 +139,9 @@ def cmd_pair(args) -> int:
     return 0
 
 
-def cmd_fnef(args) -> int:
+def _fcurve_degrees(args) -> tuple[list[SymFCurve], list[tuple[SymFCurve, Fraction]]]:
+    """The F-curves on which the divisor has degree zero, and those on which
+    it is negative together with the degree."""
     div = parse_divisor(args.divisor, args.n)
     zero, negative = [], []
     for f in enumerate_sym_fcurves(args.n):
@@ -137,6 +150,11 @@ def cmd_fnef(args) -> int:
             zero.append(f)
         elif deg < 0:
             negative.append((f, deg))
+    return zero, negative
+
+
+def cmd_fnef(args) -> int:
+    zero, negative = _fcurve_degrees(args)
     print("F-nef" if not negative else "not F-nef")
     for f in zero:
         print(f"zero: {f}")
@@ -146,14 +164,7 @@ def cmd_fnef(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    div = parse_divisor(args.divisor, args.n)
-    orthogonal, negative = [], []
-    for f in enumerate_sym_fcurves(args.n):
-        deg = sym_pairing(div, f)
-        if deg == 0:
-            orthogonal.append(f)
-        elif deg < 0:
-            negative.append((f, deg))
+    orthogonal, negative = _fcurve_degrees(args)
     if negative:
         print("not F-nef")
         for f, deg in negative:
@@ -161,13 +172,8 @@ def cmd_extremal(args) -> int:
         return 1
     target = args.n // 2 - 2
     vectors = [fcurve_class_vector(f) for f in orthogonal]
-    span = rank(vectors) if vectors else 0
-    certificate: list[SymFCurve] = []
-    kept: list = []
-    for f, v in zip(orthogonal, vectors):
-        if rank(kept + [v]) > len(kept):
-            kept.append(v)
-            certificate.append(f)
+    certificate = [orthogonal[i] for i in independent_rows(vectors)]
+    span = len(certificate)
     print("extremal" if span == target else "not extremal")
     print(f"rank {span} of {target}")
     for f in orthogonal:
@@ -294,6 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args) -> None:
     if args.command == "eigenrank" and args.p < 2:
         raise ValueError(f"cover degree must be at least 2, got {args.p}")
+    if args.command == "pair" and args.curve is not None and args.tk is not None:
+        raise ValueError("pair takes --curve or --tk, not both")
+    if args.command == "table" and args.n is not None and args.name != "t3-certificates":
+        raise ValueError(f"table {args.name} takes no --n")
     if args.command == "class":
         needs_n = args.kind in ("hodge", "boundary", "combo", "p5", "logcanonical")
         if needs_n and args.n is None:

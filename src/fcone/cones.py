@@ -23,49 +23,27 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .exactlin import dot, kernel_basis, primitive, rank
+from .exactlin import dot, independent_rows, kernel_basis, primitive, rank, rref
 
 
 def _unit(i: int, dim: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(dim))
 
 
-def _rref_basis(vectors: Iterable[Sequence], dim: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical primitive basis of the span: reduced row echelon rows."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(primitive(rows[i]) for i in range(r))
-
-
-def _reduce_mod(v: Sequence, basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _reduce_mod(v: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Zero out the pivot coordinates of v against an RREF basis.
 
-    Only positive rescaling and shifts along the basis are used, so cone
-    membership is preserved when the basis spans lineality directions.
+    Every pivot of the basis is positive, so v is only rescaled by positive
+    integers and shifted along the basis; cone membership is preserved when
+    the basis spans lineality directions.
     """
-    vec = [Fraction(x) for x in v]
+    vec = list(v)
     for row in basis:
         j = next(i for i, x in enumerate(row) if x != 0)
         if vec[j]:
-            factor = vec[j] / row[j]
-            vec = [x - factor * y for x, y in zip(vec, row)]
-    if all(x == 0 for x in vec):
-        return tuple(0 for _ in vec)
+            vec = [row[j] * x - vec[j] * y for x, y in zip(vec, row)]
     return primitive(vec, flip_sign=False)
 
 
@@ -107,7 +85,7 @@ class ConeV:
         for v in (*self.rays, *self.lineality):
             if len(v) != self.dim:
                 raise ValueError(f"generator {v} does not have dimension {self.dim}")
-        lin = _rref_basis(self.lineality, self.dim)
+        lin = rref(self.lineality)
         rays = set()
         for r in self.rays:
             reduced = _reduce_mod(r, lin)
@@ -141,16 +119,10 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
     if not contains(c, v):
         raise ValueError("vector is not in the cone")
     tight = [i for i, a in enumerate(c.normals) if dot(a, v) == 0]
-    full_rank = rank([c.normals[i] for i in tight]) if tight else 0
-    if full_rank != c.dim - 1:
+    chosen = [tight[i] for i in independent_rows([c.normals[i] for i in tight])]
+    if len(chosen) != c.dim - 1:
         return None
-    chosen: list[int] = []
-    for i in tight:
-        if rank([c.normals[j] for j in chosen + [i]]) > len(chosen):
-            chosen.append(i)
-        if len(chosen) == full_rank:
-            break
-    return Certificate(tuple(chosen), full_rank)
+    return Certificate(tuple(chosen), len(chosen))
 
 
 # A ray during double description: the primitive vector, its slack against

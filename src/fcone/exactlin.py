@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 QVector = tuple[Fraction, ...]
 QMatrix = tuple[QVector, ...]
@@ -117,6 +117,29 @@ def rank(m: Sequence[Sequence]) -> int:
     return len(pivots)
 
 
+def independent_rows(m: Sequence[Sequence]) -> list[int]:
+    """Indices of the rows of ``m`` outside the span of the rows before them.
+
+    These are the pivot columns of the transpose, so the result is the set a
+    greedy left-to-right scan keeps, and its length is the rank of ``m``.
+    """
+    _, pivots = _echelon(_integer_rows(zip(*m)))
+    return pivots
+
+
+def rref(m: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of the row space: the reduced row echelon rows, each
+    scaled to a primitive integer vector with a positive pivot."""
+    rows, pivots = _echelon(_integer_rows(m))
+    for r in reversed(range(len(rows))):
+        c = pivots[r]
+        for i in range(r):
+            x = rows[i][c]
+            if x:
+                rows[i] = [rows[r][c] * a - x * b for a, b in zip(rows[i], rows[r])]
+    return tuple(primitive(row) for row in rows)
+
+
 def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Basis of the right kernel of ``m``.
 
@@ -139,22 +162,3 @@ def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
             x[pc] = -s / ech[ri][pc]
         basis.append(primitive(x))
     return basis
-
-
-def solve(m: Sequence[Sequence], b: Sequence) -> Optional[QVector]:
-    """One exact solution of ``m x = b`` (free variables set to 0), or None."""
-    mat = qmatrix(m)
-    rhs = qvector(b)
-    if len(rhs) != len(mat):
-        raise ValueError("right-hand side length must match the row count")
-    ncols = len(mat[0]) if mat else 0
-    aug = [list(row) + [val] for row, val in zip(mat, rhs)]
-    ech, pivots = _echelon(_integer_rows(aug))
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for ri in reversed(range(len(pivots))):
-        pc = pivots[ri]
-        s = sum((Fraction(ech[ri][j]) * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-        x[pc] = (Fraction(ech[ri][ncols]) - s) / ech[ri][pc]
-    return tuple(x)

@@ -24,10 +24,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import QVector, format_rational, parse_rational
+from .exactlin import QVector, dot, format_rational, parse_rational
 
 
 def _check_n(n: int) -> None:
@@ -48,12 +48,13 @@ class SymDivisor:
     (ψ, Δ) coordinate tuples.
     """
 
-    __slots__ = ("n", "psi", "_delta")
+    __slots__ = ("n", "psi", "_delta", "_vector")
 
     def __init__(self, n: int, psi=0, delta: Optional[Mapping[int, object]] = None):
         _check_n(n)
+        psi = Fraction(psi)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "psi", Fraction(psi))
+        object.__setattr__(self, "psi", psi)
         coeffs = {}
         for k, c in (delta or {}).items():
             if k not in delta_range(n):
@@ -62,6 +63,11 @@ class SymDivisor:
             if c:
                 coeffs[k] = c
         object.__setattr__(self, "_delta", coeffs)
+        # the pure-Δ expansion via (n−1)ψ = Σ k(n−k)Δ_k, which decides equality
+        object.__setattr__(self, "_vector", tuple(
+            coeffs.get(k, Fraction(0)) + psi * Fraction(k * (n - k), n - 1)
+            for k in delta_range(n)
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymDivisor is immutable")
@@ -79,7 +85,7 @@ class SymDivisor:
 
     def class_vector(self) -> QVector:
         """Coordinates in the pure-Δ basis (ψ eliminated)."""
-        return psi_expand(self).delta_vector()
+        return self._vector
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.class_vector())
@@ -133,11 +139,7 @@ def psi_expand(d: SymDivisor) -> SymDivisor:
     """Rewrite the class with ψ-coefficient 0 via (n−1)ψ = Σ k(n−k)Δ_k."""
     if d.psi == 0:
         return d
-    n = d.n
-    delta = d.delta_map()
-    for k in delta_range(n):
-        delta[k] = delta.get(k, Fraction(0)) + d.psi * Fraction(k * (n - k), n - 1)
-    return SymDivisor(n, 0, delta)
+    return sym_divisor_from_vector(d.n, d.class_vector())
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,6 @@ def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
     """Intersection number of a symmetric divisor with an F-curve class."""
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
-    from .exactlin import dot
-
     return dot(d.class_vector(), fcurve_class_vector(f))
 
 
@@ -514,8 +514,6 @@ def format_divisor(d: SymDivisor) -> str:
             terms.append((f"D{k}", c))
     if not terms:
         return "0"
-    from math import lcm
-
     common = lcm(*(c.denominator for _, c in terms))
     rendered = []
     for i, (sym, c) in enumerate(terms):

@@ -21,6 +21,7 @@ from .covers import (
     pullback_combo,
     weighted_pullbacks,
 )
+from .exactlin import independent_rows
 from .moduli import (
     SymDivisor,
     SymFCurve,
@@ -243,12 +244,6 @@ def t3_certificate_blocks(n: int) -> list[tuple[str, SymFCurve]]:
     rows: list[tuple[str, SymFCurve]] = []
     seen: set[SymFCurve] = set()
     vectors: list[tuple] = []
-
-    def rank_of(vecs) -> int:
-        from .exactlin import rank
-
-        return rank(vecs) if vecs else 0
-
     for label, curves in _t3_curve_blocks(n):
         for f in curves:
             if sym_pairing(div, f) != 0:
@@ -258,20 +253,12 @@ def t3_certificate_blocks(n: int) -> list[tuple[str, SymFCurve]]:
             seen.add(f)
             rows.append((label, f))
             vectors.append(fcurve_class_vector(f))
+    spare = [f for f in enumerate_sym_fcurves(n) if f not in seen and sym_pairing(div, f) == 0]
+    pivots = independent_rows(vectors + [fcurve_class_vector(f) for f in spare])
+    rows += [("patch", spare[i - len(vectors)]) for i in pivots if i >= len(vectors)]
     target = n // 2 - 2
-    if rank_of(vectors) < target:
-        for f in enumerate_sym_fcurves(n):
-            if f in seen or sym_pairing(div, f) != 0:
-                continue
-            trial = vectors + [fcurve_class_vector(f)]
-            if rank_of(trial) > rank_of(vectors):
-                vectors = trial
-                seen.add(f)
-                rows.append(("patch", f))
-            if rank_of(vectors) == target:
-                break
-    if rank_of(vectors) != target:
-        raise RuntimeError(f"certificate for n={n} spans rank {rank_of(vectors)}, need {target}")
+    if len(pivots) != target:
+        raise RuntimeError(f"certificate for n={n} spans rank {len(pivots)}, need {target}")
     return rows
 
 

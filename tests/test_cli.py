@@ -145,6 +145,15 @@ def test_extremal_yes(capsys):
 def test_extremal_no(capsys):
     code, out, _ = run(capsys, "extremal", "1*D2 + 1*D3", "--n", "6")
     assert (code, out) == (1, "not extremal\nrank 0 of 1\n")
+    code, out, _ = run(capsys, "extremal", "2*D2 + 6*D3 + 9*D4 + 14*D5", "--n", "10")
+    assert code == 1
+    assert out == (
+        "not extremal\n"
+        "rank 2 of 3\n"
+        "orthogonal: F_{7,1,1,1}\n"
+        "orthogonal: F_{5,3,1,1}\n"
+        "certificate: F_{7,1,1,1} F_{5,3,1,1}\n"
+    )
 
 
 def test_rays_plain(capsys):
@@ -227,6 +236,14 @@ def test_eigenrank_single(capsys):
          "cover degree must be at least 2, got -3"),
         (("fnef", "1/0*D2", "--n", "6"),
          "malformed rational literal '1/0'"),
+        (("pair", "1*D2", "--n", "6", "--curve", "3,1,1,1", "--tk", "3"),
+         "pair takes --curve or --tk, not both"),
+        (("table", "n6", "--n", "9"),
+         "table n6 takes no --n"),
+        (("class", "weighted", "--weights", "2,2,2,2", "--p", "2"),
+         "weights 2,2,2,2 and degree 2 share the factor 2, so the cover is disconnected"),
+        (("class", "eigen", "--weights", "3,3,3,3", "--p", "6", "--j", "1"),
+         "weights 3,3,3,3 and degree 6 share the factor 3, so the cover is disconnected"),
     ],
 )
 def test_usage_errors(capsys, argv, message):

@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 from fcone.exactlin import (
     dot,
     format_rational,
+    independent_rows,
     kernel_basis,
     parse_rational,
     primitive,
     qmatrix,
     qvector,
     rank,
-    solve,
+    rref,
 )
 
 rationals = st.fractions(
@@ -100,15 +101,6 @@ def test_kernel_basis_identity_is_trivial():
         kernel_basis([])
 
 
-def test_solve_examples():
-    x = solve([[2, 0], [0, 4]], [6, 8])
-    assert x == (3, 2)
-    assert solve([[1, 1], [1, 1]], [1, 2]) is None
-    # underdetermined: free variable pinned to zero
-    x = solve([[1, 1, 1]], [3])
-    assert x is not None and sum(x) == 3
-
-
 matrix_strategy = st.integers(1, 4).flatmap(
     lambda ncols: st.lists(
         st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
@@ -130,16 +122,38 @@ def test_kernel_vectors_annihilated(m):
             assert dot(row, v) == 0
 
 
-@given(matrix_strategy, st.data())
-def test_solve_recovers_consistent_systems(m, data):
-    ncols = len(m[0])
-    x0 = data.draw(
-        st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols)
-    )
-    b = [dot(row, x0) for row in m]
-    x = solve(m, b)
-    assert x is not None
-    assert [dot(row, x) for row in m] == b
+@given(matrix_strategy)
+def test_independent_rows_is_the_greedy_scan(m):
+    greedy = []
+    for i, row in enumerate(m):
+        if rank([m[j] for j in greedy] + [row]) > len(greedy):
+            greedy.append(i)
+    assert independent_rows(m) == greedy
+    assert len(greedy) == rank(m)
+
+
+@given(matrix_strategy)
+def test_rref_is_canonical_and_spans(m):
+    basis = rref(m)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for r, (row, c) in enumerate(zip(basis, pivots)):
+        assert row == primitive(row) and row[c] > 0
+        assert all(basis[i][c] == 0 for i in range(len(basis)) if i != r)
+    assert len(basis) == rank(m) == rank(list(m) + list(basis))
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@given(matrix_strategy)
+def test_rank_and_rref_match_sympy(sympy, m):
+    reduced, pivots = sympy.Matrix(m).rref()
+    assert rank(m) == len(pivots)
+    expected = tuple(primitive(reduced.row(i)) for i in range(len(pivots)))
+    assert rref(m) == expected
 
 
 @given(matrix_strategy)

@@ -34,6 +34,9 @@ CERTIFICATE_SHAPE = {
     30: (14, ["F_{14,14,1,1}"]),
     33: (15, ["F_{17,14,1,1}"]),
     36: (17, ["F_{17,16,2,1}"]),
+    42: (20, ["F_{20,20,1,1}"]),
+    48: (23, ["F_{23,22,2,1}"]),
+    60: (29, ["F_{29,28,2,1}"]),
 }
 
 
