@@ -58,6 +58,8 @@ from .covers import (
     pullback_boundary,
     pullback_combo,
     residue,
+    sym_eigen_det_class,
+    sym_weighted_pullbacks,
     weighted_pullbacks,
 )
 from .eigenforms import (

@@ -1,0 +1,6 @@
+"""``python -m fcone``: the ``fcone`` command line."""
+
+from .cli import main_entry
+
+if __name__ == "__main__":
+    main_entry()

@@ -19,14 +19,13 @@ from typing import Optional, Sequence
 
 from .covers import (
     WeightData,
-    conformal_blocks_class,
-    eigen_det_class,
     hodge_class,
     log_canonical_class,
     p5_class,
     pullback_boundary,
     pullback_combo,
-    weighted_pullbacks,
+    sym_eigen_det_class,
+    sym_weighted_pullbacks,
 )
 from .eigenforms import eigen_rank_degree_fcurve
 from .exactlin import independent_rows, parse_rational, primitive
@@ -39,10 +38,23 @@ from .moduli import (
     psi_expand,
     sym_divisor_from_vector,
     sym_pairing,
-    symmetrize,
     tk_pairing,
 )
 from .tables import ray_annotations, fcone_rays, table_csv, TABLE_NAMES
+
+
+# the flags without a default that each class kind reads; it needs all of
+# them and takes no other
+CLASS_FLAGS = {
+    "hodge": ("n", "p"),
+    "boundary": ("n", "p"),
+    "weighted": ("p", "weights"),
+    "eigen": ("p", "weights", "j"),
+    "cb": ("p", "weights"),
+    "combo": ("n", "p"),
+    "p5": ("n", "j"),
+    "logcanonical": ("n", "p"),
+}
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -112,12 +124,13 @@ def cmd_class(args) -> int:
     elif kind == "logcanonical":
         div = log_canonical_class(args.n, args.p)
     elif kind == "weighted":
-        parts = weighted_pullbacks(_cover_weights(args))
-        div = symmetrize(parts[("lambda", "irr", "red").index(args.part_w)])
+        parts = sym_weighted_pullbacks(_cover_weights(args))
+        div = parts[("lambda", "irr", "red").index(args.part_w)]
     elif kind == "eigen":
-        div = symmetrize(eigen_det_class(_cover_weights(args), args.j))
+        div = sym_eigen_det_class(_cover_weights(args), args.j)
     elif kind == "cb":
-        div = symmetrize(conformal_blocks_class(args.p, _parse_weights(args.weights)))
+        # conformal_blocks_class: p·det E_1
+        div = args.p * sym_eigen_det_class(WeightData(_parse_weights(args.weights), args.p), 1)
     else:
         raise ValueError(f"unknown class kind {kind!r}")
     return _print_class(div, args)
@@ -240,10 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_class = sub.add_parser("class", help="build a cover class and print it")
-    p_class.add_argument(
-        "kind",
-        choices=["hodge", "boundary", "weighted", "eigen", "cb", "combo", "p5", "logcanonical"],
-    )
+    p_class.add_argument("kind", choices=list(CLASS_FLAGS))
     p_class.add_argument("--n", type=int, help="number of markings")
     p_class.add_argument("--p", type=int, help="cover degree")
     p_class.add_argument("--j", type=int, help="character index")
@@ -305,17 +315,13 @@ def _validate(args) -> None:
     if args.command == "table" and args.n is not None and args.name != "t3-certificates":
         raise ValueError(f"table {args.name} takes no --n")
     if args.command == "class":
-        needs_n = args.kind in ("hodge", "boundary", "combo", "p5", "logcanonical")
-        if needs_n and args.n is None:
-            raise ValueError(f"class {args.kind} requires --n")
-        needs_p = args.kind in ("hodge", "boundary", "combo", "logcanonical",
-                                "weighted", "eigen", "cb")
-        if needs_p and args.p is None:
-            raise ValueError(f"class {args.kind} requires --p")
-        if args.kind in ("weighted", "eigen", "cb") and args.weights is None:
-            raise ValueError(f"class {args.kind} requires --weights")
-        if args.kind in ("eigen", "p5") and args.j is None:
-            raise ValueError(f"class {args.kind} requires --j")
+        reads = CLASS_FLAGS[args.kind]
+        for flag in ("n", "p", "weights", "j"):
+            given = getattr(args, flag) is not None
+            if flag in reads and not given:
+                raise ValueError(f"class {args.kind} requires --{flag}")
+            if flag not in reads and given:
+                raise ValueError(f"class {args.kind} takes no --{flag}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -334,3 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -12,11 +12,12 @@ coefficients, unreduced: callers normalize to rays when they need to.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
-from typing import Iterator, Optional, Sequence
+from math import comb, gcd
+from typing import Callable, Iterator, Optional, Sequence
 
 from .moduli import FullDivisor, SymDivisor, delta_range
 
@@ -99,15 +100,17 @@ def _side_genus(w: WeightData, side) -> int:
     return _genus_value(weights, w.p)
 
 
-def hodge_class(n: int, p: int) -> SymDivisor:
-    """Hodge-class pullback for the unit-weight cover, on the symmetric quotient."""
+def _unit_pullbacks(n: int, p: int) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
     if p < 2:
         raise ValueError("cover degree must be at least 2")
     if n % p:
         raise ValueError(f"degree {p} must divide the number of markings {n}")
-    psi = Fraction(p * p - 1, 12 * p)
-    delta = {k: -Fraction(p * p - gcd(k, p) ** 2, 12 * p) for k in delta_range(n)}
-    return SymDivisor(n, psi, delta)
+    return sym_weighted_pullbacks(WeightData((1,) * n, p))
+
+
+def hodge_class(n: int, p: int) -> SymDivisor:
+    """Hodge-class pullback for the unit-weight cover, on the symmetric quotient."""
+    return _unit_pullbacks(n, p)[0]
 
 
 def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
@@ -117,22 +120,20 @@ def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
     side size shares a factor with p stays irreducible upstairs and picks
     up multiplicity gcd²/p; coprime sides split the cover.
     """
-    if p < 2:
-        raise ValueError("cover degree must be at least 2")
-    if n % p:
-        raise ValueError(f"degree {p} must divide the number of markings {n}")
-    irr = {k: Fraction(gcd(k, p) ** 2, p) for k in delta_range(n) if gcd(k, p) > 1}
-    red = {k: Fraction(1, p) for k in delta_range(n) if gcd(k, p) == 1}
-    return SymDivisor(n, 0, irr), SymDivisor(n, 0, red)
+    _, irr, red = _unit_pullbacks(n, p)
+    return irr, red
 
 
 def pullback_combo(n: int, p: int, c_lambda, c_irr, c_red) -> SymDivisor:
     """Linear combination c_λ·λ + c_irr·δ_irr + c_red·δ_red, pulled back."""
-    irr, red = pullback_boundary(n, p)
-    return (
-        Fraction(c_lambda) * hodge_class(n, p)
-        + Fraction(c_irr) * irr
-        + Fraction(c_red) * red
+    coeffs = [Fraction(c) for c in (c_lambda, c_irr, c_red)]
+    parts = _unit_pullbacks(n, p)
+    # one SymDivisor for the whole sum rather than one per product and partial sum
+    maps = [d.delta_map() for d in parts]
+    return SymDivisor(
+        n,
+        sum(c * d.psi for c, d in zip(coeffs, parts)),
+        {k: sum(c * m.get(k, 0) for c, m in zip(coeffs, maps)) for k in delta_range(n)},
     )
 
 
@@ -163,18 +164,23 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     )
 
 
+def _character(w: WeightData, j: Optional[int]) -> int:
+    if j is None:
+        j = w.j
+    if j is None:
+        raise ValueError("no character given")
+    if not 1 <= j <= w.p - 1:
+        raise ValueError(f"character {j} out of range 1..{w.p - 1}")
+    return j
+
+
 def eigen_det_class(w: WeightData, j: Optional[int] = None) -> FullDivisor:
     """Determinant of the weight-j eigenbundle of the Hodge bundle.
 
     Closed formula: (1/2p²)[Σ⟨j·d_i⟩(p−⟨j·d_i⟩)ψ_i − Σ⟨j·d(I)⟩(p−⟨j·d(I)⟩)Δ_{I,J}].
     """
-    if j is None:
-        j = w.j
-    if j is None:
-        raise ValueError("no character given")
+    j = _character(w, j)
     p, n = w.p, w.n
-    if not 1 <= j <= p - 1:
-        raise ValueError(f"character {j} out of range 1..{p - 1}")
     scale = Fraction(1, 2 * p * p)
 
     def weight(t: int) -> Fraction:
@@ -184,6 +190,101 @@ def eigen_det_class(w: WeightData, j: Optional[int] = None) -> FullDivisor:
     psi = tuple(weight(j * di) for di in w.d)
     delta = {side: -weight(j * _side_weight(w, side)) for side in _sides(n)}
     return FullDivisor(n, psi, delta)
+
+
+def _symmetric_classes(
+    w: WeightData,
+    marking: Callable[[int], tuple[int, ...]],
+    side: Callable[[int, bool], tuple[int, ...]],
+    denominators: tuple[int, ...],
+) -> tuple[SymDivisor, ...]:
+    """S_n-averages of classes whose coefficients depend only on weights.
+
+    The n markings of the degree-p cover w come in groups of m_d markings
+    of weight d.  marking(d) gives the ψ_i numerators, one per class, of a
+    marking of weight d.  side(s, split) gives the numerators on Δ_{I,J},
+    where s is the weight sum of I mod p and split says whether both
+    halves of the node carry a cover of positive genus.  Class i has
+    denominator denominators[i] throughout.
+
+    Both arguments of side() depend only on the profile of I: how many
+    markings c_d of each weight d it takes.  The Δ_k coefficient of the
+    average is the mean over all C(n, k) sets I of size k, so it is a sum
+    over profiles weighted by ∏ C(m_d, c_d).  Because p divides the total
+    weight, the coefficient on I equals the one on its complement, which
+    makes this hold at k = n/2 too.  The result equals symmetrize() of
+    the per-side class without visiting its 2^(n−1) sides.
+    """
+    n, p = w.n, w.p
+    groups = Counter(w.d).items()
+    psi = [0] * len(denominators)
+    for d, m in groups:
+        for i, value in enumerate(marking(d)):
+            psi[i] += m * value
+    # Riemann-Hurwitz as in _genus_value: a point of weight d ramifies with
+    # p − gcd(d, p), and a cover with χ = 2p − Σ ramification ≤ 1 has
+    # positive genus.  Profiles that agree on (|I|, s, ramification of I)
+    # are merged, so the walk stays polynomial in n for any weights.
+    total_ram = 0
+    profiles = {(0, 0, 0): 1}
+    for d, m in groups:
+        e = p - gcd(d, p)
+        total_ram += m * e
+        grown: dict[tuple[int, int, int], int] = {}
+        for (k, s, ram), times in profiles.items():
+            for c in range(min(m, n // 2 - k) + 1):
+                key = (k + c, (s + c * d) % p, ram + c * e)
+                grown[key] = grown.get(key, 0) + times * comb(m, c)
+        profiles = grown
+    sums = {k: [0] * len(denominators) for k in delta_range(n)}
+    for (k, s, ram), times in profiles.items():
+        if k < 2:
+            continue
+        # the attaching point carries weight −s on I's half and s on the other
+        chi = p + gcd(s, p)
+        split = chi - ram <= 1 and chi - (total_ram - ram) <= 1
+        row = sums[k]
+        for i, value in enumerate(side(s, split)):
+            row[i] += times * value
+    deltas: list[dict[int, Fraction]] = [{} for _ in denominators]
+    for k, row in sums.items():
+        sets = comb(n, k)
+        for i, num in enumerate(row):
+            if num:
+                deltas[i][k] = Fraction(num, denominators[i] * sets)
+    return tuple(
+        SymDivisor(n, Fraction(psi[i], den * n), deltas[i])
+        for i, den in enumerate(denominators)
+    )
+
+
+def sym_weighted_pullbacks(w: WeightData) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
+    """(λ, δ_irr, δ_red): symmetrize() of each of weighted_pullbacks(w), from
+    weight profiles."""
+    p = w.p
+
+    def marking(d: int) -> tuple[int, ...]:
+        return (p * p - gcd(d, p) ** 2, 0, 0)
+
+    def side(s: int, split: bool) -> tuple[int, ...]:
+        q = gcd(s, p)
+        return (q * q - p * p, q * q if q > 1 else 0, 1 if q == 1 and split else 0)
+
+    return _symmetric_classes(w, marking, side, (12 * p, p, p))
+
+
+def sym_eigen_det_class(w: WeightData, j: Optional[int] = None) -> SymDivisor:
+    """symmetrize(eigen_det_class(w, j)), from weight profiles."""
+    j = _character(w, j)
+    p = w.p
+
+    def weight(t: int) -> int:
+        r = t * j % p
+        return r * (p - r)
+
+    return _symmetric_classes(
+        w, lambda d: (weight(d),), lambda s, split: (-weight(s),), (2 * p * p,)
+    )[0]
 
 
 def conformal_blocks_class(p: int, d: Sequence[int]) -> FullDivisor:

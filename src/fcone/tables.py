@@ -15,11 +15,10 @@ from typing import Optional, Sequence
 from .cones import ConeH, ConeV, extreme_rays
 from .covers import (
     WeightData,
-    eigen_det_class,
-    hodge_class,
     p5_class,
     pullback_combo,
-    weighted_pullbacks,
+    sym_eigen_det_class,
+    sym_weighted_pullbacks,
 )
 from .exactlin import independent_rows
 from .moduli import (
@@ -30,7 +29,6 @@ from .moduli import (
     proportional,
     sym_divisor_from_vector,
     sym_pairing,
-    symmetrize,
 )
 
 COMBO_COEFFS = ((9, -1, 0), (12, -1, 0), (10, -1, -2))
@@ -67,41 +65,29 @@ def annotation_candidates(n: int) -> list[tuple[str, SymDivisor]]:
     and the weighted covers that perturb a single marking weight.
     """
     out: list[tuple[str, SymDivisor]] = []
-    for p in range(2, n + 1):
-        if n % p:
-            continue
-        out.append((f"hodge({n},{p})", hodge_class(n, p)))
+
+    def cover(w: WeightData, key: str, eigen_key: str, names: tuple[str, str, str]) -> None:
+        hodge, combo, eigen = names
+        lam, irr, red = sym_weighted_pullbacks(w)
+        out.append((f"{hodge}({key})", lam))
         for cl, ci, cr in COMBO_COEFFS:
-            out.append(
-                (f"combo({n},{p},{cl},{ci},{cr})", pullback_combo(n, p, cl, ci, cr))
-            )
-        w = WeightData((1,) * n, p)
-        for j in range(1, p):
-            out.append((f"eigen(1^{n},{p},{j})", symmetrize(eigen_det_class(w, j))))
+            out.append((f"{combo}({key},{cl},{ci},{cr})", lam * cl + irr * ci + red * cr))
+        for j in range(1, w.p):
+            out.append((f"{eigen}({eigen_key},{j})", sym_eigen_det_class(w, j)))
+
+    for p in range(2, n + 1):
+        if n % p == 0:
+            cover(WeightData((1,) * n, p), f"{n},{p}", f"1^{n},{p}", ("hodge", "combo", "eigen"))
     if n % 5 == 0:
         for j in (1, 2):
             out.append((f"p5({n},{j})", p5_class(n, j)))
     for v in (0, 2):
         weights = (1,) * (n - 1) + (v,)
         label = _weight_label(weights)
-        total = sum(weights)
         for p in range(2, n + 1):
-            if total % p:
-                continue
-            w = WeightData(weights, p)
-            lam, irr, red = (symmetrize(d) for d in weighted_pullbacks(w))
-            out.append((f"weighted({label},{p})", lam))
-            for cl, ci, cr in COMBO_COEFFS:
-                out.append(
-                    (
-                        f"wcombo({label},{p},{cl},{ci},{cr})",
-                        lam * cl + irr * ci + red * cr,
-                    )
-                )
-            for j in range(1, p):
-                out.append(
-                    (f"eigenw({label},{p},{j})", symmetrize(eigen_det_class(w, j)))
-                )
+            if sum(weights) % p == 0:
+                key = f"{label},{p}"
+                cover(WeightData(weights, p), key, key, ("weighted", "wcombo", "eigenw"))
     return out
 
 

@@ -1,11 +1,16 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fcone.cli import main
 
-TABLES_DIR = Path(__file__).resolve().parents[1] / "tables"
+ROOT = Path(__file__).resolve().parents[1]
+TABLES_DIR = ROOT / "tables"
 
 
 def run(capsys, *argv):
@@ -244,6 +249,14 @@ def test_eigenrank_single(capsys):
          "weights 2,2,2,2 and degree 2 share the factor 2, so the cover is disconnected"),
         (("class", "eigen", "--weights", "3,3,3,3", "--p", "6", "--j", "1"),
          "weights 3,3,3,3 and degree 6 share the factor 3, so the cover is disconnected"),
+        (("class", "weighted", "--n", "9", "--weights", "1,1,1,1", "--p", "2"),
+         "class weighted takes no --n"),
+        (("class", "hodge", "--n", "6", "--p", "3", "--weights", "1,1"),
+         "class hodge takes no --weights"),
+        (("class", "p5", "--n", "10", "--j", "1", "--p", "3"),
+         "class p5 takes no --p"),
+        (("class", "cb", "--weights", "1,1,1,1", "--p", "2", "--j", "1"),
+         "class cb takes no --j"),
     ],
 )
 def test_usage_errors(capsys, argv, message):
@@ -265,3 +278,30 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "usage: fcone" in out
+
+
+def run_module(*argv):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_python_m_fcone_prints_rays():
+    header, *rows = csv.reader((TABLES_DIR / "n6.csv").read_text().splitlines())
+    expected = "".join(" ".join(row[:len(header) - 1]) + "\n" for row in rows)
+    proc = run_module("fcone", "rays", "--n", "6")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+def test_python_m_fcone_cli_reports_not_extremal():
+    proc = run_module("fcone.cli", "extremal", "2*D2 + 6*D3 + 9*D4 + 14*D5", "--n", "10")
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("not extremal\nrank 2 of 3\n")
+
+
+def test_python_m_fcone_usage_error():
+    proc = run_module("fcone", "class", "hodge", "--n", "5", "--p", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: degree 2 must divide the number of markings 5\n"

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fcone.covers import (
     WeightData,
@@ -14,6 +16,8 @@ from fcone.covers import (
     pullback_boundary,
     pullback_combo,
     residue,
+    sym_eigen_det_class,
+    sym_weighted_pullbacks,
     weighted_pullbacks,
 )
 from fcone.moduli import (
@@ -138,6 +142,56 @@ def test_unit_weights_reduce_to_plain_pullbacks():
         plain_irr, plain_red = pullback_boundary(n, p)
         assert irr == plain_irr
         assert red == plain_red
+
+
+def same_raw(a: SymDivisor, b: SymDivisor) -> bool:
+    return a.n == b.n and a.psi == b.psi and a.delta_map() == b.delta_map()
+
+
+def test_unit_weight_classes_match_closed_forms():
+    # λ = (p²−1)/12p·ψ − Σ_k (p²−gcd(k,p)²)/12p·Δ_k, δ_irr = Σ_{gcd(k,p)>1}
+    # gcd(k,p)²/p·Δ_k and δ_red = Σ_{gcd(k,p)=1} Δ_k/p, compared term by term
+    for n in range(4, 61):
+        for p in range(2, n + 1):
+            if n % p:
+                continue
+            lam = hodge_class(n, p)
+            assert lam.psi == Fraction(p * p - 1, 12 * p)
+            assert lam.delta_map() == {
+                k: -Fraction(p * p - gcd(k, p) ** 2, 12 * p)
+                for k in delta_range(n) if gcd(k, p) < p
+            }
+            irr, red = pullback_boundary(n, p)
+            assert irr.psi == red.psi == 0
+            assert irr.delta_map() == {
+                k: Fraction(gcd(k, p) ** 2, p) for k in delta_range(n) if gcd(k, p) > 1
+            }
+            assert red.delta_map() == {
+                k: Fraction(1, p) for k in delta_range(n) if gcd(k, p) == 1
+            }
+            combo = pullback_combo(n, p, 10, -1, Fraction(-2, 3))
+            assert same_raw(combo, 10 * lam - irr + Fraction(-2, 3) * red)
+
+
+@st.composite
+def weight_data(draw):
+    n = draw(st.integers(4, 11))
+    p = draw(st.integers(2, 7))
+    head = draw(st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1))
+    return WeightData(tuple(head) + (-sum(head) % p,), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=weight_data())
+@example(w=WeightData((0, 1, 2, 3, 4, 5, 6, 0, 0), 7))  # seven values, zeros
+@example(w=WeightData((2, 4, 2, 4, 0, 0), 6))  # gcd(p, d...) = 2
+@example(w=WeightData((3, 3, 3, 3, 0, 0, 0), 6))  # gcd(p, d...) = 3
+@example(w=WeightData((1, 2, 3, 1, 2, 3, 0, 0, 2, 2), 4))  # Δ_{n/2}, four values
+def test_profile_classes_equal_symmetrized_full_classes(w):
+    full = [symmetrize(d) for d in weighted_pullbacks(w)]
+    assert all(same_raw(a, b) for a, b in zip(sym_weighted_pullbacks(w), full))
+    for j in range(1, w.p):
+        assert same_raw(sym_eigen_det_class(w, j), symmetrize(eigen_det_class(w, j)))
 
 
 def test_weighted_pullbacks_single_heavy_marking():
