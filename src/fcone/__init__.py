@@ -79,6 +79,15 @@ from .tables import (
     table_csv,
     triple_cover_divisor,
 )
-from .cli import main
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # fcone.main loads the command line on first use: importing it here
+    # would make ``python -m fcone.cli`` find fcone.cli already imported
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -81,23 +82,33 @@ def exceptional_genus(di: int, dj: int, p: int) -> int:
     return twice
 
 
-def _sides(n: int) -> Iterator[frozenset[int]]:
-    # canonical node sides: subsets omitting the last marking
-    for size in range(2, n - 1):
-        for side in combinations(range(1, n), size):
-            yield frozenset(side)
+@cache
+def _sides(n: int) -> tuple[tuple[int, frozenset[int]], ...]:
+    # canonical node sides, the subsets omitting the last marking, as
+    # (bitmask, set) pairs; bit i−1 stands for marking i
+    return tuple(
+        (sum(1 << (i - 1) for i in side), frozenset(side))
+        for size in range(2, n - 1)
+        for side in combinations(range(1, n), size)
+    )
 
 
-def _side_weight(w: WeightData, side: frozenset[int]) -> int:
-    return sum(w.d[i - 1] for i in side)
+def _side_sums(w: WeightData) -> Iterator[tuple[frozenset[int], int, int]]:
+    """(side, weight sum, ramification) for each canonical side of w.
 
-
-def _side_genus(w: WeightData, side) -> int:
-    # the cover over one side of a node, branched also at the attaching point
-    total = _side_weight(w, frozenset(side))
-    weights = [w.d[i - 1] for i in side]
-    weights.append((-total) % w.p)
-    return _genus_value(weights, w.p)
+    The ramification of a side is Σ(p − gcd(d_i, p)) over its markings, as
+    in _genus_value.  Both sums are filled for all 2^(n−1) masks at once:
+    marking i doubles the lists, and a mask with top bit i−1 gets the entry
+    of the mask without that bit, plus marking i.
+    """
+    p = w.p
+    weight, ram = [0], [0]
+    for di in w.d[:-1]:
+        ei = p - gcd(di, p)
+        weight += [x + di for x in weight]
+        ram += [x + ei for x in ram]
+    for mask, side in _sides(w.n):
+        yield side, weight[mask], ram[mask]
 
 
 def _unit_pullbacks(n: int, p: int) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
@@ -148,14 +159,21 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     """
     p, n = w.p, w.n
     psi = tuple(Fraction(p * p - gcd(di, p) ** 2, 12 * p) for di in w.d)
+    # coefficients indexed by q = gcd(side weight, p), which lies in 1..p
+    lam_of = [-Fraction(p * p - q * q, 12 * p) for q in range(p + 1)]
+    irr_of = [Fraction(q * q, p) for q in range(p + 1)]
+    # a half with ramification r carries a cover with χ = p + 1 − r when q = 1
+    # (its attaching point ramifies fully), positive genus when χ ≤ 1
+    total_ram = sum(p - gcd(di, p) for di in w.d)
+    split = Fraction(1, p)
     lam, irr, red = {}, {}, {}
-    for side in _sides(n):
-        q = gcd(_side_weight(w, side), p)
-        lam[side] = -Fraction(p * p - q * q, 12 * p)
+    for side, s, ram in _side_sums(w):
+        q = gcd(s, p)
+        lam[side] = lam_of[q]
         if q > 1:
-            irr[side] = Fraction(q * q, p)
-        elif _side_genus(w, side) > 0 and _side_genus(w, frozenset(range(1, n + 1)) - side) > 0:
-            red[side] = Fraction(1, p)
+            irr[side] = irr_of[q]
+        elif p + 1 - ram <= 1 and p + 1 - (total_ram - ram) <= 1:
+            red[side] = split
     zero = (Fraction(0),) * n
     return (
         FullDivisor(n, psi, lam),
@@ -188,7 +206,9 @@ def eigen_det_class(w: WeightData, j: Optional[int] = None) -> FullDivisor:
         return scale * r * (p - r)
 
     psi = tuple(weight(j * di) for di in w.d)
-    delta = {side: -weight(j * _side_weight(w, side)) for side in _sides(n)}
+    # the Δ coefficient of a side depends only on its weight sum mod p
+    delta_of = [-weight(j * s) for s in range(p)]
+    delta = {side: delta_of[s % p] for side, s, _ in _side_sums(w)}
     return FullDivisor(n, psi, delta)
 
 

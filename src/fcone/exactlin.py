@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 QVector = tuple[Fraction, ...]
@@ -35,7 +36,8 @@ def qmatrix(rows: Iterable[Iterable]) -> QMatrix:
 def dot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    # entries are ints or Fractions already; the Fraction start keeps the type
+    return sum(map(mul, u, v), Fraction(0))
 
 
 def parse_rational(text: str) -> Fraction:

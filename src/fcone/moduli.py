@@ -23,6 +23,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -239,13 +240,19 @@ def proportional(d1: SymDivisor, d2: SymDivisor) -> Optional[Fraction]:
 # Classes on the unquotiented space.
 
 
+@cache
+def _markings(n: int) -> frozenset[int]:
+    return frozenset(range(1, n + 1))
+
+
 def canonical_side(markings: Iterable[int], n: int) -> frozenset[int]:
     """The representative side of a boundary partition: the one without n."""
     side = frozenset(markings)
-    if not side <= frozenset(range(1, n + 1)):
+    everything = _markings(n)
+    if not side <= everything:
         raise ValueError(f"markings {sorted(side)} out of range for n={n}")
     if n in side:
-        side = frozenset(range(1, n + 1)) - side
+        side = everything - side
     if not 2 <= len(side) <= n - 2:
         raise ValueError(f"boundary class needs sides of size >= 2, got {sorted(side)}")
     return side
@@ -264,17 +271,35 @@ class FullDivisor:
     def __init__(self, n: int, psi: Sequence = (), delta: Optional[Mapping] = None):
         _check_n(n)
         object.__setattr__(self, "n", n)
-        psi = tuple(Fraction(c) for c in psi) if psi else (Fraction(0),) * n
+        if psi:
+            psi = tuple(c if type(c) is Fraction else Fraction(c) for c in psi)
+        else:
+            psi = (Fraction(0),) * n
         if len(psi) != n:
             raise ValueError(f"need {n} psi-coefficients, got {len(psi)}")
         object.__setattr__(self, "psi", psi)
+        everything = _markings(n)
         coeffs = {}
+        merged = False
         for side, c in (delta or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
-                key = canonical_side(side, n)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + c
-        object.__setattr__(self, "_delta", {k: c for k, c in coeffs.items() if c})
+                # a key that is already a canonical side is kept as it is
+                if type(side) is frozenset and n not in side \
+                        and 2 <= len(side) <= n - 2 and side <= everything:
+                    key = side
+                else:
+                    key = canonical_side(side, n)
+                if key in coeffs:
+                    coeffs[key] += c
+                    merged = True
+                else:
+                    coeffs[key] = c
+        if merged:
+            # two keys for one class may have cancelled
+            coeffs = {k: c for k, c in coeffs.items() if c}
+        object.__setattr__(self, "_delta", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("FullDivisor is immutable")
@@ -410,29 +435,26 @@ def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:
     ψ_i meets the curve once exactly when {i} is one of the four blocks.
     A boundary class Δ_{I,J} meets it +1 when {I, J} merges the blocks two
     against two, −1 when one side is a single block, and 0 otherwise.
+    So only seven boundary classes can meet it: one per block of two or
+    more markings and one per pairing of the blocks.
     """
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
+    n, everything, delta = d.n, _markings(d.n), d._delta
+
+    def coefficient(side: frozenset[int]) -> Fraction:
+        return delta.get(everything - side if n in side else side, 0)
+
     total = Fraction(0)
     for block in f.blocks:
         if len(block) == 1:
             (i,) = block
             total += d.psi[i - 1]
-    for side, c in d.delta_map().items():
-        covered = []
-        saturated = True
-        for block in f.blocks:
-            if block <= side:
-                covered.append(block)
-            elif block & side:
-                saturated = False
-                break
-        if not saturated:
-            continue
-        if len(covered) == 2:
-            total += c
-        elif len(covered) in (1, 3):
-            total -= c
+        else:
+            total -= coefficient(block)
+    a, b, c, e = f.blocks
+    for side in (a | b, a | c, a | e):
+        total += coefficient(side)
     return total
 
 
@@ -445,10 +467,15 @@ def symmetrize(d: FullDivisor) -> SymDivisor:
     """
     n = d.n
     psi = sum(d.psi, Fraction(0)) / n
+    # integer numerators per (side size, denominator), one Fraction per pair
+    numerators: dict[tuple[int, int], int] = {}
+    for side, c in d._delta.items():
+        key = (len(side), c.denominator)
+        numerators[key] = numerators.get(key, 0) + c.numerator
     sums: dict[int, Fraction] = {}
-    for side, c in d.delta_map().items():
-        k = min(len(side), n - len(side))
-        sums[k] = sums.get(k, Fraction(0)) + c
+    for (size, den), num in numerators.items():
+        k = min(size, n - size)
+        sums[k] = sums.get(k, 0) + Fraction(num, den)
     delta = {}
     for k, total in sums.items():
         classes = Fraction(factorial(n), factorial(k) * factorial(n - k))

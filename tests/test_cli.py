@@ -299,6 +299,13 @@ def test_python_m_fcone_cli_reports_not_extremal():
     proc = run_module("fcone.cli", "extremal", "2*D2 + 6*D3 + 9*D4 + 14*D5", "--n", "10")
     assert proc.returncode == 1
     assert proc.stdout.startswith("not extremal\nrank 2 of 3\n")
+    assert proc.stderr == ""
+
+
+def test_package_main_is_the_cli_main():
+    import fcone
+
+    assert fcone.main is main
 
 
 def test_python_m_fcone_usage_error():

@@ -39,6 +39,27 @@ def test_dot_dimension_mismatch():
         dot((1, 2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("u, v, expected", [
+    ((1, 2, 3), (4, 5, -6), -4),
+    ((Fraction(1, 2), Fraction(2, 3)), (Fraction(3), Fraction(-3, 4)), 1),
+    ((1, Fraction(1, 3)), (Fraction(1, 2), 3), Fraction(3, 2)),
+    ((), (), 0),
+])
+def test_dot_returns_a_fraction(u, v, expected):
+    got = dot(u, v)
+    assert type(got) is Fraction
+    assert got == expected
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(-50, 50), rationals),
+                          st.one_of(st.integers(-50, 50), rationals)), max_size=8))
+def test_dot_of_mixed_entries(pairs):
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    got = dot(u, v)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(a) * Fraction(b) for a, b in pairs), Fraction(0))
+
+
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational(" -7 ") == -7

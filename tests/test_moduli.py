@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fcone.moduli import (
     FullDivisor,
@@ -186,6 +188,54 @@ def test_full_divisor_boundary_keys_merge():
     assert d.delta({3, 4}) == 0
 
 
+class Pairs:
+    """A stand-in for a mapping whose keys need not be hashable."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return iter(self.pairs)
+
+
+@pytest.mark.parametrize("form", [list, tuple, set, frozenset])
+def test_full_divisor_accepts_any_side_form(form):
+    n = 6
+    pairs = [
+        ({4, 5, 6}, Fraction(1, 2)),  # the complement of {1, 2, 3}
+        ({1, 2}, 1),
+        ({3, 4, 5, 6}, Fraction(2)),  # adds up with {1, 2}
+        ({1, 3}, Fraction(-1, 3)),
+        ({2, 4, 5, 6}, Fraction(1, 3)),  # cancels {1, 3}
+        ({1, 2, 3}, Fraction(1, 4)),
+        ({2, 6}, "5/7"),
+    ]
+    expected = {}
+    for side, c in pairs:
+        key = canonical_side(side, n)
+        expected[key] = expected.get(key, 0) + Fraction(c)
+    expected = [(k, c) for k, c in expected.items() if c]
+    d = FullDivisor(n, (), Pairs([(form(sorted(side)), c) for side, c in pairs]))
+    assert list(d.delta_map().items()) == expected
+    assert d.delta({1, 2}) == 3
+    assert d.delta({1, 2, 3}) == Fraction(3, 4)
+    assert d.delta({1, 3}) == 0
+    assert all(type(k) is frozenset and type(c) is Fraction for k, c in d.delta_map().items())
+
+
+@pytest.mark.parametrize("side", [
+    frozenset({2}),  # size 1
+    frozenset({6}),  # size 1, holding n
+    frozenset({1, 2, 3, 4, 5}),  # size n−1 without n
+    frozenset({0, 1, 2}),  # marking 0
+    frozenset({1, 7}),  # marking n+1
+    frozenset({1, 2, 7}),  # marking n+1 beside valid ones
+])
+def test_full_divisor_rejects_bad_frozenset_sides(side):
+    with pytest.raises(ValueError):
+        FullDivisor(6, (), {side: 1})
+
+
 def test_full_divisor_json_roundtrip():
     d = FullDivisor(6, (1, 0, "1/2", 0, 0, 0), {frozenset({1, 2}): "2/3"})
     assert FullDivisor.from_json(d.to_json()) == d
@@ -314,3 +364,81 @@ def test_format_parse_roundtrip(d):
 def test_proportional_recovers_scale(d, c):
     if not d.is_zero():
         assert proportional(c * d, d) == c
+
+
+def full_pairing_by_scan(d: FullDivisor, f: FullFCurve) -> Fraction:
+    """Oracle for full_pairing: classify every boundary class of d against f."""
+    total = Fraction(0)
+    for block in f.blocks:
+        if len(block) == 1:
+            (i,) = block
+            total += d.psi[i - 1]
+    for side, c in d.delta_map().items():
+        covered = []
+        saturated = True
+        for block in f.blocks:
+            if block <= side:
+                covered.append(block)
+            elif block & side:
+                saturated = False
+                break
+        if not saturated:
+            continue
+        if len(covered) == 2:
+            total += c
+        elif len(covered) in (1, 3):
+            total -= c
+    return total
+
+
+def symmetrize_by_sum(d: FullDivisor) -> SymDivisor:
+    """Oracle for symmetrize: one Fraction sum per boundary class."""
+    n = d.n
+    sums = {}
+    for side, c in d.delta_map().items():
+        k = min(len(side), n - len(side))
+        sums[k] = sums.get(k, Fraction(0)) + c
+    # at k = n/2 each class has two sides of size k
+    classes = {k: comb(n, k) // (2 if 2 * k == n else 1) for k in sums}
+    return SymDivisor(
+        n, sum(d.psi, Fraction(0)) / n, {k: total / classes[k] for k, total in sums.items()}
+    )
+
+
+mixed_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@st.composite
+def full_divisors(draw, n_values=st.integers(4, 8), half_sides=False):
+    n = draw(n_values)
+    # any side of size 2..n−2, holding n or not
+    sides = st.frozensets(st.integers(1, n), min_size=2, max_size=n - 2)
+    delta = draw(st.dictionaries(sides, mixed_rationals, max_size=16))
+    if half_sides:
+        halves = st.frozensets(st.integers(1, n), min_size=n // 2, max_size=n // 2)
+        delta.update(draw(st.dictionaries(halves, mixed_rationals, min_size=1, max_size=8)))
+    psi = draw(st.lists(mixed_rationals, min_size=n, max_size=n))
+    return FullDivisor(n, psi, delta)
+
+
+@cache
+def all_full_fcurves(n: int) -> list[FullFCurve]:
+    return enumerate_full_fcurves(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_divisors())
+def test_full_pairing_matches_the_all_sides_scan(d):
+    for f in all_full_fcurves(d.n):
+        assert full_pairing(d, f) == full_pairing_by_scan(d, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    full_divisors(n_values=st.integers(4, 11)),
+    full_divisors(n_values=st.sampled_from([4, 6, 8, 10]), half_sides=True),
+))
+def test_symmetrize_matches_the_per_side_sum(d):
+    got, expected = symmetrize(d), symmetrize_by_sum(d)
+    assert got.psi == expected.psi
+    assert list(got.delta_map().items()) == list(expected.delta_map().items())
