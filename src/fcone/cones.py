@@ -32,6 +32,10 @@ def _unit(i: int, dim: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(dim))
 
 
+def _dot(a: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, a, v))
+
+
 def _reduce_mod(v: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Zero out the pivot coordinates of v against an RREF basis.
 
@@ -103,10 +107,22 @@ class Certificate:
     rank: int
 
 
-def contains(c: ConeH, v: Sequence) -> bool:
+def _cleared(c: ConeH, v: Sequence) -> tuple[int, ...]:
+    """v with its denominators cleared: a positive multiple in integers, so
+    every sign against a normal is kept."""
     if len(v) != c.dim:
         raise ValueError(f"vector of dimension {len(v)} against cone of dimension {c.dim}")
-    return all(dot(a, v) >= 0 for a in c.normals)
+    return primitive(v, flip_sign=False)
+
+
+def contains(c: ConeH, v: Sequence) -> bool:
+    """Whether v satisfies every inequality of the cone.
+
+    v may have rational entries; its denominators are cleared once, and
+    each normal is then an integer dot product.
+    """
+    w = _cleared(c, v)
+    return all(_dot(a, w) >= 0 for a in c.normals)
 
 
 def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
@@ -116,9 +132,11 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
     v (as indices into c.normals), or None when the tight normals have any
     other rank.  v must lie in the cone.
     """
-    if not contains(c, v):
+    w = _cleared(c, v)
+    slacks = [_dot(a, w) for a in c.normals]
+    if any(s < 0 for s in slacks):
         raise ValueError("vector is not in the cone")
-    tight = [i for i, a in enumerate(c.normals) if dot(a, v) == 0]
+    tight = [i for i, s in enumerate(slacks) if s == 0]
     chosen = [tight[i] for i in independent_rows([c.normals[i] for i in tight])]
     if len(chosen) != c.dim - 1:
         return None
@@ -128,10 +146,6 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
 # A ray during double description: the primitive vector, its slack against
 # every normal of the cone, and the bitmask of processed normals tight at it.
 _Ray = tuple[tuple[int, ...], list[int], int]
-
-
-def _dot(a: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, a, v))
 
 
 def _combine(x: int, u: _Ray, y: int, w: _Ray, tight: int) -> _Ray:

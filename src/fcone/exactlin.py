@@ -61,12 +61,13 @@ def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
     inequality normals carry an orientation, so they pass ``flip_sign=False``
     and are only rescaled by a positive rational.
     """
-    fracs = [Fraction(e) for e in v]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
+    # ints and Fractions are read through numerator and denominator as they are
+    fracs = [e if type(e) is int or type(e) is Fraction else Fraction(e) for e in v]
     mult = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mult) for f in fracs]
+    ints = [f.numerator * (mult // f.denominator) for f in fracs]
     content = gcd(*ints)
+    if not content:
+        return tuple(ints)
     ints = [a // content for a in ints]
     if flip_sign:
         lead = next(a for a in ints if a != 0)
@@ -76,8 +77,13 @@ def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
 
 
 def _integer_rows(m: Sequence[Sequence]) -> list[list[int]]:
+    """Fresh integer rows, each a positive multiple of its row of ``m``."""
     out = []
     for row in m:
+        row = list(row)
+        if all(type(e) is int for e in row):
+            out.append(row)
+            continue
         fracs = [Fraction(e) for e in row]
         mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
         out.append([int(f * mult) for f in fracs])

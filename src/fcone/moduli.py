@@ -25,10 +25,10 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import QVector, dot, format_rational, parse_rational
+from .exactlin import QVector, format_rational, parse_rational
 
 
 def _check_n(n: int) -> None:
@@ -46,29 +46,35 @@ class SymDivisor:
 
     Immutable.  Supports +, -, and scaling by a rational.  Equality is
     equality of classes, i.e. of the pure-Δ expansions, not of the raw
-    (ψ, Δ) coordinate tuples.
+    (ψ, Δ) coordinate tuples.  The pure-Δ expansion is held once as integer
+    numerators over one common denominator, in lowest terms; pairings,
+    equality and the ray of the class are read from those integers.
     """
 
-    __slots__ = ("n", "psi", "_delta", "_vector")
+    __slots__ = ("n", "psi", "_delta", "_cleared", "_vector")
 
-    def __init__(self, n: int, psi=0, delta: Optional[Mapping[int, object]] = None):
+    def __init__(self, n: int, psi=0, delta: Optional[Mapping[int, object]] = None, *,
+                 _cleared: Optional[tuple[tuple[int, ...], int]] = None):
         _check_n(n)
-        psi = Fraction(psi)
+        psi = psi if type(psi) is Fraction else Fraction(psi)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "psi", psi)
+        ks = delta_range(n)
         coeffs = {}
         for k, c in (delta or {}).items():
-            if k not in delta_range(n):
+            if k not in ks:
                 raise ValueError(f"Delta_{k} is not a basis class for n={n}")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 coeffs[k] = c
         object.__setattr__(self, "_delta", coeffs)
-        # the pure-Δ expansion via (n−1)ψ = Σ k(n−k)Δ_k, which decides equality
-        object.__setattr__(self, "_vector", tuple(
-            coeffs.get(k, Fraction(0)) + psi * Fraction(k * (n - k), n - 1)
-            for k in delta_range(n)
-        ))
+        # ``_cleared`` is passed only by the arithmetic below, which combines
+        # the operands' expansions instead of expanding ψ again
+        if _cleared is None:
+            _cleared = _expand(n, psi, coeffs)
+        object.__setattr__(self, "_cleared", _cleared)
+        object.__setattr__(self, "_vector", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymDivisor is immutable")
@@ -86,10 +92,23 @@ class SymDivisor:
 
     def class_vector(self) -> QVector:
         """Coordinates in the pure-Δ basis (ψ eliminated)."""
+        if self._vector is None:
+            num, den = self._cleared
+            object.__setattr__(self, "_vector", tuple(Fraction(a, den) for a in num))
         return self._vector
 
+    def ray(self) -> tuple[int, ...]:
+        """The primitive integer vector on the ray of the class, sign kept;
+        all zeros for the zero class.  Two classes are positive multiples of
+        each other exactly when their rays are equal."""
+        num = self._cleared[0]
+        content = gcd(*num)
+        if not content:
+            return num
+        return tuple(a // content for a in num)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.class_vector())
+        return not any(self._cleared[0])
 
     def _binop(self, other: "SymDivisor", sign: int) -> "SymDivisor":
         if not isinstance(other, SymDivisor):
@@ -98,8 +117,13 @@ class SymDivisor:
             raise ValueError("cannot combine divisors with different n")
         delta = dict(self._delta)
         for k, c in other._delta.items():
-            delta[k] = delta.get(k, Fraction(0)) + sign * c
-        return SymDivisor(self.n, self.psi + sign * other.psi, delta)
+            delta[k] = delta.get(k, 0) + sign * c
+        (u, du), (v, dv) = self._cleared, other._cleared
+        den = lcm(du, dv)
+        su, sv = den // du, sign * (den // dv)
+        num = [su * a + sv * b for a, b in zip(u, v)]
+        return SymDivisor(self.n, self.psi + sign * other.psi, delta,
+                          _cleared=_lowest_terms(num, den))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -112,7 +136,10 @@ class SymDivisor:
 
     def __mul__(self, scalar):
         c = Fraction(scalar)
-        return SymDivisor(self.n, c * self.psi, {k: c * v for k, v in self._delta.items()})
+        num, den = self._cleared
+        return SymDivisor(self.n, c * self.psi, {k: c * v for k, v in self._delta.items()},
+                          _cleared=_lowest_terms([c.numerator * a for a in num],
+                                                 c.denominator * den))
 
     __rmul__ = __mul__
 
@@ -126,6 +153,27 @@ class SymDivisor:
 
     def __repr__(self):
         return f"SymDivisor({self.n}, {format_divisor(self)!r})"
+
+
+def _lowest_terms(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num/den with the common factor of the denominator and every numerator
+    divided out; the denominator stays positive."""
+    g = gcd(den, *num)
+    return tuple(a // g for a in num), den // g
+
+
+def _expand(n: int, psi: Fraction, delta: Mapping[int, Fraction]) -> tuple[tuple[int, ...], int]:
+    """The pure-Δ expansion via (n−1)ψ = Σ k(n−k)Δ_k, as integer numerators
+    over one common denominator."""
+    psi_den = psi.denominator * (n - 1)
+    den = lcm(psi_den if psi else 1, *(c.denominator for c in delta.values()))
+    psi_num = psi.numerator * (den // psi_den)
+    num = []
+    for k in delta_range(n):
+        c = delta.get(k)
+        a = psi_num * k * (n - k)
+        num.append(a + c.numerator * (den // c.denominator) if c is not None else a)
+    return _lowest_terms(num, den)
 
 
 def sym_divisor_from_vector(n: int, vector: Sequence) -> SymDivisor:
@@ -167,9 +215,15 @@ def enumerate_sym_fcurves(n: int) -> list[SymFCurve]:
     """All F-curve types on n markings, in descending lexicographic order.
 
     This ordering puts the curve with the largest spine part first; it is
-    the order used for every table and report in the package.
+    the order used for every table and report in the package.  The list is
+    fresh on every call; the curves are built once per n.
     """
     _check_n(n)
+    return list(_sym_fcurves(n))
+
+
+@cache
+def _sym_fcurves(n: int) -> tuple[SymFCurve, ...]:
     found = set()
     for b in range(1, n):
         for c in range(1, b + 1):
@@ -177,32 +231,51 @@ def enumerate_sym_fcurves(n: int) -> list[SymFCurve]:
                 a = n - b - c - d
                 if a >= b:
                     found.add((a, b, c, d))
-    return [SymFCurve(parts) for parts in sorted(found, reverse=True)]
+    return tuple(SymFCurve(parts) for parts in sorted(found, reverse=True))
 
 
-def fcurve_class_vector(f: SymFCurve) -> QVector:
-    """Coordinates of the F-curve class in the dual pure-Δ basis.
+@cache
+def _fcurve_terms(parts: tuple[int, int, int, int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero coordinates of an F-curve class as (index, coefficient)
+    pairs, index i standing for Δ_{i+2}; at most seven of them.
 
     Each of the three ways to split the four parts into pairs contributes
     +1 on Δ_{min(x+y, n−x−y)}; each part v ≥ 2 contributes −1 on
     Δ_{min(v, n−v)}.
     """
-    n = f.n
-    coeffs = {k: 0 for k in delta_range(n)}
-    a, b, c, d = f.parts
+    n = sum(parts)
+    coeffs: dict[int, int] = {}
+    a, b, c, d = parts
     for x, y in ((a + b, c + d), (a + c, b + d), (a + d, b + c)):
-        coeffs[min(x, y)] += 1
-    for v in f.parts:
+        k = min(x, y)
+        coeffs[k] = coeffs.get(k, 0) + 1
+    for v in parts:
         if v >= 2:
-            coeffs[min(v, n - v)] -= 1
-    return tuple(Fraction(coeffs[k]) for k in delta_range(n))
+            k = min(v, n - v)
+            coeffs[k] = coeffs.get(k, 0) - 1
+    return tuple(sorted((k - 2, c) for k, c in coeffs.items() if c))
+
+
+def fcurve_class_vector(f: SymFCurve) -> tuple[int, ...]:
+    """Coordinates of the F-curve class in the dual pure-Δ basis, as ints:
+    the sparse terms of ``_fcurve_terms`` spread over Δ_2..Δ_{⌊n/2⌋}."""
+    vector = [0] * (f.n // 2 - 1)
+    for i, c in _fcurve_terms(f.parts):
+        vector[i] = c
+    return tuple(vector)
 
 
 def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
-    """Intersection number of a symmetric divisor with an F-curve class."""
+    """Intersection number of a symmetric divisor with an F-curve class.
+
+    Reads at most seven coordinates of the divisor's integer pure-Δ
+    numerators, the nonzero ones of the curve, and divides once by their
+    common denominator.
+    """
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
-    return dot(d.class_vector(), fcurve_class_vector(f))
+    num, den = d._cleared
+    return Fraction(sum([num[i] * c for i, c in _fcurve_terms(f.parts)]), den)
 
 
 def tk_pairing(d: SymDivisor, k: int) -> Fraction:
@@ -222,18 +295,19 @@ def proportional(d1: SymDivisor, d2: SymDivisor) -> Optional[Fraction]:
     """The positive constant c with d1 = c·d2 as classes, if one exists.
 
     Both zero gives 1; zero against nonzero, a negative ratio, or genuinely
-    independent classes give None.
+    independent classes give None.  The classes are compared by their
+    primitive rays, then c is one ratio of coordinates.
     """
     if d1.n != d2.n:
         raise ValueError("cannot compare divisors with different n")
-    v1, v2 = d1.class_vector(), d2.class_vector()
-    if all(x == 0 for x in v2):
-        return Fraction(1) if all(x == 0 for x in v1) else None
-    i = next(i for i, x in enumerate(v2) if x != 0)
-    c = v1[i] / v2[i]
-    if c <= 0:
+    ray = d2.ray()
+    if not any(ray):
+        return Fraction(1) if d1.is_zero() else None
+    if d1.ray() != ray:
         return None
-    return c if all(x == c * y for x, y in zip(v1, v2)) else None
+    (num1, den1), (num2, den2) = d1._cleared, d2._cleared
+    i = next(i for i, x in enumerate(ray) if x)
+    return Fraction(num1[i] * den2, den1 * num2[i])
 
 
 # ---------------------------------------------------------------------------

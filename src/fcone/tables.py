@@ -26,8 +26,6 @@ from .moduli import (
     SymFCurve,
     enumerate_sym_fcurves,
     fcurve_class_vector,
-    proportional,
-    sym_divisor_from_vector,
     sym_pairing,
 )
 
@@ -93,14 +91,17 @@ def annotation_candidates(n: int) -> list[tuple[str, SymDivisor]]:
 
 def ray_annotations(n: int) -> list[tuple[tuple[int, ...], list[str]]]:
     """Extreme rays of the F-cone with the labels of every candidate class
-    lying on each ray."""
-    candidates = annotation_candidates(n)
-    rows = []
-    for ray in fcone_rays(n).rays:
-        div = sym_divisor_from_vector(n, ray)
-        labels = [lab for lab, d in candidates if proportional(d, div) is not None]
-        rows.append((ray, labels))
-    return rows
+    lying on each ray.
+
+    A class lies on a ray when its primitive ray is that ray, so the labels
+    are grouped by primitive ray once, in candidate order, and each F-cone
+    ray is one lookup.  A zero class files its label under the zero vector,
+    which is no ray of the cone.
+    """
+    labels_by_ray: dict[tuple[int, ...], list[str]] = {}
+    for label, d in annotation_candidates(n):
+        labels_by_ray.setdefault(d.ray(), []).append(label)
+    return [(ray, labels_by_ray.get(ray, [])) for ray in fcone_rays(n).rays]
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:

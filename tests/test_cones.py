@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,3 +215,61 @@ def test_parse_cone_accepts_comments_and_rejects_garbage():
         parse_cone("H 2 1\n1 2 3\n")
     with pytest.raises(ValueError):
         parse_cone("V 2 1\n1 2\nL 3 1\n1 2 3\n")
+
+
+# ---------------------------------------------------------------------------
+# contains and extremality_certificate on rational vectors, against Fraction
+# dot products.
+
+
+def fraction_dot(a, v) -> Fraction:
+    return sum((Fraction(x) * y for x, y in zip(a, v)), Fraction(0))
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=30)
+positive_scales = st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30)
+
+
+@st.composite
+def cones_and_vectors(draw):
+    """A cone (an F-cone for n = 6..14, or a random one) and a rational
+    vector: a scaled ray, a positive sum of two rays, or any vector."""
+    if draw(st.booleans()):
+        cone = fcurve_cone(draw(st.integers(6, 14)))
+    else:
+        cone = draw(cones_with_repeats())
+    rays = extreme_rays(cone).rays
+    kind = draw(st.sampled_from(["ray", "sum", "any"] if rays else ["any"]))
+    if kind == "any":
+        return cone, tuple(draw(st.lists(rationals, min_size=cone.dim, max_size=cone.dim)))
+    r = draw(st.sampled_from(rays))
+    v = [draw(positive_scales) * x for x in r]
+    if kind == "sum":
+        s = draw(st.sampled_from(rays))
+        c = draw(positive_scales)
+        v = [x + c * y for x, y in zip(v, s)]
+    return cone, tuple(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones_and_vectors(), positive_scales)
+def test_contains_and_certificate_match_fraction_dots(cone_and_vector, scale):
+    cone, v = cone_and_vector
+    slacks = [fraction_dot(a, v) for a in cone.normals]
+    inside = all(s >= 0 for s in slacks)
+    scaled = tuple(scale * x for x in v)
+    assert contains(cone, v) == inside
+    assert contains(cone, scaled) == inside
+    if not inside:
+        with pytest.raises(ValueError):
+            extremality_certificate(cone, v)
+        return
+    tight = [i for i, s in enumerate(slacks) if s == 0]
+    cert = extremality_certificate(cone, v)
+    tight_rank = rank([cone.normals[i] for i in tight])
+    assert (cert is not None) == (tight_rank == cone.dim - 1)
+    if cert is not None:
+        assert set(cert.indices) <= set(tight)
+        assert cert.rank == len(cert.indices) == cone.dim - 1
+        assert rank([cone.normals[i] for i in cert.indices]) == cone.dim - 1
+    assert extremality_certificate(cone, scaled) == cert

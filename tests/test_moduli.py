@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fcone.exactlin import primitive
 from fcone.moduli import (
     FullDivisor,
     FullFCurve,
@@ -442,3 +443,135 @@ def test_symmetrize_matches_the_per_side_sum(d):
     got, expected = symmetrize(d), symmetrize_by_sum(d)
     assert got.psi == expected.psi
     assert list(got.delta_map().items()) == list(expected.delta_map().items())
+
+
+# ---------------------------------------------------------------------------
+# Integer symmetric pairing against dense Fraction oracles.
+
+
+def dense_fcurve_vector(f: SymFCurve) -> list[Fraction]:
+    """Oracle for fcurve_class_vector: the pairing rule over every Δ_k."""
+    n = f.n
+    coeffs = {k: Fraction(0) for k in delta_range(n)}
+    a, b, c, d = f.parts
+    for x, y in ((a + b, c + d), (a + c, b + d), (a + d, b + c)):
+        coeffs[min(x, y)] += 1
+    for v in f.parts:
+        if v >= 2:
+            coeffs[min(v, n - v)] -= 1
+    return [coeffs[k] for k in delta_range(n)]
+
+
+def dense_class_vector(d: SymDivisor) -> list[Fraction]:
+    """Oracle for the pure-Δ expansion: one Fraction sum per Δ_k."""
+    n = d.n
+    return [d.delta(k) + d.psi * Fraction(k * (n - k), n - 1) for k in delta_range(n)]
+
+
+def dense_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
+    return sum(
+        (x * y for x, y in zip(dense_class_vector(d), dense_fcurve_vector(f))), Fraction(0)
+    )
+
+
+def proportional_by_division(d1: SymDivisor, d2: SymDivisor):
+    """Oracle for proportional: divide one dense coordinate, check them all."""
+    v1, v2 = dense_class_vector(d1), dense_class_vector(d2)
+    if all(x == 0 for x in v2):
+        return Fraction(1) if all(x == 0 for x in v1) else None
+    i = next(i for i, x in enumerate(v2) if x != 0)
+    c = v1[i] / v2[i]
+    if c <= 0:
+        return None
+    return c if all(x == c * y for x, y in zip(v1, v2)) else None
+
+
+rationals_30 = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+# a coefficient is zero about a third of the time, so many classes are sparse
+coefficients_30 = st.one_of(st.just(Fraction(0)), rationals_30)
+
+
+@st.composite
+def sym_divisors(draw, n_values=st.integers(4, 24)):
+    """Random classes with ψ, among them zero classes: the empty one and
+    c·((n−1)ψ − Σ k(n−k)Δ_k), which is zero with nonzero coordinates."""
+    n = draw(n_values)
+    ks = list(delta_range(n))
+    kind = draw(st.sampled_from(["random", "random", "random", "empty", "relation"]))
+    if kind == "empty":
+        return SymDivisor(n)
+    if kind == "relation":
+        c = draw(rationals_30)
+        return SymDivisor(n, c * (n - 1), {k: -c * k * (n - k) for k in ks})
+    coeffs = draw(st.lists(coefficients_30, min_size=len(ks), max_size=len(ks)))
+    return SymDivisor(n, draw(coefficients_30), dict(zip(ks, coeffs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sym_divisors())
+def test_sym_pairing_matches_a_dense_fraction_dot(d):
+    for f in enumerate_sym_fcurves(d.n):
+        got = sym_pairing(d, f)
+        assert type(got) is Fraction
+        assert got == dense_pairing(d, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sym_divisors())
+def test_class_vector_ray_and_zero_test_match_the_dense_expansion(d):
+    dense = dense_class_vector(d)
+    assert d.class_vector() == tuple(dense)
+    assert all(type(x) is Fraction for x in d.class_vector())
+    assert d.is_zero() == all(x == 0 for x in dense)
+    assert d.ray() == primitive(dense, flip_sign=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sym_divisors(st.integers(4, 16)), st.data())
+def test_sym_divisor_arithmetic_matches_a_fresh_construction(a, data):
+    n = a.n
+    b = data.draw(sym_divisors(st.just(n)))
+    c = data.draw(rationals_30)
+    ks = delta_range(n)
+    cases = [
+        (a + b, a.psi + b.psi, {k: a.delta(k) + b.delta(k) for k in ks}),
+        (a - b, a.psi - b.psi, {k: a.delta(k) - b.delta(k) for k in ks}),
+        (c * a, c * a.psi, {k: c * a.delta(k) for k in ks}),
+        (-a, -a.psi, {k: -a.delta(k) for k in ks}),
+    ]
+    for got, psi, delta in cases:
+        fresh = SymDivisor(n, psi, delta)
+        assert got.psi == fresh.psi and got.delta_map() == fresh.delta_map()
+        assert got.class_vector() == tuple(dense_class_vector(fresh))
+        assert got == fresh and hash(got) == hash(fresh)
+        for f in enumerate_sym_fcurves(n):
+            assert sym_pairing(got, f) == dense_pairing(fresh, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sym_divisors(st.integers(4, 16)), st.data())
+def test_proportional_matches_the_division_oracle(d, data):
+    other = data.draw(st.one_of(
+        sym_divisors(st.just(d.n)),
+        rationals_30.map(lambda c: c * d),
+    ))
+    assert proportional(d, other) == proportional_by_division(d, other)
+    assert proportional(other, d) == proportional_by_division(other, d)
+
+
+def test_fcurve_class_vector_is_ints_with_at_most_seven_nonzero():
+    for n in range(4, 25):
+        for f in enumerate_sym_fcurves(n):
+            vec = fcurve_class_vector(f)
+            assert all(type(x) is int for x in vec)
+            assert vec == tuple(dense_fcurve_vector(f))
+            assert sum(1 for x in vec if x) <= 7
+
+
+def test_enumerate_sym_fcurves_returns_a_fresh_list():
+    curves = enumerate_sym_fcurves(10)
+    curves.clear()
+    assert len(enumerate_sym_fcurves(10)) == 9
+    assert enumerate_sym_fcurves(10) is not enumerate_sym_fcurves(10)
+    with pytest.raises(ValueError):
+        enumerate_sym_fcurves(3)

@@ -1,9 +1,11 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fcone.exactlin import rank
 from fcone.moduli import (
+    delta_range,
     enumerate_sym_fcurves,
     fcurve_class_vector,
     proportional,
@@ -90,6 +92,35 @@ def test_annotations_witness_proportionality():
             div = sym_divisor_from_vector(n, ray)
             for lab in labels:
                 assert proportional(candidates[lab], div) is not None
+
+
+def proportional_by_division(d1, d2):
+    """The dense Fraction proportionality test: divide one coordinate of the
+    ψ-expanded classes, then check every coordinate."""
+    n = d1.n
+
+    def expand(d):
+        return [d.delta(k) + d.psi * Fraction(k * (n - k), n - 1) for k in delta_range(n)]
+
+    v1, v2 = expand(d1), expand(d2)
+    if all(x == 0 for x in v2):
+        return Fraction(1) if all(x == 0 for x in v1) else None
+    i = next(i for i, x in enumerate(v2) if x != 0)
+    c = v1[i] / v2[i]
+    if c <= 0:
+        return None
+    return c if all(x == c * y for x, y in zip(v1, v2)) else None
+
+
+@pytest.mark.parametrize("n", range(5, 15))
+def test_ray_annotations_match_the_all_pairs_loop(n):
+    candidates = annotation_candidates(n)
+    expected = []
+    for ray in fcone_rays(n).rays:
+        div = sym_divisor_from_vector(n, ray)
+        labels = [lab for lab, d in candidates if proportional_by_division(d, div) is not None]
+        expected.append((ray, labels))
+    assert ray_annotations(n) == expected
 
 
 def test_triple_cover_divisor_is_fnef():
