@@ -30,6 +30,7 @@ from .covers import (
 from .eigenforms import eigen_rank_degree_fcurve
 from .exactlin import independent_rows, parse_rational, primitive
 from .moduli import (
+    SymDivisor,
     SymFCurve,
     enumerate_sym_fcurves,
     fcurve_class_vector,
@@ -152,12 +153,11 @@ def cmd_pair(args) -> int:
     return 0
 
 
-def _fcurve_degrees(args) -> tuple[list[SymFCurve], list[tuple[SymFCurve, Fraction]]]:
+def _fcurve_degrees(div: SymDivisor) -> tuple[list[SymFCurve], list[tuple[SymFCurve, Fraction]]]:
     """The F-curves on which the divisor has degree zero, and those on which
     it is negative together with the degree."""
-    div = parse_divisor(args.divisor, args.n)
     zero, negative = [], []
-    for f in enumerate_sym_fcurves(args.n):
+    for f in enumerate_sym_fcurves(div.n):
         deg = sym_pairing(div, f)
         if deg == 0:
             zero.append(f)
@@ -167,7 +167,7 @@ def _fcurve_degrees(args) -> tuple[list[SymFCurve], list[tuple[SymFCurve, Fracti
 
 
 def cmd_fnef(args) -> int:
-    zero, negative = _fcurve_degrees(args)
+    zero, negative = _fcurve_degrees(parse_divisor(args.divisor, args.n))
     print("F-nef" if not negative else "not F-nef")
     for f in zero:
         print(f"zero: {f}")
@@ -177,7 +177,13 @@ def cmd_fnef(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    orthogonal, negative = _fcurve_degrees(args)
+    div = parse_divisor(args.divisor, args.n)
+    if div.is_zero():
+        # every F-curve is orthogonal to it, so the rank below would overshoot
+        print("not extremal")
+        print("zero class: orthogonal to every F-curve, spans no ray")
+        return 1
+    orthogonal, negative = _fcurve_degrees(div)
     if negative:
         print("not F-nef")
         for f, deg in negative:

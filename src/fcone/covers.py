@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
-from itertools import combinations
 from math import comb, gcd
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .moduli import FullDivisor, SymDivisor, delta_range
+from .moduli import FullDivisor, SymDivisor, _side_masks, delta_range
 
 
 def residue(a: int, p: int) -> int:
@@ -82,22 +80,12 @@ def exceptional_genus(di: int, dj: int, p: int) -> int:
     return twice
 
 
-@cache
-def _sides(n: int) -> tuple[tuple[int, frozenset[int]], ...]:
-    # canonical node sides, the subsets omitting the last marking, as
-    # (bitmask, set) pairs; bit i−1 stands for marking i
-    return tuple(
-        (sum(1 << (i - 1) for i in side), frozenset(side))
-        for size in range(2, n - 1)
-        for side in combinations(range(1, n), size)
-    )
+def _side_sums(w: WeightData) -> tuple[list[int], list[int]]:
+    """Weight sum mod p and ramification of every set of markings without
+    n, as two lists indexed by bitmask, bit i−1 standing for marking i.
 
-
-def _side_sums(w: WeightData) -> Iterator[tuple[frozenset[int], int, int]]:
-    """(side, weight sum, ramification) for each canonical side of w.
-
-    The ramification of a side is Σ(p − gcd(d_i, p)) over its markings, as
-    in _genus_value.  Both sums are filled for all 2^(n−1) masks at once:
+    The ramification of a set is Σ(p − gcd(d_i, p)) over its markings, as
+    in _genus_value.  Both lists are filled for all 2^(n−1) masks at once:
     marking i doubles the lists, and a mask with top bit i−1 gets the entry
     of the mask without that bit, plus marking i.
     """
@@ -105,10 +93,16 @@ def _side_sums(w: WeightData) -> Iterator[tuple[frozenset[int], int, int]]:
     weight, ram = [0], [0]
     for di in w.d[:-1]:
         ei = p - gcd(di, p)
-        weight += [x + di for x in weight]
+        weight += [(x + di) % p for x in weight]
         ram += [x + ei for x in ram]
-    for mask, side in _sides(w.n):
-        yield side, weight[mask], ram[mask]
+    return weight, ram
+
+
+def _over(den: int, table: list[int]) -> tuple[list[int], int]:
+    """A table of numerators over den, and den, divided by their common
+    factor, so that a class read from the table is close to lowest terms."""
+    g = gcd(den, *table)
+    return [v // g for v in table], den // g
 
 
 def _unit_pullbacks(n: int, p: int) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
@@ -158,27 +152,31 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     and the image family leaves the boundary.
     """
     p, n = w.p, w.n
-    psi = tuple(Fraction(p * p - gcd(di, p) ** 2, 12 * p) for di in w.d)
-    # coefficients indexed by q = gcd(side weight, p), which lies in 1..p
-    lam_of = [-Fraction(p * p - q * q, 12 * p) for q in range(p + 1)]
-    irr_of = [Fraction(q * q, p) for q in range(p + 1)]
+    weight, ram = _side_sums(w)
+    masks = _side_masks(n)
+    # numerators indexed by the side weight s mod p, through q = gcd(s, p);
+    # ψ_i of λ is the negated λ entry of d_i mod p
+    gcds = [gcd(s, p) for s in range(p)]
+    lam_of, lam_den = _over(12 * p, [q * q - p * p for q in gcds])
+    irr_of, irr_den = _over(p, [q * q if q > 1 else 0 for q in gcds])
     # a half with ramification r carries a cover with χ = p + 1 − r when q = 1
     # (its attaching point ramifies fully), positive genus when χ ≤ 1
     total_ram = sum(p - gcd(di, p) for di in w.d)
-    split = Fraction(1, p)
-    lam, irr, red = {}, {}, {}
-    for side, s, ram in _side_sums(w):
-        q = gcd(s, p)
-        lam[side] = lam_of[q]
-        if q > 1:
-            irr[side] = irr_of[q]
-        elif p + 1 - ram <= 1 and p + 1 - (total_ram - ram) <= 1:
-            red[side] = split
-    zero = (Fraction(0),) * n
+    zero = (0,) * n
     return (
-        FullDivisor(n, psi, lam),
-        FullDivisor(n, zero, irr),
-        FullDivisor(n, zero, red),
+        FullDivisor(n, _cleared=(
+            [-lam_of[di % p] for di in w.d],
+            {m: c for m in masks if (c := lam_of[weight[m]])},
+            lam_den,
+        )),
+        FullDivisor(n, _cleared=(
+            zero, {m: c for m in masks if (c := irr_of[weight[m]])}, irr_den,
+        )),
+        FullDivisor(n, _cleared=(
+            zero,
+            {m: 1 for m in masks if gcds[weight[m]] == 1 and p <= ram[m] <= total_ram - p},
+            p,
+        )),
     )
 
 
@@ -199,17 +197,13 @@ def eigen_det_class(w: WeightData, j: Optional[int] = None) -> FullDivisor:
     """
     j = _character(w, j)
     p, n = w.p, w.n
-    scale = Fraction(1, 2 * p * p)
-
-    def weight(t: int) -> Fraction:
-        r = residue(t, p)
-        return scale * r * (p - r)
-
-    psi = tuple(weight(j * di) for di in w.d)
+    # r(p − r) for the residue r of j·d, over 2p²
+    value, den = _over(2 * p * p, [r * (p - r) for r in (j * t % p for t in range(p))])
     # the Δ coefficient of a side depends only on its weight sum mod p
-    delta_of = [-weight(j * s) for s in range(p)]
-    delta = {side: delta_of[s % p] for side, s, _ in _side_sums(w)}
-    return FullDivisor(n, psi, delta)
+    delta_of = [-v for v in value]
+    weight, _ = _side_sums(w)
+    delta = {m: c for m in _side_masks(n) if (c := delta_of[weight[m]])}
+    return FullDivisor(n, _cleared=([value[di % p] for di in w.d], delta, den))
 
 
 def _symmetric_classes(

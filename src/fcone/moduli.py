@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import QVector, format_rational, parse_rational
@@ -314,15 +314,10 @@ def proportional(d1: SymDivisor, d2: SymDivisor) -> Optional[Fraction]:
 # Classes on the unquotiented space.
 
 
-@cache
-def _markings(n: int) -> frozenset[int]:
-    return frozenset(range(1, n + 1))
-
-
 def canonical_side(markings: Iterable[int], n: int) -> frozenset[int]:
     """The representative side of a boundary partition: the one without n."""
     side = frozenset(markings)
-    everything = _markings(n)
+    everything = frozenset(range(1, n + 1))
     if not side <= everything:
         raise ValueError(f"markings {sorted(side)} out of range for n={n}")
     if n in side:
@@ -332,68 +327,97 @@ def canonical_side(markings: Iterable[int], n: int) -> frozenset[int]:
     return side
 
 
+def _side_mask(side: Iterable[int]) -> int:
+    """The bitmask of a set of markings: bit i−1 stands for marking i."""
+    return sum(1 << (i - 1) for i in side)
+
+
+@cache
+def _side_masks(n: int) -> tuple[int, ...]:
+    """Bitmasks of the canonical sides for n markings: sizes 2..n−2, the sets
+    of one size in lexicographic order."""
+    return tuple(
+        _side_mask(side)
+        for size in range(2, n - 1)
+        for side in itertools.combinations(range(1, n), size)
+    )
+
+
+class _SideSets(dict):
+    """Bitmask → frozenset of its markings, each built on first lookup.
+
+    A mask names the same set for every n, so one table serves all n.
+    """
+
+    def __missing__(self, mask: int) -> frozenset[int]:
+        side = self[mask] = frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+        return side
+
+
+_SIDE_SETS = _SideSets()
+
+
 class FullDivisor:
     """Divisor class before symmetrization: ψ_1..ψ_n plus Δ_{I,J} terms.
 
-    Boundary keys are canonical sides (the half of the partition not
-    containing the marking n); zero coefficients are dropped on
-    construction.
+    Immutable.  Boundary keys are canonical sides (the half of the
+    partition not containing the marking n); zero coefficients are dropped
+    on construction.  The class is held as integer numerators over one
+    common denominator, in lowest terms: a tuple for ψ and a dict for Δ
+    keyed by the canonical side's bitmask, bit i−1 standing for marking i.
     """
 
-    __slots__ = ("n", "psi", "_delta")
+    __slots__ = ("n", "_psi", "_delta", "_den")
 
-    def __init__(self, n: int, psi: Sequence = (), delta: Optional[Mapping] = None):
+    def __init__(self, n: int, psi: Sequence = (), delta: Optional[Mapping] = None, *,
+                 _cleared: Optional[tuple[Sequence[int], dict[int, int], int]] = None):
         _check_n(n)
+        # ``_cleared`` = (ψ numerators, nonzero Δ numerators by side mask,
+        # positive denominator) is passed only by the builders and the
+        # arithmetic, whose masks are canonical already
+        if _cleared is None:
+            _cleared = _clear(n, psi, delta)
+        psi, delta, den = _cleared
+        g = gcd(den, *psi, *delta.values())
+        if g > 1:
+            psi = [a // g for a in psi]
+            delta = {m: c // g for m, c in delta.items()}
+            den //= g
         object.__setattr__(self, "n", n)
-        if psi:
-            psi = tuple(c if type(c) is Fraction else Fraction(c) for c in psi)
-        else:
-            psi = (Fraction(0),) * n
-        if len(psi) != n:
-            raise ValueError(f"need {n} psi-coefficients, got {len(psi)}")
-        object.__setattr__(self, "psi", psi)
-        everything = _markings(n)
-        coeffs = {}
-        merged = False
-        for side, c in (delta or {}).items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                # a key that is already a canonical side is kept as it is
-                if type(side) is frozenset and n not in side \
-                        and 2 <= len(side) <= n - 2 and side <= everything:
-                    key = side
-                else:
-                    key = canonical_side(side, n)
-                if key in coeffs:
-                    coeffs[key] += c
-                    merged = True
-                else:
-                    coeffs[key] = c
-        if merged:
-            # two keys for one class may have cancelled
-            coeffs = {k: c for k, c in coeffs.items() if c}
-        object.__setattr__(self, "_delta", coeffs)
+        object.__setattr__(self, "_psi", tuple(psi))
+        object.__setattr__(self, "_delta", delta)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FullDivisor is immutable")
 
+    @property
+    def psi(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._psi)
+
     def delta(self, side: Iterable[int]) -> Fraction:
-        return self._delta.get(canonical_side(side, self.n), Fraction(0))
+        return Fraction(self._delta.get(_side_mask(canonical_side(side, self.n)), 0), self._den)
 
     def delta_map(self) -> dict[frozenset[int], Fraction]:
-        return dict(self._delta)
+        # one Fraction per distinct numerator: a cover class has at most p+1
+        den = self._den
+        values = {c: Fraction(c, den) for c in set(self._delta.values())}
+        return {_SIDE_SETS[m]: values[c] for m, c in self._delta.items()}
 
     def _binop(self, other: "FullDivisor", sign: int) -> "FullDivisor":
         if not isinstance(other, FullDivisor):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot combine divisors with different n")
-        delta = dict(self._delta)
-        for key, c in other._delta.items():
-            delta[key] = delta.get(key, Fraction(0)) + sign * c
-        psi = tuple(a + sign * b for a, b in zip(self.psi, other.psi))
-        return FullDivisor(self.n, psi, delta)
+        du, dv = self._den, other._den
+        den = lcm(du, dv)
+        su, sv = den // du, sign * (den // dv)
+        delta = {m: su * a for m, a in self._delta.items()}
+        for m, b in other._delta.items():
+            delta[m] = delta.get(m, 0) + sv * b
+        psi = [su * a + sv * b for a, b in zip(self._psi, other._psi)]
+        return FullDivisor(self.n, _cleared=(psi, {m: c for m, c in delta.items() if c}, den))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -403,8 +427,10 @@ class FullDivisor:
 
     def __mul__(self, scalar):
         c = Fraction(scalar)
-        return FullDivisor(self.n, tuple(c * x for x in self.psi),
-                           {k: c * v for k, v in self._delta.items()})
+        a = c.numerator
+        delta = {m: a * v for m, v in self._delta.items()} if a else {}
+        return FullDivisor(self.n, _cleared=([a * x for x in self._psi], delta,
+                                             c.denominator * self._den))
 
     __rmul__ = __mul__
 
@@ -414,13 +440,14 @@ class FullDivisor:
     def __eq__(self, other):
         if not isinstance(other, FullDivisor):
             return NotImplemented
-        return self.n == other.n and self.psi == other.psi and self._delta == other._delta
+        return (self.n == other.n and self._den == other._den and self._psi == other._psi
+                and self._delta == other._delta)
 
     def __hash__(self):
-        return hash((self.n, self.psi, frozenset(self._delta.items())))
+        return hash((self.n, self._den, self._psi, frozenset(self._delta.items())))
 
     def is_zero(self) -> bool:
-        return not self._delta and all(c == 0 for c in self.psi)
+        return not self._delta and not any(self._psi)
 
     def __repr__(self):
         return f"FullDivisor(n={self.n}, psi={self.psi}, {len(self._delta)} boundary terms)"
@@ -428,7 +455,7 @@ class FullDivisor:
     def to_json(self) -> str:
         delta = {
             ",".join(str(i) for i in sorted(side)): format_rational(c)
-            for side, c in sorted(self._delta.items(), key=lambda kv: sorted(kv[0]))
+            for side, c in sorted(self.delta_map().items(), key=lambda kv: sorted(kv[0]))
         }
         return json.dumps(
             {"n": self.n, "psi": [format_rational(c) for c in self.psi], "delta": delta}
@@ -444,11 +471,41 @@ class FullDivisor:
         return cls(data["n"], [parse_rational(c) for c in data.get("psi", [])] or (), delta)
 
 
+def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], dict[int, int], int]:
+    """Checked public FullDivisor arguments as (ψ numerators, nonzero Δ
+    numerators by canonical side mask, common denominator).  Sides naming
+    one class add up, in the place of the first; a zero coefficient is
+    skipped before its side is read."""
+    if psi:
+        psi = [c if type(c) is Fraction else Fraction(c) for c in psi]
+    else:
+        psi = [Fraction(0)] * n
+    if len(psi) != n:
+        raise ValueError(f"need {n} psi-coefficients, got {len(psi)}")
+    terms = []
+    for side, c in (delta or {}).items():
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c:
+            terms.append((_side_mask(canonical_side(side, n)), c))
+    den = lcm(*(c.denominator for c in psi), *(c.denominator for _, c in terms))
+    nums: dict[int, int] = {}
+    for m, c in terms:
+        nums[m] = nums.get(m, 0) + c.numerator * (den // c.denominator)
+    return ([c.numerator * (den // c.denominator) for c in psi],
+            {m: a for m, a in nums.items() if a}, den)
+
+
 @dataclass(frozen=True)
 class FullFCurve:
     """F-curve as a set partition of the markings into four blocks."""
 
     blocks: tuple[frozenset[int], ...]
+    # what full_pairing reads: the ψ indices of the singleton blocks, the
+    # canonical side masks of the larger blocks, and those of the three
+    # unions of two blocks
+    _terms: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
@@ -460,6 +517,19 @@ class FullFCurve:
         if union != frozenset(range(1, len(union) + 1)):
             raise ValueError("F-curve blocks must partition {1..n}")
         object.__setattr__(self, "blocks", blocks)
+        n = len(union)
+        everything, top = (1 << n) - 1, 1 << (n - 1)
+        masks = [_side_mask(b) for b in blocks]
+
+        def side(mask: int) -> int:
+            return mask ^ everything if mask & top else mask
+
+        a, b, c, e = masks
+        object.__setattr__(self, "_terms", (
+            tuple(min(block) - 1 for block in blocks if len(block) == 1),
+            tuple(side(m) for m, block in zip(masks, blocks) if len(block) > 1),
+            (side(a | b), side(a | c), side(a | e)),
+        ))
 
     @property
     def n(self) -> int:
@@ -510,26 +580,16 @@ def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:
     A boundary class Δ_{I,J} meets it +1 when {I, J} merges the blocks two
     against two, −1 when one side is a single block, and 0 otherwise.
     So only seven boundary classes can meet it: one per block of two or
-    more markings and one per pairing of the blocks.
+    more markings and one per pairing of the blocks.  Their integer
+    numerators are summed and divided once by the class's denominator.
     """
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
-    n, everything, delta = d.n, _markings(d.n), d._delta
-
-    def coefficient(side: frozenset[int]) -> Fraction:
-        return delta.get(everything - side if n in side else side, 0)
-
-    total = Fraction(0)
-    for block in f.blocks:
-        if len(block) == 1:
-            (i,) = block
-            total += d.psi[i - 1]
-        else:
-            total -= coefficient(block)
-    a, b, c, e = f.blocks
-    for side in (a | b, a | c, a | e):
-        total += coefficient(side)
-    return total
+    psi, delta = d._psi, d._delta
+    singles, blocks, pairs = f._terms
+    total = sum([psi[i] for i in singles]) + sum([delta.get(m, 0) for m in pairs]) \
+        - sum([delta.get(m, 0) for m in blocks])
+    return Fraction(total, d._den)
 
 
 def symmetrize(d: FullDivisor) -> SymDivisor:
@@ -539,24 +599,21 @@ def symmetrize(d: FullDivisor) -> SymDivisor:
     the sum of the coefficients on boundary classes with min side k divided
     by the number of such classes.
     """
-    n = d.n
-    psi = sum(d.psi, Fraction(0)) / n
-    # integer numerators per (side size, denominator), one Fraction per pair
-    numerators: dict[tuple[int, int], int] = {}
-    for side, c in d._delta.items():
-        key = (len(side), c.denominator)
-        numerators[key] = numerators.get(key, 0) + c.numerator
-    sums: dict[int, Fraction] = {}
-    for (size, den), num in numerators.items():
-        k = min(size, n - size)
-        sums[k] = sums.get(k, 0) + Fraction(num, den)
-    delta = {}
-    for k, total in sums.items():
-        classes = Fraction(factorial(n), factorial(k) * factorial(n - k))
-        if 2 * k == n:
-            classes /= 2
-        delta[k] = total / classes
-    return SymDivisor(n, psi, delta)
+    n, den = d.n, d._den
+    # integer numerators per side size, in the order the sizes first appear
+    sizes: dict[int, int] = {}
+    for m, c in d._delta.items():
+        s = m.bit_count()
+        sizes[s] = sizes.get(s, 0) + c
+    sums: dict[int, int] = {}
+    for s, num in sizes.items():
+        k = min(s, n - s)
+        sums[k] = sums.get(k, 0) + num
+    # at k = n/2 each class has two sides of size k
+    delta = {
+        k: Fraction(num * (2 if 2 * k == n else 1), den * comb(n, k)) for k, num in sums.items()
+    }
+    return SymDivisor(n, Fraction(sum(d._psi), n * den), delta)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,11 @@ def test_extremal_no(capsys):
         "orthogonal: F_{5,3,1,1}\n"
         "certificate: F_{7,1,1,1} F_{5,3,1,1}\n"
     )
+    # the zero class is orthogonal to every F-curve but spans no ray
+    for n in ("4", "8"):
+        code, out, _ = run(capsys, "extremal", "0", "--n", n)
+        assert (code, out) == (
+            1, "not extremal\nzero class: orthogonal to every F-curve, spans no ray\n")
 
 
 def test_rays_plain(capsys):

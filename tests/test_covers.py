@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,9 @@ from fcone.covers import (
     sym_weighted_pullbacks,
     weighted_pullbacks,
 )
+from fcone.exactlin import format_rational
 from fcone.moduli import (
+    FullDivisor,
     SymDivisor,
     SymFCurve,
     delta_range,
@@ -181,17 +185,116 @@ def weight_data(draw):
     return WeightData(tuple(head) + (-sum(head) % p,), p)
 
 
+PINNED_WEIGHTS = (
+    WeightData((0, 1, 2, 3, 4, 5, 6, 0, 0), 7),  # seven values, zeros
+    WeightData((2, 4, 2, 4, 0, 0), 6),  # gcd(p, d...) = 2
+    WeightData((3, 3, 3, 3, 0, 0, 0), 6),  # gcd(p, d...) = 3
+    WeightData((1, 2, 3, 1, 2, 3, 0, 0, 2, 2), 4),  # Δ_{n/2}, four values
+)
+
+
+def pinned_weights(test):
+    for w in reversed(PINNED_WEIGHTS):
+        test = example(w=w)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(w=weight_data())
-@example(w=WeightData((0, 1, 2, 3, 4, 5, 6, 0, 0), 7))  # seven values, zeros
-@example(w=WeightData((2, 4, 2, 4, 0, 0), 6))  # gcd(p, d...) = 2
-@example(w=WeightData((3, 3, 3, 3, 0, 0, 0), 6))  # gcd(p, d...) = 3
-@example(w=WeightData((1, 2, 3, 1, 2, 3, 0, 0, 2, 2), 4))  # Δ_{n/2}, four values
+@pinned_weights
 def test_profile_classes_equal_symmetrized_full_classes(w):
     full = [symmetrize(d) for d in weighted_pullbacks(w)]
     assert all(same_raw(a, b) for a, b in zip(sym_weighted_pullbacks(w), full))
     for j in range(1, w.p):
         assert same_raw(sym_eigen_det_class(w, j), symmetrize(eigen_det_class(w, j)))
+
+
+# ---------------------------------------------------------------------------
+# Per-marking classes against per-side Fraction oracles: every canonical side
+# as a frozenset, with its own Fraction, zero coefficients dropped.
+
+
+def canonical_sides(n: int) -> list[frozenset[int]]:
+    return [frozenset(side) for size in range(2, n - 1)
+            for side in combinations(range(1, n), size)]
+
+
+def weighted_pullbacks_by_side(w: WeightData) -> list[tuple[tuple, dict]]:
+    """Oracle for weighted_pullbacks: (ψ, Δ by side) of λ, δ_irr and δ_red."""
+    p, n = w.p, w.n
+    total_ram = sum(p - gcd(di, p) for di in w.d)
+    lam, irr, red = {}, {}, {}
+    for side in canonical_sides(n):
+        q = gcd(sum(w.d[i - 1] for i in side), p)
+        ram = sum(p - gcd(w.d[i - 1], p) for i in side)
+        if q < p:
+            lam[side] = -Fraction(p * p - q * q, 12 * p)
+        if q > 1:
+            irr[side] = Fraction(q * q, p)
+        elif ram >= p and total_ram - ram >= p:  # positive genus on both halves
+            red[side] = Fraction(1, p)
+    psi = tuple(Fraction(p * p - gcd(di, p) ** 2, 12 * p) for di in w.d)
+    zero = (Fraction(0),) * n
+    return [(psi, lam), (zero, irr), (zero, red)]
+
+
+def eigen_det_class_by_side(w: WeightData, j: int) -> tuple[tuple, dict]:
+    """Oracle for eigen_det_class: (ψ, Δ by side)."""
+    p = w.p
+
+    def weight(t: int) -> Fraction:
+        r = j * t % p
+        return Fraction(r * (p - r), 2 * p * p)
+
+    delta = {}
+    for side in canonical_sides(w.n):
+        c = weight(sum(w.d[i - 1] for i in side))
+        if c:
+            delta[side] = -c
+    return tuple(weight(di) for di in w.d), delta
+
+
+def json_by_side(n: int, psi: tuple, delta: dict) -> str:
+    return json.dumps({
+        "n": n,
+        "psi": [format_rational(c) for c in psi],
+        "delta": {",".join(map(str, sorted(side))): format_rational(c)
+                  for side, c in sorted(delta.items(), key=lambda kv: sorted(kv[0]))},
+    })
+
+
+def symmetrize_by_side(n: int, psi: tuple, delta: dict) -> SymDivisor:
+    sums = {}
+    for side, c in delta.items():
+        k = min(len(side), n - len(side))
+        sums[k] = sums.get(k, Fraction(0)) + c
+    classes = {k: comb(n, k) // (2 if 2 * k == n else 1) for k in sums}
+    return SymDivisor(n, sum(psi, Fraction(0)) / n,
+                      {k: total / classes[k] for k, total in sums.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=weight_data())
+@pinned_weights
+def test_full_classes_match_the_per_side_oracles(w):
+    n = w.n
+    got = [*weighted_pullbacks(w), *(eigen_det_class(w, j) for j in range(1, w.p))]
+    expected = [*weighted_pullbacks_by_side(w),
+                *(eigen_det_class_by_side(w, j) for j in range(1, w.p))]
+    for d, (psi, delta) in zip(got, expected):
+        assert d.psi == psi and all(type(c) is Fraction for c in d.psi)
+        assert list(d.delta_map().items()) == list(delta.items())
+        assert d.to_json() == json_by_side(n, psi, delta)
+        sym, sym_expected = symmetrize(d), symmetrize_by_side(n, psi, delta)
+        assert sym.psi == sym_expected.psi
+        assert list(sym.delta_map().items()) == list(sym_expected.delta_map().items())
+        # every other way to build the class gives an equal class; JSON
+        # lists the sides sorted, so from_json keeps that order
+        again, loaded = FullDivisor(n, d.psi, d.delta_map()), FullDivisor.from_json(d.to_json())
+        assert list(again.delta_map().items()) == list(delta.items())
+        assert loaded.delta_map() == delta
+        for other in (again, loaded):
+            assert other == d and hash(other) == hash(d)
 
 
 def test_weighted_pullbacks_single_heavy_marking():

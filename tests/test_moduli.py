@@ -445,6 +445,38 @@ def test_symmetrize_matches_the_per_side_sum(d):
     assert list(got.delta_map().items()) == list(expected.delta_map().items())
 
 
+def combine_by_side(n: int, *terms) -> tuple[tuple, dict]:
+    """Oracle for +, - and scalar *: Σ c·d as (ψ, Δ by side), one Fraction per
+    side, sides in the order they first appear, zero coefficients dropped."""
+    psi = [Fraction(0)] * n
+    delta = {}
+    for c, d in terms:
+        psi = [x + c * y for x, y in zip(psi, d.psi)]
+        for side, v in d.delta_map().items():
+            delta[side] = delta.get(side, 0) + c * v
+    return tuple(psi), {side: v for side, v in delta.items() if v}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_full_arithmetic_matches_the_per_side_oracle(data):
+    d = data.draw(full_divisors())
+    e = data.draw(full_divisors(n_values=st.just(d.n)))
+    c = data.draw(mixed_rationals)
+    cases = [(d + e, [(1, d), (1, e)]), (d - e, [(1, d), (-1, e)]), (-d, [(-1, d)])]
+    for scalar in (c, 0, Fraction(-3, 7), Fraction(5, 12)):
+        cases += [(scalar * d, [(scalar, d)]), (e * scalar, [(scalar, e)])]
+    for got, terms in cases:
+        psi, delta = combine_by_side(d.n, *terms)
+        assert got.psi == psi
+        assert list(got.delta_map().items()) == list(delta.items())
+        assert got.is_zero() == (not delta and not any(psi))
+        again = FullDivisor(d.n, psi, delta)
+        assert got == again and hash(got) == hash(again)
+    assert (d - d).is_zero() and (d + (-1) * d).is_zero() and d - d == FullDivisor(d.n)
+    assert (d * 6) * Fraction(1, 6) == d and hash((d * 6) * Fraction(1, 6)) == hash(d)
+
+
 # ---------------------------------------------------------------------------
 # Integer symmetric pairing against dense Fraction oracles.
 
