@@ -28,7 +28,7 @@ from .covers import (
     sym_weighted_pullbacks,
 )
 from .eigenforms import eigen_rank_degree_fcurve
-from .exactlin import independent_rows, parse_rational, primitive
+from .exactlin import independent_rows, parse_rational
 from .moduli import (
     SymDivisor,
     SymFCurve,
@@ -42,20 +42,6 @@ from .moduli import (
     tk_pairing,
 )
 from .tables import ray_annotations, fcone_rays, table_csv, TABLE_NAMES
-
-
-# the flags without a default that each class kind reads; it needs all of
-# them and takes no other
-CLASS_FLAGS = {
-    "hodge": ("n", "p"),
-    "boundary": ("n", "p"),
-    "weighted": ("p", "weights"),
-    "eigen": ("p", "weights", "j"),
-    "cb": ("p", "weights"),
-    "combo": ("n", "p"),
-    "p5": ("n", "j"),
-    "logcanonical": ("n", "p"),
-}
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -84,57 +70,57 @@ def _cover_weights(args) -> WeightData:
     return w
 
 
-def _print_class(div, args) -> int:
-    expanded = psi_expand(div)
-    vector = expanded.class_vector()
-    prop = None
-    if any(vector):
-        prim = primitive(vector)
-        if tuple(vector) != tuple(map(Fraction, prim)):
-            prop = prim
+# the dest of every class flag, by its name on the command line
+CLASS_DESTS = {
+    "n": "n", "p": "p", "weights": "weights", "j": "j", "part": "part",
+    "part-w": "part_w", "lambda": "c_lambda", "irr": "c_irr", "red": "c_red",
+}
+REQUIRED_CLASS_FLAGS = ("n", "p", "weights", "j")
+
+# each class kind: the flags it reads and the builder of its class.  A kind
+# requires the flags of REQUIRED_CLASS_FLAGS that it reads and takes no flag
+# that it does not read; the optional flags have their defaults here.
+CLASS_KINDS = {
+    "hodge": (("n", "p"), lambda a: hodge_class(a.n, a.p)),
+    "boundary": (("n", "p", "part"),
+                 lambda a: pullback_boundary(a.n, a.p)[("irr", "red").index(a.part or "irr")]),
+    "weighted": (("p", "weights", "part-w"),
+                 lambda a: sym_weighted_pullbacks(_cover_weights(a))[
+                     ("lambda", "irr", "red").index(a.part_w or "lambda")]),
+    "eigen": (("p", "weights", "j"), lambda a: sym_eigen_det_class(_cover_weights(a), a.j)),
+    # conformal_blocks_class: p·det E_1
+    "cb": (("p", "weights"),
+           lambda a: a.p * sym_eigen_det_class(WeightData(_parse_weights(a.weights), a.p), 1)),
+    "combo": (("n", "p", "lambda", "irr", "red"),
+              lambda a: pullback_combo(a.n, a.p, a.c_lambda or 0, a.c_irr or 0, a.c_red or 0)),
+    "p5": (("n", "j"), lambda a: p5_class(a.n, a.j)),
+    "logcanonical": (("n", "p"), lambda a: log_canonical_class(a.n, a.p)),
+}
+
+
+def cmd_class(args) -> int:
+    _, build = CLASS_KINDS[args.kind]
+    div = build(args)
+    vector = div.class_vector()
+    ray = div.ray()
+    # the ray when it is not the class itself
+    prop = ray if any(ray) and vector != ray else None
     if args.json:
         payload = {
             "n": div.n,
             "literal": format_divisor(div),
-            "expanded": format_divisor(expanded),
+            "expanded": format_divisor(psi_expand(div)),
             "vector": [str(x) for x in vector],
             "proportional": list(prop) if prop else None,
         }
         print(json.dumps(payload))
-        return 0
-    if args.expand:
-        print(format_divisor(expanded))
+    elif args.expand:
+        print(format_divisor(psi_expand(div)))
         if prop:
             print("proportional to " + format_divisor(sym_divisor_from_vector(div.n, prop)))
     else:
         print(format_divisor(div))
     return 0
-
-
-def cmd_class(args) -> int:
-    kind = args.kind
-    if kind == "hodge":
-        div = hodge_class(args.n, args.p)
-    elif kind == "boundary":
-        irr, red = pullback_boundary(args.n, args.p)
-        div = irr if args.part == "irr" else red
-    elif kind == "combo":
-        div = pullback_combo(args.n, args.p, args.c_lambda, args.c_irr, args.c_red)
-    elif kind == "p5":
-        div = p5_class(args.n, args.j)
-    elif kind == "logcanonical":
-        div = log_canonical_class(args.n, args.p)
-    elif kind == "weighted":
-        parts = sym_weighted_pullbacks(_cover_weights(args))
-        div = parts[("lambda", "irr", "red").index(args.part_w)]
-    elif kind == "eigen":
-        div = sym_eigen_det_class(_cover_weights(args), args.j)
-    elif kind == "cb":
-        # conformal_blocks_class: p·det E_1
-        div = args.p * sym_eigen_det_class(WeightData(_parse_weights(args.weights), args.p), 1)
-    else:
-        raise ValueError(f"unknown class kind {kind!r}")
-    return _print_class(div, args)
 
 
 def cmd_pair(args) -> int:
@@ -259,17 +245,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_class = sub.add_parser("class", help="build a cover class and print it")
-    p_class.add_argument("kind", choices=list(CLASS_FLAGS))
+    p_class.add_argument("kind", choices=list(CLASS_KINDS))
     p_class.add_argument("--n", type=int, help="number of markings")
     p_class.add_argument("--p", type=int, help="cover degree")
     p_class.add_argument("--j", type=int, help="character index")
     p_class.add_argument("--weights", help="comma-separated marking weights")
-    p_class.add_argument("--lambda", dest="c_lambda", type=parse_rational, default=Fraction(0))
-    p_class.add_argument("--irr", dest="c_irr", type=parse_rational, default=Fraction(0))
-    p_class.add_argument("--red", dest="c_red", type=parse_rational, default=Fraction(0))
-    p_class.add_argument("--part", choices=["irr", "red"], default="irr",
+    p_class.add_argument("--lambda", dest="c_lambda", type=parse_rational)
+    p_class.add_argument("--irr", dest="c_irr", type=parse_rational)
+    p_class.add_argument("--red", dest="c_red", type=parse_rational)
+    p_class.add_argument("--part", choices=["irr", "red"],
                          help="which boundary pullback to print")
-    p_class.add_argument("--part-w", choices=["lambda", "irr", "red"], default="lambda",
+    p_class.add_argument("--part-w", choices=["lambda", "irr", "red"],
                          help="which weighted pullback to print")
     p_class.add_argument("--expand", action="store_true", help="print in the pure-D basis")
     p_class.add_argument("--json", action="store_true")
@@ -321,10 +307,10 @@ def _validate(args) -> None:
     if args.command == "table" and args.n is not None and args.name != "t3-certificates":
         raise ValueError(f"table {args.name} takes no --n")
     if args.command == "class":
-        reads = CLASS_FLAGS[args.kind]
-        for flag in ("n", "p", "weights", "j"):
-            given = getattr(args, flag) is not None
-            if flag in reads and not given:
+        reads, _ = CLASS_KINDS[args.kind]
+        for flag, dest in CLASS_DESTS.items():
+            given = getattr(args, dest) is not None
+            if flag in reads and flag in REQUIRED_CLASS_FLAGS and not given:
                 raise ValueError(f"class {args.kind} requires --{flag}")
             if flag not in reads and given:
                 raise ValueError(f"class {args.kind} takes no --{flag}")

@@ -131,15 +131,8 @@ def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
 
 def pullback_combo(n: int, p: int, c_lambda, c_irr, c_red) -> SymDivisor:
     """Linear combination c_λ·λ + c_irr·δ_irr + c_red·δ_red, pulled back."""
-    coeffs = [Fraction(c) for c in (c_lambda, c_irr, c_red)]
-    parts = _unit_pullbacks(n, p)
-    # one SymDivisor for the whole sum rather than one per product and partial sum
-    maps = [d.delta_map() for d in parts]
-    return SymDivisor(
-        n,
-        sum(c * d.psi for c, d in zip(coeffs, parts)),
-        {k: sum(c * m.get(k, 0) for c, m in zip(coeffs, maps)) for k in delta_range(n)},
-    )
+    lam, irr, red = _unit_pullbacks(n, p)
+    return Fraction(c_lambda) * lam + Fraction(c_irr) * irr + Fraction(c_red) * red
 
 
 def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDivisor]:

@@ -51,7 +51,7 @@ class SymDivisor:
     equality and the ray of the class are read from those integers.
     """
 
-    __slots__ = ("n", "psi", "_delta", "_cleared", "_vector")
+    __slots__ = ("n", "psi", "_delta", "_cleared")
 
     def __init__(self, n: int, psi=0, delta: Optional[Mapping[int, object]] = None, *,
                  _cleared: Optional[tuple[tuple[int, ...], int]] = None):
@@ -74,7 +74,6 @@ class SymDivisor:
         if _cleared is None:
             _cleared = _expand(n, psi, coeffs)
         object.__setattr__(self, "_cleared", _cleared)
-        object.__setattr__(self, "_vector", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymDivisor is immutable")
@@ -92,10 +91,8 @@ class SymDivisor:
 
     def class_vector(self) -> QVector:
         """Coordinates in the pure-Δ basis (ψ eliminated)."""
-        if self._vector is None:
-            num, den = self._cleared
-            object.__setattr__(self, "_vector", tuple(Fraction(a, den) for a in num))
-        return self._vector
+        num, den = self._cleared
+        return tuple(Fraction(a, den) for a in num)
 
     def ray(self) -> tuple[int, ...]:
         """The primitive integer vector on the ray of the class, sign kept;
@@ -146,10 +143,12 @@ class SymDivisor:
     def __eq__(self, other):
         if not isinstance(other, SymDivisor):
             return NotImplemented
-        return self.n == other.n and self.class_vector() == other.class_vector()
+        # _cleared is in lowest terms with a positive denominator, so one
+        # class has one _cleared
+        return self.n == other.n and self._cleared == other._cleared
 
     def __hash__(self):
-        return hash((self.n, self.class_vector()))
+        return hash((self.n, self._cleared))
 
     def __repr__(self):
         return f"SymDivisor({self.n}, {format_divisor(self)!r})"

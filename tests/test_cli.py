@@ -55,6 +55,29 @@ def test_class_boundary_parts(capsys):
     assert (code, out) == (0, "2*D2\n")
     code, out, _ = run(capsys, "class", "boundary", "--n", "6", "--p", "2", "--part", "red")
     assert (code, out) == (0, "1/2*D3\n")
+    # without --part it is δ_irr
+    code, out, _ = run(capsys, "class", "boundary", "--n", "6", "--p", "2")
+    assert (code, out) == (0, "2*D2\n")
+
+
+def test_class_optional_flags(capsys):
+    code, out, _ = run(
+        capsys, "class", "weighted", "--weights", "1,1,1,1,1,1", "--p", "2", "--part-w", "red"
+    )
+    assert (code, out) == (0, "1/2*D3\n")
+    # combo with only --red: the missing coefficients are 0
+    code, out, _ = run(capsys, "class", "combo", "--n", "6", "--p", "2", "--red", "1")
+    assert (code, out) == (0, "1/2*D3\n")
+
+
+def test_class_proportional_keeps_sign(capsys):
+    argv = ("class", "combo", "--n", "6", "--p", "2", "--lambda", "1", "--irr=-3")
+    code, out, _ = run(capsys, *argv, "--expand")
+    assert code == 0
+    assert out == "-58/10*D2 + 1/10*D3\nproportional to -58*D2 + 1*D3\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["proportional"] == [-58, 1]
 
 
 def test_class_p5_expand(capsys):
@@ -223,6 +246,33 @@ def test_eigenrank_single(capsys):
     assert (code, out) == (0, "1 1 1/2\n")
 
 
+# a valid invocation of every class kind, without optional flags
+KIND_ARGV = {
+    "hodge": ("--n", "6", "--p", "3"),
+    "boundary": ("--n", "6", "--p", "2"),
+    "weighted": ("--weights", "1,1,1,1,1,1", "--p", "2"),
+    "eigen": ("--weights", "1,1,1,1,1,1", "--p", "3", "--j", "1"),
+    "cb": ("--weights", "1,1,1,1,1,1", "--p", "3"),
+    "combo": ("--n", "6", "--p", "2"),
+    "p5": ("--n", "10", "--j", "1"),
+    "logcanonical": ("--n", "6", "--p", "2"),
+}
+# every flag each kind reads; it takes no other class flag
+KIND_FLAGS = {
+    "hodge": ("n", "p"),
+    "boundary": ("n", "p", "part"),
+    "weighted": ("p", "weights", "part-w"),
+    "eigen": ("p", "weights", "j"),
+    "cb": ("p", "weights"),
+    "combo": ("n", "p", "lambda", "irr", "red"),
+    "p5": ("n", "j"),
+    "logcanonical": ("n", "p"),
+}
+CLASS_FLAG_VALUES = {
+    "n": "6", "p": "3", "weights": "1,1,1,1,1,1", "j": "1",
+    "part": "red", "part-w": "red", "lambda": "1", "irr": "1", "red": "1",
+}
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -262,6 +312,13 @@ def test_eigenrank_single(capsys):
          "class p5 takes no --p"),
         (("class", "cb", "--weights", "1,1,1,1", "--p", "2", "--j", "1"),
          "class cb takes no --j"),
+        *(
+            (("class", kind, *KIND_ARGV[kind], f"--{flag}", value),
+             f"class {kind} takes no --{flag}")
+            for kind in KIND_ARGV
+            for flag, value in CLASS_FLAG_VALUES.items()
+            if flag not in KIND_FLAGS[kind]
+        ),
     ],
 )
 def test_usage_errors(capsys, argv, message):
