@@ -15,10 +15,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd
+from operator import itemgetter, mul
 from typing import Callable, Optional, Sequence
 
-from .moduli import FullDivisor, SymDivisor, _side_masks, delta_range
+from .moduli import FullDivisor, SymDivisor, _check_n, _side_masks, delta_range
 
 
 def residue(a: int, p: int) -> int:
@@ -56,6 +58,27 @@ class WeightData:
     def n(self) -> int:
         return len(self.d)
 
+    @cached_property
+    def _side_sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Weight sum mod p and ramification of every canonical side, as two
+        tuples in ``_side_masks(n)`` order, filled once per weight datum.
+
+        The ramification of a set is Σ(p − gcd(d_i, p)) over its markings, as
+        in _genus_value.  Both are filled for all 2^(n−1) sets without n,
+        indexed by bitmask, bit i−1 standing for marking i: marking i doubles
+        the lists, and a mask with top bit i−1 gets the entry of the mask
+        without that bit, plus marking i.  Then the sides are read out.
+        """
+        _check_n(self.n)
+        p = self.p
+        weight, ram = [0], [0]
+        for di in self.d[:-1]:
+            ei = p - gcd(di, p)
+            weight += [(x + di) % p for x in weight]
+            ram += [x + ei for x in ram]
+        sides = itemgetter(*_side_masks(self.n))
+        return sides(weight), sides(ram)
+
 
 def _genus_value(weights: Sequence[int], p: int) -> int:
     # Riemann-Hurwitz for y^p = prod (x - x_i)^{d_i}; counts each branch
@@ -80,24 +103,6 @@ def exceptional_genus(di: int, dj: int, p: int) -> int:
     return twice
 
 
-def _side_sums(w: WeightData) -> tuple[list[int], list[int]]:
-    """Weight sum mod p and ramification of every set of markings without
-    n, as two lists indexed by bitmask, bit i−1 standing for marking i.
-
-    The ramification of a set is Σ(p − gcd(d_i, p)) over its markings, as
-    in _genus_value.  Both lists are filled for all 2^(n−1) masks at once:
-    marking i doubles the lists, and a mask with top bit i−1 gets the entry
-    of the mask without that bit, plus marking i.
-    """
-    p = w.p
-    weight, ram = [0], [0]
-    for di in w.d[:-1]:
-        ei = p - gcd(di, p)
-        weight += [(x + di) % p for x in weight]
-        ram += [x + ei for x in ram]
-    return weight, ram
-
-
 def _over(den: int, table: list[int]) -> tuple[list[int], int]:
     """A table of numerators over den, and den, divided by their common
     factor, so that a class read from the table is close to lowest terms."""
@@ -106,6 +111,7 @@ def _over(den: int, table: list[int]) -> tuple[list[int], int]:
 
 
 def _unit_pullbacks(n: int, p: int) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
+    _check_n(n)
     if p < 2:
         raise ValueError("cover degree must be at least 2")
     if n % p:
@@ -145,8 +151,7 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     and the image family leaves the boundary.
     """
     p, n = w.p, w.n
-    weight, ram = _side_sums(w)
-    masks = _side_masks(n)
+    weight, ram = w._side_sums
     # numerators indexed by the side weight s mod p, through q = gcd(s, p);
     # ψ_i of λ is the negated λ entry of d_i mod p
     gcds = [gcd(s, p) for s in range(p)]
@@ -155,21 +160,15 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     # a half with ramification r carries a cover with χ = p + 1 − r when q = 1
     # (its attaching point ramifies fully), positive genus when χ ≤ 1
     total_ram = sum(p - gcd(di, p) for di in w.d)
+    unit = [1 if q == 1 else 0 for q in gcds]
+    split = [1 if p <= r <= total_ram - p else 0 for r in range(total_ram + 1)]
+    by_weight = itemgetter(*weight)
+    red = list(map(mul, by_weight(unit), itemgetter(*ram)(split)))
     zero = (0,) * n
     return (
-        FullDivisor(n, _cleared=(
-            [-lam_of[di % p] for di in w.d],
-            {m: c for m in masks if (c := lam_of[weight[m]])},
-            lam_den,
-        )),
-        FullDivisor(n, _cleared=(
-            zero, {m: c for m in masks if (c := irr_of[weight[m]])}, irr_den,
-        )),
-        FullDivisor(n, _cleared=(
-            zero,
-            {m: 1 for m in masks if gcds[weight[m]] == 1 and p <= ram[m] <= total_ram - p},
-            p,
-        )),
+        FullDivisor(n, _cleared=([-lam_of[di % p] for di in w.d], by_weight(lam_of), lam_den)),
+        FullDivisor(n, _cleared=(zero, by_weight(irr_of), irr_den)),
+        FullDivisor(n, _cleared=(zero, red, p)),
     )
 
 
@@ -189,14 +188,13 @@ def eigen_det_class(w: WeightData, j: Optional[int] = None) -> FullDivisor:
     Closed formula: (1/2p²)[Σ⟨j·d_i⟩(p−⟨j·d_i⟩)ψ_i − Σ⟨j·d(I)⟩(p−⟨j·d(I)⟩)Δ_{I,J}].
     """
     j = _character(w, j)
-    p, n = w.p, w.n
+    p = w.p
     # r(p − r) for the residue r of j·d, over 2p²
     value, den = _over(2 * p * p, [r * (p - r) for r in (j * t % p for t in range(p))])
     # the Δ coefficient of a side depends only on its weight sum mod p
     delta_of = [-v for v in value]
-    weight, _ = _side_sums(w)
-    delta = {m: c for m in _side_masks(n) if (c := delta_of[weight[m]])}
-    return FullDivisor(n, _cleared=([value[di % p] for di in w.d], delta, den))
+    delta = itemgetter(*w._side_sums[0])(delta_of)
+    return FullDivisor(w.n, _cleared=([value[di % p] for di in w.d], delta, den))
 
 
 def _symmetric_classes(

@@ -334,12 +334,30 @@ def _side_mask(side: Iterable[int]) -> int:
 @cache
 def _side_masks(n: int) -> tuple[int, ...]:
     """Bitmasks of the canonical sides for n markings: sizes 2..n−2, the sets
-    of one size in lexicographic order."""
+    of one size in lexicographic order; FullDivisor's Δ slot order."""
     return tuple(
         _side_mask(side)
         for size in range(2, n - 1)
         for side in itertools.combinations(range(1, n), size)
     )
+
+
+@cache
+def _side_slots(n: int) -> dict[int, int]:
+    """Canonical side mask → its position in ``_side_masks(n)``."""
+    return {m: i for i, m in enumerate(_side_masks(n))}
+
+
+@cache
+def _size_slices(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(size, start, stop): the run of ``_side_masks(n)`` holding the sides
+    of each size, sizes ascending."""
+    out, start = [], 0
+    for size in range(2, n - 1):
+        stop = start + comb(n - 1, size)
+        out.append((size, start, stop))
+        start = stop
+    return tuple(out)
 
 
 class _SideSets(dict):
@@ -360,31 +378,32 @@ class FullDivisor:
     """Divisor class before symmetrization: ψ_1..ψ_n plus Δ_{I,J} terms.
 
     Immutable.  Boundary keys are canonical sides (the half of the
-    partition not containing the marking n); zero coefficients are dropped
-    on construction.  The class is held as integer numerators over one
-    common denominator, in lowest terms: a tuple for ψ and a dict for Δ
-    keyed by the canonical side's bitmask, bit i−1 standing for marking i.
+    partition not containing the marking n).  The class is held as integer
+    numerators over one common denominator, in lowest terms: a tuple for ψ
+    and one for Δ with a slot per canonical side, in ``_side_masks(n)``
+    order (size, then lexicographic), which ``delta_map`` keeps.  So a class
+    holds 2^(n−1) − n − 1 Δ slots whatever its support; the cover builders
+    fill every one of them anyway.
     """
 
     __slots__ = ("n", "_psi", "_delta", "_den")
 
     def __init__(self, n: int, psi: Sequence = (), delta: Optional[Mapping] = None, *,
-                 _cleared: Optional[tuple[Sequence[int], dict[int, int], int]] = None):
+                 _cleared: Optional[tuple[Sequence[int], Sequence[int], int]] = None):
         _check_n(n)
-        # ``_cleared`` = (ψ numerators, nonzero Δ numerators by side mask,
-        # positive denominator) is passed only by the builders and the
-        # arithmetic, whose masks are canonical already
+        # ``_cleared`` = (ψ numerators, Δ numerators in side order, positive
+        # denominator) is passed only by the builders and the arithmetic
         if _cleared is None:
             _cleared = _clear(n, psi, delta)
         psi, delta, den = _cleared
-        g = gcd(den, *psi, *delta.values())
+        g = gcd(den, *psi, *delta)
         if g > 1:
             psi = [a // g for a in psi]
-            delta = {m: c // g for m, c in delta.items()}
+            delta = [c // g for c in delta]
             den //= g
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_psi", tuple(psi))
-        object.__setattr__(self, "_delta", delta)
+        object.__setattr__(self, "_delta", tuple(delta))
         object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
@@ -396,13 +415,14 @@ class FullDivisor:
         return tuple(Fraction(a, den) for a in self._psi)
 
     def delta(self, side: Iterable[int]) -> Fraction:
-        return Fraction(self._delta.get(_side_mask(canonical_side(side, self.n)), 0), self._den)
+        slot = _side_slots(self.n)[_side_mask(canonical_side(side, self.n))]
+        return Fraction(self._delta[slot], self._den)
 
     def delta_map(self) -> dict[frozenset[int], Fraction]:
         # one Fraction per distinct numerator: a cover class has at most p+1
         den = self._den
-        values = {c: Fraction(c, den) for c in set(self._delta.values())}
-        return {_SIDE_SETS[m]: values[c] for m, c in self._delta.items()}
+        values = {c: Fraction(c, den) for c in set(self._delta)}
+        return {_SIDE_SETS[m]: values[c] for m, c in zip(_side_masks(self.n), self._delta) if c}
 
     def _binop(self, other: "FullDivisor", sign: int) -> "FullDivisor":
         if not isinstance(other, FullDivisor):
@@ -412,11 +432,11 @@ class FullDivisor:
         du, dv = self._den, other._den
         den = lcm(du, dv)
         su, sv = den // du, sign * (den // dv)
-        delta = {m: su * a for m, a in self._delta.items()}
-        for m, b in other._delta.items():
-            delta[m] = delta.get(m, 0) + sv * b
-        psi = [su * a + sv * b for a, b in zip(self._psi, other._psi)]
-        return FullDivisor(self.n, _cleared=(psi, {m: c for m, c in delta.items() if c}, den))
+        return FullDivisor(self.n, _cleared=(
+            [su * a + sv * b for a, b in zip(self._psi, other._psi)],
+            [su * a + sv * b for a, b in zip(self._delta, other._delta)],
+            den,
+        ))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -427,8 +447,8 @@ class FullDivisor:
     def __mul__(self, scalar):
         c = Fraction(scalar)
         a = c.numerator
-        delta = {m: a * v for m, v in self._delta.items()} if a else {}
-        return FullDivisor(self.n, _cleared=([a * x for x in self._psi], delta,
+        return FullDivisor(self.n, _cleared=([a * x for x in self._psi],
+                                             [a * v for v in self._delta],
                                              c.denominator * self._den))
 
     __rmul__ = __mul__
@@ -443,13 +463,14 @@ class FullDivisor:
                 and self._delta == other._delta)
 
     def __hash__(self):
-        return hash((self.n, self._den, self._psi, frozenset(self._delta.items())))
+        return hash((self.n, self._den, self._psi, self._delta))
 
     def is_zero(self) -> bool:
-        return not self._delta and not any(self._psi)
+        return not any(self._delta) and not any(self._psi)
 
     def __repr__(self):
-        return f"FullDivisor(n={self.n}, psi={self.psi}, {len(self._delta)} boundary terms)"
+        terms = len(self._delta) - self._delta.count(0)
+        return f"FullDivisor(n={self.n}, psi={self.psi}, {terms} boundary terms)"
 
     def to_json(self) -> str:
         delta = {
@@ -470,11 +491,10 @@ class FullDivisor:
         return cls(data["n"], [parse_rational(c) for c in data.get("psi", [])] or (), delta)
 
 
-def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], dict[int, int], int]:
-    """Checked public FullDivisor arguments as (ψ numerators, nonzero Δ
-    numerators by canonical side mask, common denominator).  Sides naming
-    one class add up, in the place of the first; a zero coefficient is
-    skipped before its side is read."""
+def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], list[int], int]:
+    """Checked public FullDivisor arguments as (ψ numerators, Δ numerators
+    in side order, common denominator).  Sides naming one class add up; a
+    zero coefficient is skipped before its side is read."""
     if psi:
         psi = [c if type(c) is Fraction else Fraction(c) for c in psi]
     else:
@@ -488,11 +508,11 @@ def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], 
         if c:
             terms.append((_side_mask(canonical_side(side, n)), c))
     den = lcm(*(c.denominator for c in psi), *(c.denominator for _, c in terms))
-    nums: dict[int, int] = {}
+    slots = _side_slots(n)
+    nums = [0] * len(slots)
     for m, c in terms:
-        nums[m] = nums.get(m, 0) + c.numerator * (den // c.denominator)
-    return ([c.numerator * (den // c.denominator) for c in psi],
-            {m: a for m, a in nums.items() if a}, den)
+        nums[slots[m]] += c.numerator * (den // c.denominator)
+    return [c.numerator * (den // c.denominator) for c in psi], nums, den
 
 
 @dataclass(frozen=True)
@@ -538,8 +558,11 @@ class FullFCurve:
         return SymFCurve(tuple(len(b) for b in self.blocks))
 
 
+@cache
 def standard_full_fcurve(f: SymFCurve) -> FullFCurve:
-    """The realization of an F-curve type on consecutive marking blocks."""
+    """The realization of an F-curve type on consecutive marking blocks.
+
+    Built once per type; the curve is frozen, so callers share it."""
     bounds = [0]
     for v in f.parts:
         bounds.append(bounds[-1] + v)
@@ -584,10 +607,10 @@ def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:
     """
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
-    psi, delta = d._psi, d._delta
+    psi, delta, slots = d._psi, d._delta, _side_slots(d.n)
     singles, blocks, pairs = f._terms
-    total = sum([psi[i] for i in singles]) + sum([delta.get(m, 0) for m in pairs]) \
-        - sum([delta.get(m, 0) for m in blocks])
+    total = sum([psi[i] for i in singles]) + sum([delta[slots[m]] for m in pairs]) \
+        - sum([delta[slots[m]] for m in blocks])
     return Fraction(total, d._den)
 
 
@@ -598,16 +621,16 @@ def symmetrize(d: FullDivisor) -> SymDivisor:
     the sum of the coefficients on boundary classes with min side k divided
     by the number of such classes.
     """
-    n, den = d.n, d._den
-    # integer numerators per side size, in the order the sizes first appear
-    sizes: dict[int, int] = {}
-    for m, c in d._delta.items():
-        s = m.bit_count()
-        sizes[s] = sizes.get(s, 0) + c
+    n, den, delta = d.n, d._den, d._delta
+    # integer numerators summed one side size at a time, sizes ascending; a
+    # k enters when the first of its sizes s and n − s has a nonzero side
     sums: dict[int, int] = {}
-    for s, num in sizes.items():
-        k = min(s, n - s)
-        sums[k] = sums.get(k, 0) + num
+    for s, start, stop in _size_slices(n):
+        part = delta[start:stop]
+        num = sum(part)
+        if num or any(part):
+            k = min(s, n - s)
+            sums[k] = sums.get(k, 0) + num
     # at k = n/2 each class has two sides of size k
     delta = {
         k: Fraction(num * (2 if 2 * k == n else 1), den * comb(n, k)) for k, num in sums.items()

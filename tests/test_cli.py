@@ -319,6 +319,12 @@ CLASS_FLAG_VALUES = {
             for flag, value in CLASS_FLAG_VALUES.items()
             if flag not in KIND_FLAGS[kind]
         ),
+        (("class", "hodge", "--n", "0", "--p", "2"),
+         "need at least 4 markings, got n=0"),
+        (("class", "boundary", "--n", "-2", "--p", "2"),
+         "need at least 4 markings, got n=-2"),
+        (("class", "combo", "--n", "0", "--p", "2", "--lambda", "1"),
+         "need at least 4 markings, got n=0"),
     ],
 )
 def test_usage_errors(capsys, argv, message):

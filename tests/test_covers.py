@@ -297,6 +297,20 @@ def test_full_classes_match_the_per_side_oracles(w):
             assert other == d and hash(other) == hash(d)
 
 
+@settings(max_examples=50, deadline=None)
+@given(w=weight_data())
+@pinned_weights
+def test_classes_on_one_weight_datum_match_fresh_builds(w):
+    # the side tables are filled by the first build and read by the others
+    reused = WeightData(w.d, w.p, w.j)
+    fresh = WeightData(w.d, w.p, w.j)
+    for j in range(1, w.p):
+        assert eigen_det_class(reused, j) == eigen_det_class(WeightData(w.d, w.p), j)
+    assert weighted_pullbacks(reused) == weighted_pullbacks(WeightData(w.d, w.p))
+    assert "_side_sums" in vars(reused) and "_side_sums" not in vars(fresh)
+    assert reused == fresh and hash(reused) == hash(fresh) and repr(reused) == repr(fresh)
+
+
 def test_weighted_pullbacks_single_heavy_marking():
     w = WeightData((1, 1, 1, 1, 1, 1, 1, 1, 2), 2)
     lam, irr, red = (symmetrize(d) for d in weighted_pullbacks(w))

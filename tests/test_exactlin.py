@@ -178,6 +178,18 @@ def test_rank_and_rref_match_sympy(sympy, m):
 
 
 @given(matrix_strategy)
+def test_kernel_basis_matches_sympy(sympy, m):
+    expected = [list(v) for v in sympy.Matrix(m).nullspace()]
+    basis = kernel_basis(m)
+    assert len(basis) == len(expected)
+    if basis:
+        # the same span: neither basis adds a direction to the other
+        assert rank(basis) == rank(expected) == rank(basis + expected) == len(basis)
+    # both take one vector per free column, ascending
+    assert basis == [primitive(v) for v in expected]
+
+
+@given(matrix_strategy)
 def test_rank_invariant_under_row_swap_and_scale(m):
     assert rank(m) == rank(list(reversed(m)))
     scaled = [[3 * x for x in row] for row in m]

@@ -4,8 +4,9 @@ from functools import cache
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fcone import moduli
 from fcone.exactlin import primitive
 from fcone.moduli import (
     FullDivisor,
@@ -199,6 +200,11 @@ class Pairs:
         return iter(self.pairs)
 
 
+def side_order(item) -> tuple:
+    """Sort key of a (side, coefficient) pair in FullDivisor's side order."""
+    return len(item[0]), sorted(item[0])
+
+
 @pytest.mark.parametrize("form", [list, tuple, set, frozenset])
 def test_full_divisor_accepts_any_side_form(form):
     n = 6
@@ -215,7 +221,8 @@ def test_full_divisor_accepts_any_side_form(form):
     for side, c in pairs:
         key = canonical_side(side, n)
         expected[key] = expected.get(key, 0) + Fraction(c)
-    expected = [(k, c) for k, c in expected.items() if c]
+    # delta_map lists sides in canonical order: by size, then lexicographic
+    expected = sorted(((k, c) for k, c in expected.items() if c), key=side_order)
     d = FullDivisor(n, (), Pairs([(form(sorted(side)), c) for side, c in pairs]))
     assert list(d.delta_map().items()) == expected
     assert d.delta({1, 2}) == 3
@@ -268,6 +275,23 @@ def test_standard_full_fcurve_blocks():
         frozenset({8}),
     )
     assert f.sym_type() == SymFCurve((3, 2, 2, 1))
+    # one curve per type, however the parts are listed
+    again = standard_full_fcurve(SymFCurve((1, 2, 3, 2)))
+    assert again == f and again.blocks == f.blocks and again._terms == f._terms
+
+
+def test_full_fcurves_build_no_per_n_side_table(monkeypatch):
+    # a curve holds its own side masks: at n = 40 a table over the 2^39 sides
+    # could not be built, so every per-n side table is made to fail here
+    def no_table(n):
+        raise AssertionError(f"a per-n side table was built for n={n}")
+
+    for name in ("_side_masks", "_side_slots", "_size_slices"):
+        monkeypatch.setattr(moduli, name, no_table)
+    blocks = (frozenset(range(1, 38)), frozenset({38}), frozenset({39}), frozenset({40}))
+    curve = FullFCurve(blocks)
+    assert curve.n == 40 and curve.sym_type() == SymFCurve((37, 1, 1, 1))
+    assert standard_full_fcurve(SymFCurve((37, 1, 1, 1))) == curve
 
 
 def test_full_pairing_rules():
@@ -439,6 +463,8 @@ def test_full_pairing_matches_the_all_sides_scan(d):
     full_divisors(n_values=st.integers(4, 11)),
     full_divisors(n_values=st.sampled_from([4, 6, 8, 10]), half_sides=True),
 ))
+# the sides of size 2 cancel, yet Δ_2 is listed before Δ_3 (size 4 has k = 2)
+@example(FullDivisor(6, (), {(1, 2): 1, (1, 3): -1, (1, 2, 3): 1, (1, 2, 3, 4): 1}))
 def test_symmetrize_matches_the_per_side_sum(d):
     got, expected = symmetrize(d), symmetrize_by_sum(d)
     assert got.psi == expected.psi
@@ -447,14 +473,14 @@ def test_symmetrize_matches_the_per_side_sum(d):
 
 def combine_by_side(n: int, *terms) -> tuple[tuple, dict]:
     """Oracle for +, - and scalar *: Σ c·d as (ψ, Δ by side), one Fraction per
-    side, sides in the order they first appear, zero coefficients dropped."""
+    side, sides by size, then lexicographic, zero coefficients dropped."""
     psi = [Fraction(0)] * n
     delta = {}
     for c, d in terms:
         psi = [x + c * y for x, y in zip(psi, d.psi)]
         for side, v in d.delta_map().items():
             delta[side] = delta.get(side, 0) + c * v
-    return tuple(psi), {side: v for side, v in delta.items() if v}
+    return tuple(psi), dict(sorted(((side, v) for side, v in delta.items() if v), key=side_order))
 
 
 @settings(max_examples=100, deadline=None)
