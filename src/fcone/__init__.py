@@ -9,8 +9,6 @@ from .exactlin import (
     kernel_basis,
     parse_rational,
     primitive,
-    qmatrix,
-    qvector,
     rank,
     rref,
 )

@@ -7,7 +7,8 @@ the classes built here: the Hodge class and its eigenbundle summands,
 boundary pullbacks, and a few named nonnegative combinations.
 
 All functions return SymDivisor or FullDivisor values with exact rational
-coefficients, unreduced: callers normalize to rays when they need to.
+coefficients, held in lowest terms; callers normalize to rays when they
+need to.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb, gcd
 from operator import itemgetter, mul
 from typing import Callable, Optional, Sequence
 
-from .moduli import FullDivisor, SymDivisor, _check_n, _side_masks, delta_range
+from .moduli import FullDivisor, SymDivisor, _check_n, _mean_scales, _side_masks, delta_range
 
 
 def residue(a: int, p: int) -> int:
@@ -241,24 +242,21 @@ def _symmetric_classes(
                 key = (k + c, (s + c * d) % p, ram + c * e)
                 grown[key] = grown.get(key, 0) + times * comb(m, c)
         profiles = grown
-    sums = {k: [0] * len(denominators) for k in delta_range(n)}
+    sums = [[0] * len(denominators) for _ in delta_range(n)]
     for (k, s, ram), times in profiles.items():
         if k < 2:
             continue
         # the attaching point carries weight −s on I's half and s on the other
         chi = p + gcd(s, p)
         split = chi - ram <= 1 and chi - (total_ram - ram) <= 1
-        row = sums[k]
+        row = sums[k - 2]
         for i, value in enumerate(side(s, split)):
             row[i] += times * value
-    deltas: list[dict[int, Fraction]] = [{} for _ in denominators]
-    for k, row in sums.items():
-        sets = comb(n, k)
-        for i, num in enumerate(row):
-            if num:
-                deltas[i][k] = Fraction(num, denominators[i] * sets)
+    # class i over l·denominators[i], l = lcm(n, C(n, k) for every k)
+    scale, scales = _mean_scales(n)
     return tuple(
-        SymDivisor(n, Fraction(psi[i], den * n), deltas[i])
+        SymDivisor(n, _cleared=((psi[i] * (scale // n),),
+                                [row[i] * f for row, f in zip(sums, scales)], scale * den))
         for i, den in enumerate(denominators)
     )
 

@@ -1,9 +1,9 @@
 """Exact rational linear algebra.
 
-Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms with positive denominator), vectors are tuples of Fractions and
-matrices are tuples of row vectors.  Elimination is fraction-free in the
-Bareiss style: rows are cleared to integers once, pivoting keeps every
+Scalars are ints or ``fractions.Fraction`` (arbitrary precision, always in
+lowest terms with positive denominator), vectors are sequences of them and
+matrices are sequences of equally long rows.  Elimination is fraction-free
+in the Bareiss style: rows are cleared to integers once, pivoting keeps every
 intermediate entry an exact minor of the input, and rational division only
 happens during back-substitution.  Nothing here is ever approximate.
 """
@@ -13,24 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 QVector = tuple[Fraction, ...]
-QMatrix = tuple[QVector, ...]
-
-
-def qvector(entries: Iterable) -> QVector:
-    """Coerce an iterable of ints / strings / Fractions to an exact vector."""
-    return tuple(Fraction(e) for e in entries)
-
-
-def qmatrix(rows: Iterable[Iterable]) -> QMatrix:
-    m = tuple(qvector(r) for r in rows)
-    if m:
-        width = len(m[0])
-        if any(len(r) != width for r in m):
-            raise ValueError("matrix rows must all have the same length")
-    return m
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
@@ -81,6 +66,8 @@ def _integer_rows(m: Sequence[Sequence]) -> list[list[int]]:
     out = []
     for row in m:
         row = list(row)
+        if out and len(row) != len(out[0]):
+            raise ValueError("matrix rows must all have the same length")
         if all(type(e) is int for e in row):
             out.append(row)
             continue
@@ -131,7 +118,9 @@ def independent_rows(m: Sequence[Sequence]) -> list[int]:
     These are the pivot columns of the transpose, so the result is the set a
     greedy left-to-right scan keeps, and its length is the rank of ``m``.
     """
-    _, pivots = _echelon(_integer_rows(zip(*m)))
+    # clearing a row's denominators scales it by a positive factor, which
+    # leaves the set of independent rows alone
+    _, pivots = _echelon([list(col) for col in zip(*_integer_rows(m))])
     return pivots
 
 
@@ -154,11 +143,11 @@ def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
     One vector per free column, in ascending free-column order, each scaled
     to a primitive integer vector whose first nonzero entry is positive.
     """
-    mat = qmatrix(m)
-    if not mat:
+    rows = _integer_rows(m)
+    if not rows:
         raise ValueError("kernel of an empty matrix is undetermined, supply rows")
-    ncols = len(mat[0])
-    ech, pivots = _echelon(_integer_rows(mat))
+    ncols = len(rows[0])
+    ech, pivots = _echelon(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

@@ -41,86 +41,43 @@ def delta_range(n: int) -> range:
     return range(2, n // 2 + 1)
 
 
-class SymDivisor:
-    """Symmetric divisor class: a ψ-coefficient plus one coefficient per Δ_k.
+class _Numerators:
+    """A class held as integer numerators over one positive denominator, in
+    lowest terms: ``_psi`` and ``_delta`` tuples over ``_den``.
 
-    Immutable.  Supports +, -, and scaling by a rational.  Equality is
-    equality of classes, i.e. of the pure-Δ expansions, not of the raw
-    (ψ, Δ) coordinate tuples.  The pure-Δ expansion is held once as integer
-    numerators over one common denominator, in lowest terms; pairings,
-    equality and the ray of the class are read from those integers.
+    Immutable.  Supports +, -, negation and scaling by a rational; each
+    result is built through the subclass's ``_cleared=`` path.
     """
 
-    __slots__ = ("n", "psi", "_delta", "_cleared")
+    __slots__ = ("n", "_psi", "_delta", "_den")
 
-    def __init__(self, n: int, psi=0, delta: Optional[Mapping[int, object]] = None, *,
-                 _cleared: Optional[tuple[tuple[int, ...], int]] = None):
-        _check_n(n)
-        psi = psi if type(psi) is Fraction else Fraction(psi)
+    def _store(self, n: int, psi: Sequence[int], delta: Sequence[int], den: int) -> None:
+        g = gcd(den, *psi, *delta)
+        if g > 1:
+            psi = [a // g for a in psi]
+            delta = [c // g for c in delta]
+            den //= g
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "psi", psi)
-        ks = delta_range(n)
-        coeffs = {}
-        for k, c in (delta or {}).items():
-            if k not in ks:
-                raise ValueError(f"Delta_{k} is not a basis class for n={n}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                coeffs[k] = c
-        object.__setattr__(self, "_delta", coeffs)
-        # ``_cleared`` is passed only by the arithmetic below, which combines
-        # the operands' expansions instead of expanding ψ again
-        if _cleared is None:
-            _cleared = _expand(n, psi, coeffs)
-        object.__setattr__(self, "_cleared", _cleared)
+        object.__setattr__(self, "_psi", tuple(psi))
+        object.__setattr__(self, "_delta", tuple(delta))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SymDivisor is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def delta(self, k: int) -> Fraction:
-        if k not in delta_range(self.n):
-            raise ValueError(f"Delta_{k} is not a basis class for n={self.n}")
-        return self._delta.get(k, Fraction(0))
-
-    def delta_map(self) -> dict[int, Fraction]:
-        return dict(self._delta)
-
-    def delta_vector(self) -> QVector:
-        return tuple(self.delta(k) for k in delta_range(self.n))
-
-    def class_vector(self) -> QVector:
-        """Coordinates in the pure-Δ basis (ψ eliminated)."""
-        num, den = self._cleared
-        return tuple(Fraction(a, den) for a in num)
-
-    def ray(self) -> tuple[int, ...]:
-        """The primitive integer vector on the ray of the class, sign kept;
-        all zeros for the zero class.  Two classes are positive multiples of
-        each other exactly when their rays are equal."""
-        num = self._cleared[0]
-        content = gcd(*num)
-        if not content:
-            return num
-        return tuple(a // content for a in num)
-
-    def is_zero(self) -> bool:
-        return not any(self._cleared[0])
-
-    def _binop(self, other: "SymDivisor", sign: int) -> "SymDivisor":
-        if not isinstance(other, SymDivisor):
+    def _binop(self, other, sign: int):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot combine divisors with different n")
-        delta = dict(self._delta)
-        for k, c in other._delta.items():
-            delta[k] = delta.get(k, 0) + sign * c
-        (u, du), (v, dv) = self._cleared, other._cleared
+        du, dv = self._den, other._den
         den = lcm(du, dv)
         su, sv = den // du, sign * (den // dv)
-        num = [su * a + sv * b for a, b in zip(u, v)]
-        return SymDivisor(self.n, self.psi + sign * other.psi, delta,
-                          _cleared=_lowest_terms(num, den))
+        return type(self)(self.n, _cleared=(
+            [su * a + sv * b for a, b in zip(self._psi, other._psi)],
+            [su * a + sv * b for a, b in zip(self._delta, other._delta)],
+            den,
+        ))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -128,27 +85,106 @@ class SymDivisor:
     def __sub__(self, other):
         return self._binop(other, -1)
 
-    def __neg__(self):
-        return Fraction(-1) * self
-
     def __mul__(self, scalar):
         c = Fraction(scalar)
-        num, den = self._cleared
-        return SymDivisor(self.n, c * self.psi, {k: c * v for k, v in self._delta.items()},
-                          _cleared=_lowest_terms([c.numerator * a for a in num],
-                                                 c.denominator * den))
+        a = c.numerator
+        return type(self)(self.n, _cleared=([a * x for x in self._psi],
+                                            [a * v for v in self._delta],
+                                            c.denominator * self._den))
 
     __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Fractions as integer numerators over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+class SymDivisor(_Numerators):
+    """Symmetric divisor class: a ψ-coefficient plus one coefficient per Δ_k.
+
+    Immutable.  Supports +, -, and scaling by a rational.  Equality is
+    equality of classes, i.e. of the pure-Δ expansions, not of the raw
+    (ψ, Δ) coordinate tuples.  The raw coordinates are integer numerators
+    over one denominator, in lowest terms: a 1-tuple for ψ and one slot per
+    k in ``delta_range(n)``.  The pure-Δ expansion is held as well, as
+    integer numerators over their own lowest denominator; pairings,
+    equality and the ray of the class are read from those integers.
+    """
+
+    __slots__ = ("_expanded",)
+
+    def __init__(self, n: int, psi=0, delta: Optional[Mapping[int, object]] = None, *,
+                 _cleared: Optional[tuple[Sequence[int], Sequence[int], int]] = None):
+        _check_n(n)
+        # ``_cleared`` = ((ψ numerator,), Δ numerators by k ascending, positive
+        # denominator) is passed only by the builders and the arithmetic
+        if _cleared is None:
+            ks = delta_range(n)
+            coeffs = [psi if type(psi) is Fraction else Fraction(psi)] + [Fraction(0)] * len(ks)
+            for k, c in (delta or {}).items():
+                if k not in ks:
+                    raise ValueError(f"Delta_{k} is not a basis class for n={n}")
+                coeffs[k - 1] = c if type(c) is Fraction else Fraction(c)
+            nums, den = _over_lcm(coeffs)
+            _cleared = nums[:1], nums[1:], den
+        self._store(n, *_cleared)
+        # the pure-Δ expansion via (n−1)ψ = Σ k(n−k)Δ_k
+        (a,), nums, den = self._psi, self._delta, self._den
+        if a:
+            nums, den = _lowest_terms(
+                [c * (n - 1) + a * k * (n - k) for k, c in zip(delta_range(n), nums)],
+                den * (n - 1))
+        object.__setattr__(self, "_expanded", (nums, den))
+
+    @property
+    def psi(self) -> Fraction:
+        return Fraction(self._psi[0], self._den)
+
+    def delta(self, k: int) -> Fraction:
+        if k not in delta_range(self.n):
+            raise ValueError(f"Delta_{k} is not a basis class for n={self.n}")
+        return Fraction(self._delta[k - 2], self._den)
+
+    def delta_map(self) -> dict[int, Fraction]:
+        den = self._den
+        return {k: Fraction(c, den) for k, c in zip(delta_range(self.n), self._delta) if c}
+
+    def delta_vector(self) -> QVector:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._delta)
+
+    def class_vector(self) -> QVector:
+        """Coordinates in the pure-Δ basis (ψ eliminated)."""
+        num, den = self._expanded
+        return tuple(Fraction(a, den) for a in num)
+
+    def ray(self) -> tuple[int, ...]:
+        """The primitive integer vector on the ray of the class, sign kept;
+        all zeros for the zero class.  Two classes are positive multiples of
+        each other exactly when their rays are equal."""
+        num = self._expanded[0]
+        content = gcd(*num)
+        if not content:
+            return num
+        return tuple(a // content for a in num)
+
+    def is_zero(self) -> bool:
+        return not any(self._expanded[0])
 
     def __eq__(self, other):
         if not isinstance(other, SymDivisor):
             return NotImplemented
-        # _cleared is in lowest terms with a positive denominator, so one
-        # class has one _cleared
-        return self.n == other.n and self._cleared == other._cleared
+        # _expanded is in lowest terms with a positive denominator, so one
+        # class has one _expanded
+        return self.n == other.n and self._expanded == other._expanded
 
     def __hash__(self):
-        return hash((self.n, self._cleared))
+        return hash((self.n, self._expanded))
 
     def __repr__(self):
         return f"SymDivisor({self.n}, {format_divisor(self)!r})"
@@ -161,20 +197,6 @@ def _lowest_terms(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(a // g for a in num), den // g
 
 
-def _expand(n: int, psi: Fraction, delta: Mapping[int, Fraction]) -> tuple[tuple[int, ...], int]:
-    """The pure-Δ expansion via (n−1)ψ = Σ k(n−k)Δ_k, as integer numerators
-    over one common denominator."""
-    psi_den = psi.denominator * (n - 1)
-    den = lcm(psi_den if psi else 1, *(c.denominator for c in delta.values()))
-    psi_num = psi.numerator * (den // psi_den)
-    num = []
-    for k in delta_range(n):
-        c = delta.get(k)
-        a = psi_num * k * (n - k)
-        num.append(a + c.numerator * (den // c.denominator) if c is not None else a)
-    return _lowest_terms(num, den)
-
-
 def sym_divisor_from_vector(n: int, vector: Sequence) -> SymDivisor:
     """Build a pure-Δ divisor from coordinates on Δ_2..Δ_{⌊n/2⌋}."""
     ks = list(delta_range(n))
@@ -185,9 +207,9 @@ def sym_divisor_from_vector(n: int, vector: Sequence) -> SymDivisor:
 
 def psi_expand(d: SymDivisor) -> SymDivisor:
     """Rewrite the class with ψ-coefficient 0 via (n−1)ψ = Σ k(n−k)Δ_k."""
-    if d.psi == 0:
+    if not d._psi[0]:
         return d
-    return sym_divisor_from_vector(d.n, d.class_vector())
+    return SymDivisor(d.n, _cleared=((0,), *d._expanded))
 
 
 @dataclass(frozen=True)
@@ -273,7 +295,7 @@ def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
     """
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
-    num, den = d._cleared
+    num, den = d._expanded
     return Fraction(sum([num[i] * c for i, c in _fcurve_terms(f.parts)]), den)
 
 
@@ -286,8 +308,8 @@ def tk_pairing(d: SymDivisor, k: int) -> Fraction:
     n = d.n
     if not 3 <= k <= n // 2:
         raise ValueError(f"T_k needs 3 <= k <= {n // 2}, got k={k}")
-    expanded = psi_expand(d)
-    return expanded.delta(k) * (2 - k) + expanded.delta(k - 1) * k
+    num, den = d._expanded
+    return Fraction(num[k - 2] * (2 - k) + num[k - 3] * k, den)
 
 
 def proportional(d1: SymDivisor, d2: SymDivisor) -> Optional[Fraction]:
@@ -304,7 +326,7 @@ def proportional(d1: SymDivisor, d2: SymDivisor) -> Optional[Fraction]:
         return Fraction(1) if d1.is_zero() else None
     if d1.ray() != ray:
         return None
-    (num1, den1), (num2, den2) = d1._cleared, d2._cleared
+    (num1, den1), (num2, den2) = d1._expanded, d2._expanded
     i = next(i for i, x in enumerate(ray) if x)
     return Fraction(num1[i] * den2, den1 * num2[i])
 
@@ -374,7 +396,7 @@ class _SideSets(dict):
 _SIDE_SETS = _SideSets()
 
 
-class FullDivisor:
+class FullDivisor(_Numerators):
     """Divisor class before symmetrization: ψ_1..ψ_n plus Δ_{I,J} terms.
 
     Immutable.  Boundary keys are canonical sides (the half of the
@@ -386,7 +408,7 @@ class FullDivisor:
     fill every one of them anyway.
     """
 
-    __slots__ = ("n", "_psi", "_delta", "_den")
+    __slots__ = ()
 
     def __init__(self, n: int, psi: Sequence = (), delta: Optional[Mapping] = None, *,
                  _cleared: Optional[tuple[Sequence[int], Sequence[int], int]] = None):
@@ -395,19 +417,7 @@ class FullDivisor:
         # denominator) is passed only by the builders and the arithmetic
         if _cleared is None:
             _cleared = _clear(n, psi, delta)
-        psi, delta, den = _cleared
-        g = gcd(den, *psi, *delta)
-        if g > 1:
-            psi = [a // g for a in psi]
-            delta = [c // g for c in delta]
-            den //= g
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_psi", tuple(psi))
-        object.__setattr__(self, "_delta", tuple(delta))
-        object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FullDivisor is immutable")
+        self._store(n, *_cleared)
 
     @property
     def psi(self) -> tuple[Fraction, ...]:
@@ -423,38 +433,6 @@ class FullDivisor:
         den = self._den
         values = {c: Fraction(c, den) for c in set(self._delta)}
         return {_SIDE_SETS[m]: values[c] for m, c in zip(_side_masks(self.n), self._delta) if c}
-
-    def _binop(self, other: "FullDivisor", sign: int) -> "FullDivisor":
-        if not isinstance(other, FullDivisor):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("cannot combine divisors with different n")
-        du, dv = self._den, other._den
-        den = lcm(du, dv)
-        su, sv = den // du, sign * (den // dv)
-        return FullDivisor(self.n, _cleared=(
-            [su * a + sv * b for a, b in zip(self._psi, other._psi)],
-            [su * a + sv * b for a, b in zip(self._delta, other._delta)],
-            den,
-        ))
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def __mul__(self, scalar):
-        c = Fraction(scalar)
-        a = c.numerator
-        return FullDivisor(self.n, _cleared=([a * x for x in self._psi],
-                                             [a * v for v in self._delta],
-                                             c.denominator * self._den))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fraction(-1) * self
 
     def __eq__(self, other):
         if not isinstance(other, FullDivisor):
@@ -501,18 +479,19 @@ def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], 
         psi = [Fraction(0)] * n
     if len(psi) != n:
         raise ValueError(f"need {n} psi-coefficients, got {len(psi)}")
-    terms = []
+    masks, coeffs = [], []
     for side, c in (delta or {}).items():
         if type(c) is not Fraction:
             c = Fraction(c)
         if c:
-            terms.append((_side_mask(canonical_side(side, n)), c))
-    den = lcm(*(c.denominator for c in psi), *(c.denominator for _, c in terms))
+            masks.append(_side_mask(canonical_side(side, n)))
+            coeffs.append(c)
+    nums, den = _over_lcm(psi + coeffs)
     slots = _side_slots(n)
-    nums = [0] * len(slots)
-    for m, c in terms:
-        nums[slots[m]] += c.numerator * (den // c.denominator)
-    return [c.numerator * (den // c.denominator) for c in psi], nums, den
+    delta = [0] * len(slots)
+    for m, a in zip(masks, nums[n:]):
+        delta[slots[m]] += a
+    return nums[:n], delta, den
 
 
 @dataclass(frozen=True)
@@ -621,21 +600,25 @@ def symmetrize(d: FullDivisor) -> SymDivisor:
     the sum of the coefficients on boundary classes with min side k divided
     by the number of such classes.
     """
-    n, den, delta = d.n, d._den, d._delta
-    # integer numerators summed one side size at a time, sizes ascending; a
-    # k enters when the first of its sizes s and n − s has a nonzero side
-    sums: dict[int, int] = {}
+    n, delta = d.n, d._delta
+    sums = [0] * (n // 2 - 1)
     for s, start, stop in _size_slices(n):
-        part = delta[start:stop]
-        num = sum(part)
-        if num or any(part):
-            k = min(s, n - s)
-            sums[k] = sums.get(k, 0) + num
-    # at k = n/2 each class has two sides of size k
-    delta = {
-        k: Fraction(num * (2 if 2 * k == n else 1), den * comb(n, k)) for k, num in sums.items()
-    }
-    return SymDivisor(n, Fraction(sum(d._psi), n * den), delta)
+        sums[min(s, n - s) - 2] += sum(delta[start:stop])
+    if n % 2 == 0:
+        # at k = n/2 each class has two sides of size k
+        sums[-1] *= 2
+    scale, scales = _mean_scales(n)
+    return SymDivisor(n, _cleared=((sum(d._psi) * (scale // n),),
+                                   [a * b for a, b in zip(sums, scales)], scale * d._den))
+
+
+@cache
+def _mean_scales(n: int) -> tuple[int, tuple[int, ...]]:
+    """l = lcm(n, C(n, k) for every k) and l / C(n, k) per k: a mean over n
+    markings or over the C(n, k) sets of size k is then a numerator over l."""
+    ks = delta_range(n)
+    scale = lcm(n, *(comb(n, k) for k in ks))
+    return scale, tuple(scale // comb(n, k) for k in ks)
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +667,18 @@ def parse_divisor(text: str, n: int) -> SymDivisor:
 
 
 def format_divisor(d: SymDivisor) -> str:
-    """Render in the literal grammar, all terms over one common denominator."""
-    terms = []
-    if d.psi:
-        terms.append(("psi", d.psi))
-    for k in delta_range(d.n):
-        c = d.delta(k)
-        if c:
-            terms.append((f"D{k}", c))
+    """Render in the literal grammar, all terms over one common denominator.
+
+    The raw numerators are in lowest terms, so their denominator is already
+    the least common one of the nonzero terms."""
+    den = d._den
+    syms = ("psi", *(f"D{k}" for k in delta_range(d.n)))
+    terms = [(sym, num) for sym, num in zip(syms, d._psi + d._delta) if num]
     if not terms:
         return "0"
-    common = lcm(*(c.denominator for _, c in terms))
     rendered = []
-    for i, (sym, c) in enumerate(terms):
-        num = c.numerator * (common // c.denominator)
-        mag = f"{abs(num)}/{common}" if common > 1 else f"{abs(num)}"
+    for i, (sym, num) in enumerate(terms):
+        mag = f"{abs(num)}/{den}" if den > 1 else f"{abs(num)}"
         if i == 0:
             prefix = "-" if num < 0 else ""
             rendered.append(f"{prefix}{mag}*{sym}")

@@ -10,8 +10,6 @@ from fcone.exactlin import (
     kernel_basis,
     parse_rational,
     primitive,
-    qmatrix,
-    qvector,
     rank,
     rref,
 )
@@ -21,17 +19,11 @@ rationals = st.fractions(
 )
 
 
-def test_qvector_coerces_mixed_entries():
-    assert qvector([1, "2/3", Fraction(5, 2)]) == (
-        Fraction(1),
-        Fraction(2, 3),
-        Fraction(5, 2),
-    )
-
-
-def test_qmatrix_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        qmatrix([[1, 2], [3]])
+@pytest.mark.parametrize("m", [[[1], [2, 3]], [[1, 2], [3]], [[1, 2, 3], [4, 5]]])
+@pytest.mark.parametrize("fn", [rank, rref, independent_rows, kernel_basis])
+def test_ragged_rows_are_rejected(fn, m):
+    with pytest.raises(ValueError, match="same length"):
+        fn(m)
 
 
 def test_dot_dimension_mismatch():

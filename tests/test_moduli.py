@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -615,6 +615,110 @@ def test_proportional_matches_the_division_oracle(d, data):
     ))
     assert proportional(d, other) == proportional_by_division(d, other)
     assert proportional(other, d) == proportional_by_division(other, d)
+
+
+# ---------------------------------------------------------------------------
+# SymDivisor against a Fraction-only reference: a class is (n, ψ, {k: Δ_k}).
+
+
+def reference_literal(n: int, psi: Fraction, delta: dict, order: list) -> str:
+    """The class as a divisor literal, each term over its own denominator,
+    the Δ terms in the given order of k."""
+    terms = [("psi", psi)] + [(f"D{k}", delta[k]) for k in order]
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{sym}" for sym, c in terms if c)
+    return text or "0"
+
+
+def reference_combination(n: int, *terms) -> tuple:
+    """Σ c·(ψ, Δ) over (c, reference) pairs, one Fraction per coordinate."""
+    psi = sum((c * ref[1] for c, ref in terms), Fraction(0))
+    delta = {k: sum((c * ref[2][k] for c, ref in terms), Fraction(0)) for k in delta_range(n)}
+    return n, psi, delta
+
+
+def reference_ray(vector: list) -> tuple:
+    """Oracle for SymDivisor.ray: clear denominators, divide by the content."""
+    common = lcm(*(x.denominator for x in vector))
+    ints = [int(x * common) for x in vector]
+    content = gcd(*ints)
+    return tuple(a // content for a in ints) if content else tuple(ints)
+
+
+def format_by_lcm(psi: Fraction, delta: dict) -> str:
+    """Oracle for format_divisor: the nonzero terms over the lcm of their
+    denominators, ψ first, then Δ_k by k ascending."""
+    terms = [("psi", psi)] if psi else []
+    terms += [(f"D{k}", c) for k, c in sorted(delta.items()) if c]
+    if not terms:
+        return "0"
+    common = lcm(*(c.denominator for _, c in terms))
+    rendered = []
+    for i, (sym, c) in enumerate(terms):
+        num = c.numerator * (common // c.denominator)
+        mag = f"{abs(num)}/{common}" if common > 1 else f"{abs(num)}"
+        if i == 0:
+            rendered.append(f"{'-' if num < 0 else ''}{mag}*{sym}")
+        else:
+            rendered.append(f"{'-' if num < 0 else '+'} {mag}*{sym}")
+    return " ".join(rendered)
+
+
+@st.composite
+def reference_classes(draw, n_values=st.integers(4, 16)):
+    """(n, ψ, {k: Δ_k}) with every k present, zero classes among them."""
+    n = draw(n_values)
+    ks = list(delta_range(n))
+    kind = draw(st.sampled_from(["random", "random", "random", "empty", "relation"]))
+    if kind == "empty":
+        return n, Fraction(0), {k: Fraction(0) for k in ks}
+    if kind == "relation":
+        c = draw(rationals_30)
+        return n, c * (n - 1), {k: -c * k * (n - k) for k in ks}
+    coeffs = draw(st.lists(coefficients_30, min_size=len(ks), max_size=len(ks)))
+    return n, draw(coefficients_30), dict(zip(ks, coeffs))
+
+
+def check_against_reference(d: SymDivisor, ref: tuple) -> None:
+    n, psi, delta = ref
+    ks = delta_range(n)
+    vector = [delta[k] + psi * Fraction(k * (n - k), n - 1) for k in ks]
+    assert d.n == n and d.psi == psi
+    assert d.delta_vector() == tuple(delta[k] for k in ks)
+    assert d.class_vector() == tuple(vector)
+    assert d.ray() == reference_ray(vector)
+    assert d.is_zero() == (not any(vector))
+    for k in range(3, n // 2 + 1):
+        assert tk_pairing(d, k) == vector[k - 2] * (2 - k) + vector[k - 3] * k
+    assert format_divisor(d) == format_by_lcm(psi, delta)
+    assert parse_divisor(format_divisor(d), n) == d
+    assert d.delta_map() == {k: c for k, c in delta.items() if c}
+    assert list(d.delta_map()) == sorted(d.delta_map())
+
+
+@settings(max_examples=100, deadline=None)
+@given(reference_classes(), st.data())
+def test_sym_divisor_matches_a_fraction_only_reference(ref_a, data):
+    n = ref_a[0]
+    ref_b = data.draw(reference_classes(st.just(n)))
+    c = data.draw(rationals_30)
+    # the literals list their Δ terms in any order of k
+    a, b = (
+        parse_divisor(reference_literal(*ref, data.draw(st.permutations(delta_range(n)))), n)
+        for ref in (ref_a, ref_b)
+    )
+    cases = [
+        (a, ref_a),
+        (b, ref_b),
+        (a + b, reference_combination(n, (1, ref_a), (1, ref_b))),
+        (a - b, reference_combination(n, (1, ref_a), (-1, ref_b))),
+        (c * a, reference_combination(n, (c, ref_a))),
+        (b * c, reference_combination(n, (c, ref_b))),
+        (-a, reference_combination(n, (-1, ref_a))),
+    ]
+    for got, ref in cases:
+        check_against_reference(got, ref)
+        fresh = SymDivisor(*ref)
+        assert got == fresh and hash(got) == hash(fresh)
 
 
 def test_fcurve_class_vector_is_ints_with_at_most_seven_nonzero():
