@@ -43,6 +43,7 @@ from .moduli import (
     sym_pairing,
     symmetrize,
     tk_pairing,
+    zero_and_negative_fcurves,
 )
 from .covers import (
     WeightData,

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -30,7 +31,6 @@ from .covers import (
 from .eigenforms import eigen_rank_degree_fcurve
 from .exactlin import independent_rows, parse_rational
 from .moduli import (
-    SymDivisor,
     SymFCurve,
     enumerate_sym_fcurves,
     fcurve_class_vector,
@@ -40,6 +40,7 @@ from .moduli import (
     sym_divisor_from_vector,
     sym_pairing,
     tk_pairing,
+    zero_and_negative_fcurves,
 )
 from .tables import ray_annotations, fcone_rays, table_csv, TABLE_NAMES
 
@@ -139,21 +140,8 @@ def cmd_pair(args) -> int:
     return 0
 
 
-def _fcurve_degrees(div: SymDivisor) -> tuple[list[SymFCurve], list[tuple[SymFCurve, Fraction]]]:
-    """The F-curves on which the divisor has degree zero, and those on which
-    it is negative together with the degree."""
-    zero, negative = [], []
-    for f in enumerate_sym_fcurves(div.n):
-        deg = sym_pairing(div, f)
-        if deg == 0:
-            zero.append(f)
-        elif deg < 0:
-            negative.append((f, deg))
-    return zero, negative
-
-
 def cmd_fnef(args) -> int:
-    zero, negative = _fcurve_degrees(parse_divisor(args.divisor, args.n))
+    zero, negative = zero_and_negative_fcurves(parse_divisor(args.divisor, args.n))
     print("F-nef" if not negative else "not F-nef")
     for f in zero:
         print(f"zero: {f}")
@@ -169,15 +157,17 @@ def cmd_extremal(args) -> int:
         print("not extremal")
         print("zero class: orthogonal to every F-curve, spans no ray")
         return 1
-    orthogonal, negative = _fcurve_degrees(div)
+    orthogonal, negative = zero_and_negative_fcurves(div)
     if negative:
         print("not F-nef")
         for f, deg in negative:
             print(f"negative: {f} = {deg}")
         return 1
+    # the orthogonal curves lie in the hyperplane orthogonal to the nonzero
+    # class, so their rank is at most target
     target = args.n // 2 - 2
     vectors = [fcurve_class_vector(f) for f in orthogonal]
-    certificate = [orthogonal[i] for i in independent_rows(vectors)]
+    certificate = [orthogonal[i] for i in independent_rows(vectors, target)]
     span = len(certificate)
     print("extremal" if span == target else "not extremal")
     print(f"rank {span} of {target}")
@@ -237,7 +227,9 @@ def cmd_eigenrank(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: argparse keeps no state between parse_args calls
     parser = argparse.ArgumentParser(
         prog="fcone",
         description="Divisor classes from cyclic covers and the symmetric F-cone.",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -73,6 +74,11 @@ class ConeH:
                 seen.add(v)
                 out.append(v)
         object.__setattr__(self, "normals", tuple(out))
+
+    @cached_property
+    def pointed(self) -> bool:
+        """Whether the cone contains no line: its normals have rank dim."""
+        return len(independent_rows(self.normals, self.dim)) == self.dim
 
 
 @dataclass(frozen=True)
@@ -130,14 +136,21 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
 
     Returns a rank-(dim−1) independent subset of the inequalities tight at
     v (as indices into c.normals), or None when the tight normals have any
-    other rank.  v must lie in the cone.
+    other rank.  v must lie in the cone, and the cone must be pointed: in a
+    cone with lineality, a rank-(dim−1) tight set can span a line, which is
+    no ray.
     """
     w = _cleared(c, v)
+    if not c.pointed:
+        raise ValueError("extremality certificates need a pointed cone")
     slacks = [_dot(a, w) for a in c.normals]
     if any(s < 0 for s in slacks):
         raise ValueError("vector is not in the cone")
     tight = [i for i, s in enumerate(slacks) if s == 0]
-    chosen = [tight[i] for i in independent_rows([c.normals[i] for i in tight])]
+    # the normals tight at a nonzero w are orthogonal to it, so their rank
+    # is at most dim−1; at w = 0 every normal is tight and the rank is dim
+    target = c.dim - 1 if any(w) else None
+    chosen = [tight[i] for i in independent_rows([c.normals[i] for i in tight], target)]
     if len(chosen) != c.dim - 1:
         return None
     return Certificate(tuple(chosen), len(chosen))

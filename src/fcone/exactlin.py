@@ -2,10 +2,15 @@
 
 Scalars are ints or ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms with positive denominator), vectors are sequences of them and
-matrices are sequences of equally long rows.  Elimination is fraction-free
-in the Bareiss style: rows are cleared to integers once, pivoting keeps every
-intermediate entry an exact minor of the input, and rational division only
-happens during back-substitution.  Nothing here is ever approximate.
+matrices are sequences of equally long rows.  Rows are cleared to integers
+once.  ``rank``, ``rref`` and ``kernel_basis`` eliminate fraction-free in
+the Bareiss style: pivoting keeps every intermediate entry an exact minor of
+the input, and rational division only happens during back-substitution.
+``independent_rows`` scans the rows one at a time against a sparse integer
+echelon basis of the rows kept so far, so a sparse row costs one combination
+per basis pivot where it is nonzero, and it can stop once it has kept as
+many rows as the caller knows the rank to be at most.  Nothing here is ever
+approximate.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 QVector = tuple[Fraction, ...]
 
@@ -61,20 +66,27 @@ def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _rows(m: Sequence[Sequence]) -> list[list]:
+    """The rows of ``m`` as fresh lists, checked to have one length."""
+    rows = [list(row) for row in m]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows must all have the same length")
+    return rows
+
+
+def _integer_row(row: list) -> list[int]:
+    """``row`` itself if it holds only ints, else a fresh positive multiple
+    of it with its denominators cleared."""
+    if all(type(e) is int for e in row):
+        return row
+    fracs = [Fraction(e) for e in row]
+    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    return [int(f * mult) for f in fracs]
+
+
 def _integer_rows(m: Sequence[Sequence]) -> list[list[int]]:
     """Fresh integer rows, each a positive multiple of its row of ``m``."""
-    out = []
-    for row in m:
-        row = list(row)
-        if out and len(row) != len(out[0]):
-            raise ValueError("matrix rows must all have the same length")
-        if all(type(e) is int for e in row):
-            out.append(row)
-            continue
-        fracs = [Fraction(e) for e in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * mult) for f in fracs])
-    return out
+    return [_integer_row(row) for row in _rows(m)]
 
 
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -112,16 +124,48 @@ def rank(m: Sequence[Sequence]) -> int:
     return len(pivots)
 
 
-def independent_rows(m: Sequence[Sequence]) -> list[int]:
+def independent_rows(m: Sequence[Sequence], target: Optional[int] = None) -> list[int]:
     """Indices of the rows of ``m`` outside the span of the rows before them.
 
-    These are the pivot columns of the transpose, so the result is the set a
-    greedy left-to-right scan keeps, and its length is the rank of ``m``.
+    This is the set a greedy left-to-right scan keeps, and its length is the
+    rank of ``m``.  The rows kept so far are held as a sparse integer
+    echelon basis: each basis row is primitive and is zero at the pivot of
+    every basis row kept before it.  A new row meets the basis rows in the
+    order they were kept and is combined with one wherever it is nonzero at
+    that row's pivot, which leaves it zero there and at every earlier pivot.
+    It is independent iff something is left, and it joins the basis with
+    its smallest entry in absolute value as pivot, which keeps the
+    multipliers of later combinations small.
+
+    With ``target`` the scan stops once ``target`` rows are kept.  The
+    caller must know that the rank of ``m`` is at most ``target``; the
+    result is then the same as without it.
     """
-    # clearing a row's denominators scales it by a positive factor, which
-    # leaves the set of independent rows alone
-    _, pivots = _echelon([list(col) for col in zip(*_integer_rows(m))])
-    return pivots
+    basis: list[tuple[int, dict[int, int]]] = []
+    kept: list[int] = []
+    for i, row in enumerate(_rows(m)):
+        if len(kept) == target:
+            break
+        # clearing a row's denominators scales it by a positive factor,
+        # which leaves the set of independent rows alone; rows after the
+        # stop are never cleared
+        row = _integer_row(row)
+        for c, b in basis:
+            x = row[c]
+            if x:
+                p = b[c]
+                if p != 1:
+                    row = [p * a for a in row]
+                for k, e in b.items():
+                    row[k] -= x * e
+        nonzero = [(abs(x), c) for c, x in enumerate(row) if x]
+        if not nonzero:
+            continue
+        pivot = min(nonzero)[1]
+        g = gcd(*row)
+        basis.append((pivot, {c: x // g for c, x in enumerate(row) if x}))
+        kept.append(i)
+    return kept
 
 
 def rref(m: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:

@@ -299,6 +299,27 @@ def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
     return Fraction(sum([num[i] * c for i, c in _fcurve_terms(f.parts)]), den)
 
 
+def zero_and_negative_fcurves(
+        d: SymDivisor) -> tuple[list[SymFCurve], list[tuple[SymFCurve, Fraction]]]:
+    """The F-curves on which d has degree zero, and those on which it is
+    negative together with the degree, both in ``enumerate_sym_fcurves``
+    order.
+
+    The degrees are read as integer numerators over the class's positive
+    denominator, so a sign needs no division; only a negative degree is
+    made a ``Fraction``.
+    """
+    num, den = d._expanded
+    zero, negative = [], []
+    for f in _sym_fcurves(d.n):
+        deg = sum([num[i] * c for i, c in _fcurve_terms(f.parts)])
+        if not deg:
+            zero.append(f)
+        elif deg < 0:
+            negative.append((f, Fraction(deg, den)))
+    return zero, negative
+
+
 def tk_pairing(d: SymDivisor, k: int) -> Fraction:
     """Degree of a symmetric divisor on the test curve T_k sweeping Δ_k.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cache
 from typing import Optional, Sequence
 
 from .cones import ConeH, ConeV, extreme_rays
@@ -26,7 +27,7 @@ from .moduli import (
     SymFCurve,
     enumerate_sym_fcurves,
     fcurve_class_vector,
-    sym_pairing,
+    zero_and_negative_fcurves,
 )
 
 COMBO_COEFFS = ((9, -1, 0), (12, -1, 0), (10, -1, -2))
@@ -34,9 +35,11 @@ COMBO_COEFFS = ((9, -1, 0), (12, -1, 0), (10, -1, -2))
 TABLE_NAMES = ("n6", "n7", "n9", "n10", "n10-fcurves", "t3-certificates")
 
 
+@cache
 def fcurve_cone(n: int) -> ConeH:
     """The symmetric F-cone on Δ_2..Δ_{⌊n/2⌋} coordinates, one inequality
-    per F-curve type."""
+    per F-curve type.  Built once per n: a ``ConeH`` is immutable, and it
+    keeps its pointedness once computed."""
     dim = n // 2 - 1
     return ConeH(dim, [fcurve_class_vector(f) for f in enumerate_sym_fcurves(n)])
 
@@ -227,23 +230,25 @@ def t3_certificate_blocks(n: int) -> list[tuple[str, SymFCurve]]:
     """
     if n % 3 or n < 12:
         raise ValueError(f"certificate blocks need a multiple of 3 at least 12, got {n}")
-    div = triple_cover_divisor(n)
+    zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
+    zero_set = set(zero)
     rows: list[tuple[str, SymFCurve]] = []
     seen: set[SymFCurve] = set()
     vectors: list[tuple] = []
     for label, curves in _t3_curve_blocks(n):
         for f in curves:
-            if sym_pairing(div, f) != 0:
+            if f not in zero_set:
                 raise RuntimeError(f"certificate curve {f} has nonzero degree")
             if f in seen:
                 continue
             seen.add(f)
             rows.append((label, f))
             vectors.append(fcurve_class_vector(f))
-    spare = [f for f in enumerate_sym_fcurves(n) if f not in seen and sym_pairing(div, f) == 0]
-    pivots = independent_rows(vectors + [fcurve_class_vector(f) for f in spare])
-    rows += [("patch", spare[i - len(vectors)]) for i in pivots if i >= len(vectors)]
+    spare = [f for f in zero if f not in seen]
+    # every row is orthogonal to the nonzero class, so the rank is at most target
     target = n // 2 - 2
+    pivots = independent_rows(vectors + [fcurve_class_vector(f) for f in spare], target)
+    rows += [("patch", spare[i - len(vectors)]) for i in pivots if i >= len(vectors)]
     if len(pivots) != target:
         raise RuntimeError(f"certificate for n={n} spans rank {len(pivots)}, need {target}")
     return rows

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from fcone.cli import main
+from fcone.cli import _build_parser, main
+from fcone.exactlin import rank
+from fcone.moduli import SymFCurve, fcurve_class_vector, format_divisor
+from fcone.tables import triple_cover_divisor
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLES_DIR = ROOT / "tables"
@@ -187,6 +190,51 @@ def test_extremal_no(capsys):
         code, out, _ = run(capsys, "extremal", "0", "--n", n)
         assert (code, out) == (
             1, "not extremal\nzero class: orthogonal to every F-curve, spans no ray\n")
+
+
+@pytest.mark.parametrize("n", ["4", "5"])
+def test_extremal_with_a_rank_target_of_zero(capsys, n):
+    # one coordinate: a nonzero F-nef class spans the ray, with no curve
+    assert run(capsys, "extremal", "psi", "--n", n) == (0, "extremal\nrank 0 of 0\n", "")
+
+
+def test_extremal_triple_cover_at_48(capsys):
+    # the scan stops at the target, after 102 of the 204 zero curves; a
+    # target one short would report not extremal
+    code, out, _ = run(capsys, "extremal", format_divisor(triple_cover_divisor(48)), "--n", "48")
+    lines = out.splitlines()
+    assert (code, lines[:2]) == (0, ["extremal", "rank 22 of 22"])
+    assert len([line for line in lines if line.startswith("orthogonal: ")]) == 204
+    certificate = [
+        SymFCurve(tuple(int(x) for x in f.strip("F_{}").split(",")))
+        for f in lines[-1].removeprefix("certificate: ").split()
+    ]
+    assert rank([fcurve_class_vector(f) for f in certificate]) == len(certificate) == 22
+
+
+# each sequence runs on one parser, and each call must match a fresh parser:
+# class kinds that read different flags, --help, and a usage error
+PARSER_SEQUENCES = [
+    [("class", "boundary", "--n", "6", "--p", "2", "--part", "red"),
+     ("class", "boundary", "--n", "6", "--p", "2"),
+     ("class", "combo", "--n", "6", "--p", "3", "--lambda", "9", "--irr", "-1", "--expand"),
+     ("class", "hodge", "--n", "6", "--p", "2", "--json"),
+     ("class", "hodge", "--n", "6", "--p", "2")],
+    [("--help",), ("fnef", "psi", "--n", "6")],
+    [("class", "hodge", "--n", "6"), ("class", "hodge", "--n", "6", "--p", "3")],
+    [("extremal", "psi"), ("extremal", "psi", "--n", "6")],
+]
+
+
+@pytest.mark.parametrize("calls", PARSER_SEQUENCES)
+def test_cached_parser_matches_a_fresh_one(capsys, calls):
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    _build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert fresh[0] != fresh[1]
 
 
 def test_rays_plain(capsys):

@@ -79,6 +79,26 @@ def test_extremality_certificate_on_orthant():
         extremality_certificate(orthant, (-1, 0, 0))
 
 
+def test_extremality_certificate_needs_a_pointed_cone():
+    # (0, 0, 1) spans the lineality line of this cone, no extreme ray
+    wedge = ConeH(3, ((1, 0, 0), (0, 1, 0)))
+    assert not wedge.pointed
+    for v in ((0, 0, 1), (1, 0, 0), (0, 0, 0)):
+        with pytest.raises(ValueError, match="pointed"):
+            extremality_certificate(wedge, v)
+    assert not ConeH(2, ()).pointed
+    assert ConeH(2, ((1, 0), (0, 1))).pointed
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 12, 21])
+def test_extremality_certificate_at_the_zero_vector(n):
+    # every normal is tight at 0 and a pointed cone's normals have rank dim,
+    # so the scan must not stop at dim − 1
+    cone = fcurve_cone(n)
+    assert cone.pointed
+    assert extremality_certificate(cone, (0,) * cone.dim) is None
+
+
 def test_extreme_rays_square_cone():
     cone = ConeH(2, ((1, 0), (0, 1)))
     assert extreme_rays(cone) == ConeV(2, ((1, 0), (0, 1)))
@@ -179,7 +199,8 @@ def test_double_description_properties(cone, data):
         assert contains(cone, r)
     for w in v.lineality:
         assert all(dot(a, w) == 0 for a in cone.normals)
-    if cone.normals and rank(cone.normals) == cone.dim:
+    assert cone.pointed == (rank(cone.normals) == cone.dim)
+    if cone.pointed:
         assert v == extreme_rays_by_enumeration(cone)
 
 
@@ -262,6 +283,11 @@ def test_contains_and_certificate_match_fraction_dots(cone_and_vector, scale):
     assert contains(cone, scaled) == inside
     if not inside:
         with pytest.raises(ValueError):
+            extremality_certificate(cone, v)
+        return
+    if rank(cone.normals) < cone.dim:
+        # a cone with lineality has no extreme ray to certify
+        with pytest.raises(ValueError, match="pointed"):
             extremality_certificate(cone, v)
         return
     tight = [i for i, s in enumerate(slacks) if s == 0]

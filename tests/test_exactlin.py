@@ -135,7 +135,26 @@ def test_kernel_vectors_annihilated(m):
             assert dot(row, v) == 0
 
 
-@given(matrix_strategy)
+# taller matrices with small entries, so that dependent rows are common
+tall_matrix_strategy = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.one_of(st.integers(-2, 2), rationals), min_size=ncols, max_size=ncols),
+        min_size=1,
+        max_size=10,
+    )
+)
+
+
+def test_independent_rows_examples():
+    assert independent_rows([]) == []
+    assert independent_rows([[0, 0], [1, 2], [2, 4], [0, 1]]) == [1, 3]
+    # rows are compared after their denominators are cleared
+    m = [[Fraction(1, 2), Fraction(1, 3)], [3, 2], ["1", 1]]
+    assert independent_rows(m) == [0, 2]
+    assert independent_rows(m, 1) == [0]
+
+
+@given(st.one_of(matrix_strategy, tall_matrix_strategy))
 def test_independent_rows_is_the_greedy_scan(m):
     greedy = []
     for i, row in enumerate(m):
@@ -143,6 +162,14 @@ def test_independent_rows_is_the_greedy_scan(m):
             greedy.append(i)
     assert independent_rows(m) == greedy
     assert len(greedy) == rank(m)
+
+
+@given(st.one_of(matrix_strategy, tall_matrix_strategy))
+def test_independent_rows_stops_at_the_target(m):
+    full = independent_rows(m)
+    for k in range(len(m) + 1):
+        # for every k at or above the rank, full[:k] is the full scan
+        assert independent_rows(m, k) == full[:k]
 
 
 @given(matrix_strategy)
