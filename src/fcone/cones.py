@@ -26,7 +26,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import dot, independent_rows, kernel_basis, primitive, rank, rref
+from .exactlin import _dense, _reduce, _rref, dot, independent_rows, kernel_basis, primitive, rank
 
 
 def _unit(i: int, dim: int) -> tuple[int, ...]:
@@ -35,21 +35,6 @@ def _unit(i: int, dim: int) -> tuple[int, ...]:
 
 def _dot(a: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, a, v))
-
-
-def _reduce_mod(v: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Zero out the pivot coordinates of v against an RREF basis.
-
-    Every pivot of the basis is positive, so v is only rescaled by positive
-    integers and shifted along the basis; cone membership is preserved when
-    the basis spans lineality directions.
-    """
-    vec = list(v)
-    for row in basis:
-        j = next(i for i, x in enumerate(row) if x != 0)
-        if vec[j]:
-            vec = [row[j] * x - vec[j] * y for x, y in zip(vec, row)]
-    return primitive(vec, flip_sign=False)
 
 
 @dataclass(frozen=True)
@@ -95,13 +80,15 @@ class ConeV:
         for v in (*self.rays, *self.lineality):
             if len(v) != self.dim:
                 raise ValueError(f"generator {v} does not have dimension {self.dim}")
-        lin = rref(self.lineality)
+        lin = _rref(self.lineality)
         rays = set()
         for r in self.rays:
-            reduced = _reduce_mod(r, lin)
+            # every pivot of the basis is positive, so the ray is only
+            # rescaled by positive integers and shifted along the lineality
+            reduced = primitive(_reduce(list(r), lin), flip_sign=False)
             if any(reduced):
                 rays.add(reduced)
-        object.__setattr__(self, "lineality", lin)
+        object.__setattr__(self, "lineality", tuple(tuple(_dense(b, self.dim)) for _, b in lin))
         object.__setattr__(self, "rays", tuple(sorted(rays)))
 
 

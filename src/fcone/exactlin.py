@@ -2,15 +2,19 @@
 
 Scalars are ints or ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms with positive denominator), vectors are sequences of them and
-matrices are sequences of equally long rows.  Rows are cleared to integers
-once.  ``rank``, ``rref`` and ``kernel_basis`` eliminate fraction-free in
-the Bareiss style: pivoting keeps every intermediate entry an exact minor of
-the input, and rational division only happens during back-substitution.
-``independent_rows`` scans the rows one at a time against a sparse integer
-echelon basis of the rows kept so far, so a sparse row costs one combination
-per basis pivot where it is nonzero, and it can stop once it has kept as
-many rows as the caller knows the rank to be at most.  Nothing here is ever
+matrices are sequences of equally long rows.  Nothing here is ever
 approximate.
+
+All elimination is one integer row scan.  Each row, its denominators
+cleared, is reduced against a sparse echelon basis of the rows kept so far
+(primitive rows with positive pivots, each zero at the pivots of the rows
+before it) by one combination per basis pivot where the row is nonzero; a
+nonzero remainder joins the basis.  Each caller fixes the pivot rule:
+``independent_rows`` and ``rank`` take the entry smallest in absolute
+value, which keeps later multipliers small (leftmost pivots made the scan
+two to five times slower on extremality certificates); ``rref``,
+``kernel_basis`` and the lineality of ``cones.ConeV`` take the leftmost
+nonzero entry, which makes the back-reduced basis the canonical RREF.
 """
 
 from __future__ import annotations
@@ -84,101 +88,89 @@ def _integer_row(row: list) -> list[int]:
     return [int(f * mult) for f in fracs]
 
 
-def _integer_rows(m: Sequence[Sequence]) -> list[list[int]]:
-    """Fresh integer rows, each a positive multiple of its row of ``m``."""
-    return [_integer_row(row) for row in _rows(m)]
+# A basis row of the scan: its pivot column and its nonzero entries by column.
+_BasisRow = tuple[int, dict[int, int]]
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.
+def _reduce(row: list, basis: Sequence[_BasisRow]) -> list:
+    """``row``, scaled by each basis pivot (positive) where it is nonzero at
+    that pivot and combined with that basis row to zero it there.  Against
+    an echelon basis the result is zero at every pivot.  ``row`` itself may
+    be changed."""
+    for c, b in basis:
+        x = row[c]
+        if x:
+            p = b[c]
+            if p != 1:
+                row = [p * a for a in row]
+            for k, e in b.items():
+                row[k] -= x * e
+    return row
 
-    Returns the nonzero echelon rows and the pivot column indices.  Row
-    scaling by the previous pivot keeps all entries integral (Sylvester's
-    identity guarantees the divisions below are exact).
-    """
-    if not rows:
-        return [], []
-    nrows, ncols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(r + 1, nrows):
-            for jc in range(c + 1, ncols):
-                rows[i][jc] = (rows[r][c] * rows[i][jc] - rows[i][c] * rows[r][jc]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+
+def _basis_row(row: list[int], pivot: int) -> _BasisRow:
+    g = gcd(*row) if row[pivot] > 0 else -gcd(*row)
+    return pivot, {c: x // g for c, x in enumerate(row) if x}
+
+
+def _dense(b: dict[int, int], ncols: int) -> list[int]:
+    return [b.get(c, 0) for c in range(ncols)]
+
+
+def _scan(
+    rows: list[list], leftmost: bool, target: Optional[int] = None
+) -> tuple[list[_BasisRow], list[int]]:
+    """The echelon basis of ``rows`` and the indices of the rows it kept,
+    stopping once ``target`` rows are kept."""
+    basis: list[_BasisRow] = []
+    kept: list[int] = []
+    for i, row in enumerate(rows):
+        if len(kept) == target:
             break
-    return rows[:r], pivots
-
-
-def rank(m: Sequence[Sequence]) -> int:
-    _, pivots = _echelon(_integer_rows(m))
-    return len(pivots)
+        # clearing a row's denominators scales it by a positive factor,
+        # which changes no span; rows after the stop are never cleared
+        row = _reduce(_integer_row(row), basis)
+        nonzero = [(abs(x), c) for c, x in enumerate(row) if x]
+        if nonzero:
+            basis.append(_basis_row(row, nonzero[0][1] if leftmost else min(nonzero)[1]))
+            kept.append(i)
+    return basis, kept
 
 
 def independent_rows(m: Sequence[Sequence], target: Optional[int] = None) -> list[int]:
     """Indices of the rows of ``m`` outside the span of the rows before them.
 
     This is the set a greedy left-to-right scan keeps, and its length is the
-    rank of ``m``.  The rows kept so far are held as a sparse integer
-    echelon basis: each basis row is primitive and is zero at the pivot of
-    every basis row kept before it.  A new row meets the basis rows in the
-    order they were kept and is combined with one wherever it is nonzero at
-    that row's pivot, which leaves it zero there and at every earlier pivot.
-    It is independent iff something is left, and it joins the basis with
-    its smallest entry in absolute value as pivot, which keeps the
-    multipliers of later combinations small.
-
-    With ``target`` the scan stops once ``target`` rows are kept.  The
-    caller must know that the rank of ``m`` is at most ``target``; the
-    result is then the same as without it.
+    rank of ``m``.  With ``target`` the scan stops once ``target`` rows are
+    kept.  The caller must know that the rank of ``m`` is at most
+    ``target``; the result is then the same as without it.
     """
-    basis: list[tuple[int, dict[int, int]]] = []
-    kept: list[int] = []
-    for i, row in enumerate(_rows(m)):
-        if len(kept) == target:
-            break
-        # clearing a row's denominators scales it by a positive factor,
-        # which leaves the set of independent rows alone; rows after the
-        # stop are never cleared
-        row = _integer_row(row)
-        for c, b in basis:
-            x = row[c]
-            if x:
-                p = b[c]
-                if p != 1:
-                    row = [p * a for a in row]
-                for k, e in b.items():
-                    row[k] -= x * e
-        nonzero = [(abs(x), c) for c, x in enumerate(row) if x]
-        if not nonzero:
-            continue
-        pivot = min(nonzero)[1]
-        g = gcd(*row)
-        basis.append((pivot, {c: x // g for c, x in enumerate(row) if x}))
-        kept.append(i)
-    return kept
+    return _scan(_rows(m), False, target)[1]
+
+
+def rank(m: Sequence[Sequence]) -> int:
+    return len(independent_rows(m))
+
+
+def _rref(m: Sequence[Sequence]) -> list[_BasisRow]:
+    """The RREF rows of ``m`` in pivot order, primitive with positive pivots.
+
+    Every scanned remainder lies in the row space and has its leftmost
+    nonzero at its pivot, so the pivots are the leading columns of the row
+    space.  Back-reduced from the last up against the rows already reduced,
+    each basis row is zero at every other pivot: a multiple of its RREF row.
+    """
+    rows = _rows(m)
+    reduced: list[_BasisRow] = []
+    for c, b in reversed(_scan(rows, True)[0]):
+        reduced.append(_basis_row(_reduce(_dense(b, len(rows[0])), reduced), c))
+    return sorted(reduced)
 
 
 def rref(m: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the row space: the reduced row echelon rows, each
     scaled to a primitive integer vector with a positive pivot."""
-    rows, pivots = _echelon(_integer_rows(m))
-    for r in reversed(range(len(rows))):
-        c = pivots[r]
-        for i in range(r):
-            x = rows[i][c]
-            if x:
-                rows[i] = [rows[r][c] * a - x * b for a, b in zip(rows[i], rows[r])]
-    return tuple(primitive(row) for row in rows)
+    return tuple(tuple(_dense(b, len(m[0]))) for _, b in _rref(m))
 
 
 def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
@@ -187,19 +179,20 @@ def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
     One vector per free column, in ascending free-column order, each scaled
     to a primitive integer vector whose first nonzero entry is positive.
     """
-    rows = _integer_rows(m)
-    if not rows:
+    if not m:
         raise ValueError("kernel of an empty matrix is undetermined, supply rows")
-    ncols = len(rows[0])
-    ech, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for ri in reversed(range(len(pivots))):
-            pc = pivots[ri]
-            s = sum((Fraction(ech[ri][j]) * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-            x[pc] = -s / ech[ri][pc]
-        basis.append(primitive(x))
-    return basis
+    basis = _rref(m)
+    ncols = len(m[0])
+    pivots = {c for c, _ in basis}
+    # x_f = l and x_c = -row[f]·l/row[c] for the RREF row with pivot c, l the
+    # lcm of the pivots, is integral and zero against every row
+    l = lcm(*(b[c] for c, b in basis))
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            x = [0] * ncols
+            x[f] = l
+            for c, b in basis:
+                x[c] = -b.get(f, 0) * (l // b[c])
+            kernel.append(primitive(x))
+    return kernel

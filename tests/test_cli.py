@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from fcone.cli import _build_parser, main
-from fcone.exactlin import rank
 from fcone.moduli import SymFCurve, fcurve_class_vector, format_divisor
 from fcone.tables import triple_cover_divisor
+
+from oracles import reference_rank
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLES_DIR = ROOT / "tables"
@@ -209,7 +210,7 @@ def test_extremal_triple_cover_at_48(capsys):
         SymFCurve(tuple(int(x) for x in f.strip("F_{}").split(",")))
         for f in lines[-1].removeprefix("certificate: ").split()
     ]
-    assert rank([fcurve_class_vector(f) for f in certificate]) == len(certificate) == 22
+    assert reference_rank([fcurve_class_vector(f) for f in certificate]) == len(certificate) == 22
 
 
 # each sequence runs on one parser, and each call must match a fresh parser:

@@ -18,6 +18,8 @@ from fcone.cones import (
 from fcone.exactlin import dot, rank
 from fcone.tables import fcone_rays, fcurve_cone
 
+from oracles import reference_rank
+
 
 def random_pointed_cone(rng, max_normals=10):
     # rejection sampling: the brute-force oracle needs full-rank normals
@@ -55,6 +57,45 @@ def test_conev_reduces_rays_modulo_lineality():
 def test_conev_equality_is_presentation_independent():
     a = ConeV(3, rays=((2, 2, 0), (0, 1, 0)), lineality=((0, 0, 5),))
     b = ConeV(3, rays=((0, 2, 2), (1, 1, 7)), lineality=((0, 0, -1),))
+    assert a == b
+
+
+@st.composite
+def conev_presentations(draw):
+    """Rays and a lineality basis, and a second presentation of the same
+    cone: the rays shuffled, each scaled by a positive integer and shifted
+    by an integer combination of the lineality, and the lineality replaced
+    by an invertible integer combination of its rows."""
+    dim = draw(st.integers(1, 5))
+    vectors = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)
+    rays = draw(st.lists(vectors, max_size=5))
+    lin = draw(st.lists(vectors, max_size=3))
+    moved = []
+    for r in draw(st.permutations(rays)):
+        scale = draw(st.integers(1, 5))
+        v = [scale * x for x in r]
+        for w in lin:
+            c = draw(st.integers(-3, 3))
+            v = [x + c * y for x, y in zip(v, w)]
+        moved.append(tuple(v))
+    # row additions and nonzero scalings are invertible
+    combined = [list(w) for w in lin]
+    for i in range(len(lin)):
+        for j in range(len(lin)):
+            if i != j:
+                c = draw(st.integers(-3, 3))
+                combined[i] = [x + c * y for x, y in zip(combined[i], combined[j])]
+        k = draw(st.integers(-3, 3).filter(bool))
+        combined[i] = [k * x for x in combined[i]]
+    return (
+        ConeV(dim, tuple(map(tuple, rays)), tuple(map(tuple, lin))),
+        ConeV(dim, tuple(moved), tuple(map(tuple, combined))),
+    )
+
+
+@given(conev_presentations())
+def test_conev_canonical_form_is_presentation_independent(pair):
+    a, b = pair
     assert a == b
 
 
@@ -199,7 +240,7 @@ def test_double_description_properties(cone, data):
         assert contains(cone, r)
     for w in v.lineality:
         assert all(dot(a, w) == 0 for a in cone.normals)
-    assert cone.pointed == (rank(cone.normals) == cone.dim)
+    assert cone.pointed == (reference_rank(cone.normals) == cone.dim)
     if cone.pointed:
         assert v == extreme_rays_by_enumeration(cone)
 
@@ -285,17 +326,17 @@ def test_contains_and_certificate_match_fraction_dots(cone_and_vector, scale):
         with pytest.raises(ValueError):
             extremality_certificate(cone, v)
         return
-    if rank(cone.normals) < cone.dim:
+    if reference_rank(cone.normals) < cone.dim:
         # a cone with lineality has no extreme ray to certify
         with pytest.raises(ValueError, match="pointed"):
             extremality_certificate(cone, v)
         return
     tight = [i for i, s in enumerate(slacks) if s == 0]
     cert = extremality_certificate(cone, v)
-    tight_rank = rank([cone.normals[i] for i in tight])
+    tight_rank = reference_rank([cone.normals[i] for i in tight])
     assert (cert is not None) == (tight_rank == cone.dim - 1)
     if cert is not None:
         assert set(cert.indices) <= set(tight)
         assert cert.rank == len(cert.indices) == cone.dim - 1
-        assert rank([cone.normals[i] for i in cert.indices]) == cone.dim - 1
+        assert reference_rank([cone.normals[i] for i in cert.indices]) == cone.dim - 1
     assert extremality_certificate(cone, scaled) == cert

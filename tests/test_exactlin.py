@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fcone.exactlin import (
     dot,
@@ -13,6 +13,8 @@ from fcone.exactlin import (
     rank,
     rref,
 )
+
+from oracles import reference_rank
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=12
@@ -89,15 +91,18 @@ def test_primitive_is_proportional_and_reduced(v):
     assert next(x for x in p if x) > 0
 
 
+HILBERT = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)]
+
+
 def test_rank_examples():
     assert rank([]) == 0
     assert rank([[0, 0]]) == 0
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 2], [3, 4]]) == 2
     assert rank([["1/2", 1], [2, 5]]) == 2
-    # classic Bareiss stress case: Hilbert-like fractions stay exact
-    hilbert = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)]
-    assert rank(hilbert) == 5
+    # the Hilbert matrix is invertible, and each of its rows clears its
+    # fractions with a multiplier of its own
+    assert rank(HILBERT) == 5
 
 
 def test_kernel_basis_orthogonality():
@@ -158,7 +163,7 @@ def test_independent_rows_examples():
 def test_independent_rows_is_the_greedy_scan(m):
     greedy = []
     for i, row in enumerate(m):
-        if rank([m[j] for j in greedy] + [row]) > len(greedy):
+        if reference_rank([m[j] for j in greedy] + [row]) > len(greedy):
             greedy.append(i)
     assert independent_rows(m) == greedy
     assert len(greedy) == rank(m)
@@ -180,7 +185,7 @@ def test_rref_is_canonical_and_spans(m):
     for r, (row, c) in enumerate(zip(basis, pivots)):
         assert row == primitive(row) and row[c] > 0
         assert all(basis[i][c] == 0 for i in range(len(basis)) if i != r)
-    assert len(basis) == rank(m) == rank(list(m) + list(basis))
+    assert len(basis) == reference_rank(m) == reference_rank(list(m) + list(basis))
 
 
 @pytest.fixture(scope="module")
@@ -188,15 +193,23 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
-@given(matrix_strategy)
+# the Hilbert matrix has the identity as RREF and an empty kernel, a zero row
+# an empty RREF and a full kernel, and [[]] no columns at all
+@example(HILBERT)
+@example([[0, 0]])
+@example([[]])
+@given(st.one_of(matrix_strategy, tall_matrix_strategy))
 def test_rank_and_rref_match_sympy(sympy, m):
     reduced, pivots = sympy.Matrix(m).rref()
-    assert rank(m) == len(pivots)
+    assert rank(m) == reference_rank(m) == len(pivots)
     expected = tuple(primitive(reduced.row(i)) for i in range(len(pivots)))
     assert rref(m) == expected
 
 
-@given(matrix_strategy)
+@example(HILBERT)
+@example([[0, 0]])
+@example([[]])
+@given(st.one_of(matrix_strategy, tall_matrix_strategy))
 def test_kernel_basis_matches_sympy(sympy, m):
     expected = [list(v) for v in sympy.Matrix(m).nullspace()]
     basis = kernel_basis(m)
