@@ -23,7 +23,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -299,25 +299,63 @@ def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
     return Fraction(sum([num[i] * c for i, c in _fcurve_terms(f.parts)]), den)
 
 
+@lru_cache(maxsize=32)
+def _packed_fcurves(n: int, width: int) -> tuple[tuple[int, ...], int, int]:
+    """The packed columns of ``zero_and_negative_fcurves``, then ``top``
+    (the top bit of every field) and ``low`` (its other bits)."""
+    curves = _sym_fcurves(n)
+    size = len(curves) * width
+    # each coefficient goes in the last byte of its field
+    positive = [bytearray(size) for _ in delta_range(n)]
+    negative = [bytearray(size) for _ in delta_range(n)]
+    for row, f in enumerate(curves):
+        at = (row + 1) * width - 1
+        for i, c in _fcurve_terms(f.parts):
+            if c > 0:
+                positive[i][at] = c
+            else:
+                negative[i][at] = -c
+    columns = tuple(int.from_bytes(pos, "big") - int.from_bytes(neg, "big")
+                    for pos, neg in zip(positive, negative))
+    top = int.from_bytes(b"\x80".ljust(width, b"\0") * len(curves), "big")
+    low = int.from_bytes(b"\x7f".ljust(width, b"\xff") * len(curves), "big")
+    return columns, top, low
+
+
 def zero_and_negative_fcurves(
         d: SymDivisor) -> tuple[list[SymFCurve], list[tuple[SymFCurve, Fraction]]]:
     """The F-curves on which d has degree zero, and those on which it is
     negative together with the degree, both in ``enumerate_sym_fcurves``
     order.
 
-    The degrees are read as integer numerators over the class's positive
-    denominator, so a sign needs no division; only a negative degree is
-    made a ``Fraction``.
+    Every degree comes out of one big-int product.  The F-curve matrix is
+    cached as one int per pure-Δ coordinate, with curve k in field k from
+    the top, each field ``width`` bytes.  An F-curve has at most seven ±1
+    terms, so ``width = (max|num|.bit_length() + 11) // 8`` bytes keep
+    |degree| < 2^(8·width−1), and ``top + Σ num[i]·column[i]`` holds
+    degree + 2^(8·width−1) in each field.  A field is negative iff its top
+    bit is clear, and zero iff it equals that bias.  Only a negative degree
+    is made a ``Fraction``, by ``sym_pairing``.
     """
-    num, den = d._expanded
-    zero, negative = [], []
-    for f in _sym_fcurves(d.n):
-        deg = sum([num[i] * c for i, c in _fcurve_terms(f.parts)])
-        if not deg:
-            zero.append(f)
-        elif deg < 0:
-            negative.append((f, Fraction(deg, den)))
-    return zero, negative
+    num = d._expanded[0]
+    width = (max(map(abs, num)).bit_length() + 11) // 8
+    columns, top, low = _packed_fcurves(d.n, width)
+    packed = top
+    for a, column in zip(num, columns):
+        if a:
+            packed += a * column
+    z = packed ^ top
+    # (z & low) + low carries into a field's top bit iff its low bits are nonzero
+    zero_flags = top & ~(((z & low) + low) | z)
+    negative_flags = top & ~packed
+    curves = _sym_fcurves(d.n)
+    size = len(curves) * width
+
+    def flagged(flags: int):
+        return itertools.compress(curves, flags.to_bytes(size, "big")[::width])
+
+    return (list(flagged(zero_flags)),
+            [(f, sym_pairing(d, f)) for f in flagged(negative_flags)])
 
 
 def tk_pairing(d: SymDivisor, k: int) -> Fraction:
@@ -327,6 +365,8 @@ def tk_pairing(d: SymDivisor, k: int) -> Fraction:
     classes 0.
     """
     n = d.n
+    if n < 6:
+        raise ValueError(f"no test curve T_k exists below n = 6, got n={n}")
     if not 3 <= k <= n // 2:
         raise ValueError(f"T_k needs 3 <= k <= {n // 2}, got k={k}")
     num, den = d._expanded

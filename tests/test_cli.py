@@ -374,6 +374,10 @@ CLASS_FLAG_VALUES = {
          "need at least 4 markings, got n=-2"),
         (("class", "combo", "--n", "0", "--p", "2", "--lambda", "1"),
          "need at least 4 markings, got n=0"),
+        (("pair", "1*psi", "--n", "5", "--tk", "2"),
+         "no test curve T_k exists below n = 6, got n=5"),
+        (("pair", "1*D2", "--n", "4", "--tk", "3"),
+         "no test curve T_k exists below n = 6, got n=4"),
     ],
 )
 def test_usage_errors(capsys, argv, message):

@@ -28,6 +28,7 @@ from fcone.moduli import (
     sym_pairing,
     symmetrize,
     tk_pairing,
+    zero_and_negative_fcurves,
 )
 
 # the n=10 coordinate table, D2..D5 per curve type
@@ -160,6 +161,10 @@ def test_tk_pairing_table():
         tk_pairing(SymDivisor(12, 1), 2)
     with pytest.raises(ValueError):
         tk_pairing(SymDivisor(12, 1), 7)
+    for n in (4, 5):
+        for k in (2, 3):
+            with pytest.raises(ValueError, match="^no test curve T_k exists below n = 6"):
+                tk_pairing(SymDivisor(n, 1), k)
 
 
 def test_proportional():
@@ -615,6 +620,88 @@ def test_proportional_matches_the_division_oracle(d, data):
     ))
     assert proportional(d, other) == proportional_by_division(d, other)
     assert proportional(other, d) == proportional_by_division(other, d)
+
+
+def zero_and_negative_by_pairing(d: SymDivisor) -> tuple:
+    """Oracle for zero_and_negative_fcurves: one sym_pairing per F-curve."""
+    zero, negative = [], []
+    for f in enumerate_sym_fcurves(d.n):
+        deg = sym_pairing(d, f)
+        if deg == 0:
+            zero.append(f)
+        elif deg < 0:
+            negative.append((f, deg))
+    return zero, negative
+
+
+def aligned_with_a_curve(n: int, m: int) -> SymDivisor:
+    """m times the signs of the class vector of the first F-curve whose
+    terms have the largest absolute sum, up to 7.  The largest numerator is
+    |m|, and the degree there is m times that sum: the largest degree a
+    packed field of that width must hold."""
+    f = max(enumerate_sym_fcurves(n), key=lambda f: sum(map(abs, fcurve_class_vector(f))))
+    return sym_divisor_from_vector(n, [m * ((c > 0) - (c < 0)) for c in fcurve_class_vector(f)])
+
+
+# max|num| = 2^(8w−4) − 1 is the largest numerator with w-byte fields and
+# 2^(8w−4) the smallest with w+1; w = 8 and 9 straddle 64 bits
+WIDTH_BOUNDARIES = [m for w in (1, 2, 8, 9) for m in (2 ** (8 * w - 4) - 1, 2 ** (8 * w - 4))]
+
+
+@st.composite
+def packed_width_classes(draw):
+    """Classes on n = 4..40 with numerators from 0 up to 2^80, many of them
+    with lots of degree-zero curves: the zero class and ±1 coefficients."""
+    n = draw(st.integers(4, 40))
+    ks = list(delta_range(n))
+    kind = draw(st.sampled_from(["zero", "units", "units", "wide", "wide", "aligned"]))
+    if kind == "zero":
+        return SymDivisor(n)
+    if kind == "aligned":
+        m = draw(st.sampled_from(WIDTH_BOUNDARIES))
+        return aligned_with_a_curve(n, draw(st.sampled_from([m, -m])))
+    if kind == "units":
+        values = st.sampled_from([-1, 0, 0, 1])
+    else:
+        bits = draw(st.integers(0, 80))
+        values = st.integers(-(2 ** bits), 2 ** bits)
+    psi = draw(st.one_of(st.just(0), values))
+    coeffs = draw(st.lists(values, min_size=len(ks), max_size=len(ks)))
+    return SymDivisor(n, psi, dict(zip(ks, coeffs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_width_classes())
+@example(aligned_with_a_curve(24, 2 ** 4 - 1))
+@example(aligned_with_a_curve(40, -(2 ** 4 - 1)))
+@example(aligned_with_a_curve(24, -(2 ** 4)))
+@example(aligned_with_a_curve(40, 2 ** 4))
+@example(aligned_with_a_curve(24, 2 ** 12 - 1))
+@example(aligned_with_a_curve(40, -(2 ** 12 - 1)))
+@example(aligned_with_a_curve(24, -(2 ** 12)))
+@example(aligned_with_a_curve(40, 2 ** 12))
+@example(aligned_with_a_curve(24, 2 ** 60 - 1))
+@example(aligned_with_a_curve(40, -(2 ** 60 - 1)))
+@example(aligned_with_a_curve(24, -(2 ** 60)))
+@example(aligned_with_a_curve(40, 2 ** 60))
+@example(aligned_with_a_curve(24, 2 ** 68 - 1))
+@example(aligned_with_a_curve(40, -(2 ** 68 - 1)))
+@example(aligned_with_a_curve(24, -(2 ** 68)))
+@example(aligned_with_a_curve(40, 2 ** 68))
+@example(aligned_with_a_curve(96, -(2 ** 12)) + SymDivisor(96, 0, {2: 1}))
+@example(SymDivisor(96, 1, {k: -1 for k in delta_range(96)}))
+@example(SymDivisor(96, 1, {k: (-1) ** k * 5 ** k for k in delta_range(96)}))
+def test_zero_and_negative_fcurves_match_a_per_curve_oracle(d):
+    zero, negative = zero_and_negative_fcurves(d)
+    assert (zero, negative) == zero_and_negative_by_pairing(d)
+    assert all(type(deg) is Fraction for _, deg in negative)
+
+
+def test_width_boundary_classes_reach_seven_times_their_largest_numerator():
+    for m in WIDTH_BOUNDARIES:
+        d = aligned_with_a_curve(24, m)
+        assert max(map(abs, d._expanded[0])) == m
+        assert max(sym_pairing(d, f) for f in enumerate_sym_fcurves(24)) == 7 * m
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ def test_golden_files_match():
     # n = 48: the rank scan stops after 102 of its 204 rows
     golden = (TABLES_DIR / "t3-certificates-n48.csv").read_text()
     assert table_csv("t3-certificates", n=48) == golden
+    # n = 96: 13-bit numerators, so the packed F-curve degrees take two-byte fields
+    golden = (TABLES_DIR / "t3-certificates-n96.csv").read_text()
+    assert table_csv("t3-certificates", n=96) == golden
 
 
 def test_unknown_table_rejected():
