@@ -32,6 +32,7 @@ from .moduli import (
     delta_range,
     enumerate_full_fcurves,
     enumerate_sym_fcurves,
+    fcurve_certificate,
     fcurve_class_vector,
     format_divisor,
     full_pairing,

@@ -29,11 +29,11 @@ from .covers import (
     sym_weighted_pullbacks,
 )
 from .eigenforms import eigen_rank_degree_fcurve
-from .exactlin import independent_rows, parse_rational
+from .exactlin import parse_rational
 from .moduli import (
     SymFCurve,
     enumerate_sym_fcurves,
-    fcurve_class_vector,
+    fcurve_certificate,
     format_divisor,
     parse_divisor,
     psi_expand,
@@ -163,12 +163,9 @@ def cmd_extremal(args) -> int:
         for f, deg in negative:
             print(f"negative: {f} = {deg}")
         return 1
-    # the orthogonal curves lie in the hyperplane orthogonal to the nonzero
-    # class, so their rank is at most target
-    target = args.n // 2 - 2
-    vectors = [fcurve_class_vector(f) for f in orthogonal]
-    certificate = [orthogonal[i] for i in independent_rows(vectors, target)]
+    certificate = fcurve_certificate(orthogonal)
     span = len(certificate)
+    target = args.n // 2 - 2
     print("extremal" if span == target else "not extremal")
     print(f"rank {span} of {target}")
     for f in orthogonal:

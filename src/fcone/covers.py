@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
 from operator import itemgetter, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .moduli import FullDivisor, SymDivisor, _check_n, _mean_scales, _side_masks, delta_range
 
@@ -36,13 +36,11 @@ class WeightData:
     """Branch weights of a degree-p cyclic cover of the line.
 
     d lists one nonnegative weight per marking; p must divide their sum so
-    the cover is unramified away from the markings.  The optional j picks
-    a character of the deck action for eigenbundle constructions.
+    the cover is unramified away from the markings.
     """
 
     d: tuple[int, ...]
     p: int
-    j: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "d", tuple(int(x) for x in self.d))
@@ -52,8 +50,6 @@ class WeightData:
             raise ValueError("weights must be nonnegative")
         if sum(self.d) % self.p:
             raise ValueError(f"degree {self.p} does not divide the total weight {sum(self.d)}")
-        if self.j is not None and not 1 <= self.j <= self.p - 1:
-            raise ValueError(f"character {self.j} out of range 1..{self.p - 1}")
 
     @property
     def n(self) -> int:
@@ -173,22 +169,17 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     )
 
 
-def _character(w: WeightData, j: Optional[int]) -> int:
-    if j is None:
-        j = w.j
-    if j is None:
-        raise ValueError("no character given")
+def _check_character(w: WeightData, j: int) -> None:
     if not 1 <= j <= w.p - 1:
         raise ValueError(f"character {j} out of range 1..{w.p - 1}")
-    return j
 
 
-def eigen_det_class(w: WeightData, j: Optional[int] = None) -> FullDivisor:
+def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     """Determinant of the weight-j eigenbundle of the Hodge bundle.
 
     Closed formula: (1/2p²)[Σ⟨j·d_i⟩(p−⟨j·d_i⟩)ψ_i − Σ⟨j·d(I)⟩(p−⟨j·d(I)⟩)Δ_{I,J}].
     """
-    j = _character(w, j)
+    _check_character(w, j)
     p = w.p
     # r(p − r) for the residue r of j·d, over 2p²
     value, den = _over(2 * p * p, [r * (p - r) for r in (j * t % p for t in range(p))])
@@ -276,9 +267,9 @@ def sym_weighted_pullbacks(w: WeightData) -> tuple[SymDivisor, SymDivisor, SymDi
     return _symmetric_classes(w, marking, side, (12 * p, p, p))
 
 
-def sym_eigen_det_class(w: WeightData, j: Optional[int] = None) -> SymDivisor:
+def sym_eigen_det_class(w: WeightData, j: int) -> SymDivisor:
     """symmetrize(eigen_det_class(w, j)), from weight profiles."""
-    j = _character(w, j)
+    _check_character(w, j)
     p = w.p
 
     def weight(t: int) -> int:

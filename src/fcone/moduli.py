@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import QVector, format_rational, parse_rational
+from .exactlin import QVector, format_rational, independent_rows, parse_rational
 
 
 def _check_n(n: int) -> None:
@@ -277,6 +277,7 @@ def _fcurve_terms(parts: tuple[int, int, int, int]) -> tuple[tuple[int, int], ..
     return tuple(sorted((k - 2, c) for k, c in coeffs.items() if c))
 
 
+@cache
 def fcurve_class_vector(f: SymFCurve) -> tuple[int, ...]:
     """Coordinates of the F-curve class in the dual pure-Δ basis, as ints:
     the sparse terms of ``_fcurve_terms`` spread over Δ_2..Δ_{⌊n/2⌋}."""
@@ -356,6 +357,22 @@ def zero_and_negative_fcurves(
 
     return (list(flagged(zero_flags)),
             [(f, sym_pairing(d, f)) for f in flagged(negative_flags)])
+
+
+def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
+    """The curves whose classes lie outside the span of the curves before
+    them.
+
+    The curves must all have degree zero on one nonzero class on n
+    markings.  Their classes are then orthogonal to a nonzero vector, so
+    their rank is at most ⌊n/2⌋ − 2, and the scan stops at that rank: a
+    result of that length certifies the class as extremal in the symmetric
+    F-cone when it is F-nef.  An empty list gives ``[]``.
+    """
+    if not curves:
+        return []
+    rows = independent_rows([fcurve_class_vector(f) for f in curves], curves[0].n // 2 - 2)
+    return [curves[i] for i in rows]
 
 
 def tk_pairing(d: SymDivisor, k: int) -> Fraction:

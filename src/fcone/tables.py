@@ -21,11 +21,11 @@ from .covers import (
     sym_eigen_det_class,
     sym_weighted_pullbacks,
 )
-from .exactlin import independent_rows
 from .moduli import (
     SymDivisor,
     SymFCurve,
     enumerate_sym_fcurves,
+    fcurve_certificate,
     fcurve_class_vector,
     zero_and_negative_fcurves,
 )
@@ -139,8 +139,6 @@ def triple_cover_divisor(n: int) -> SymDivisor:
 
 def _t3_curve_blocks(n: int) -> list[tuple[str, list[SymFCurve]]]:
     t, r = divmod(n, 12)
-    if r not in (0, 3, 6, 9):
-        raise ValueError(f"number of markings must be a multiple of 3, got {n}")
 
     def F(*parts: int) -> SymFCurve:
         return SymFCurve(parts)
@@ -232,26 +230,19 @@ def t3_certificate_blocks(n: int) -> list[tuple[str, SymFCurve]]:
         raise ValueError(f"certificate blocks need a multiple of 3 at least 12, got {n}")
     zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
     zero_set = set(zero)
-    rows: list[tuple[str, SymFCurve]] = []
-    seen: set[SymFCurve] = set()
-    vectors: list[tuple] = []
+    # the label of each block curve, from the first block that names it
+    labels: dict[SymFCurve, str] = {}
     for label, curves in _t3_curve_blocks(n):
         for f in curves:
             if f not in zero_set:
                 raise RuntimeError(f"certificate curve {f} has nonzero degree")
-            if f in seen:
-                continue
-            seen.add(f)
-            rows.append((label, f))
-            vectors.append(fcurve_class_vector(f))
-    spare = [f for f in zero if f not in seen]
-    # every row is orthogonal to the nonzero class, so the rank is at most target
+            labels.setdefault(f, label)
+    certificate = fcurve_certificate([*labels, *(f for f in zero if f not in labels)])
     target = n // 2 - 2
-    pivots = independent_rows(vectors + [fcurve_class_vector(f) for f in spare], target)
-    rows += [("patch", spare[i - len(vectors)]) for i in pivots if i >= len(vectors)]
-    if len(pivots) != target:
-        raise RuntimeError(f"certificate for n={n} spans rank {len(pivots)}, need {target}")
-    return rows
+    if len(certificate) != target:
+        raise RuntimeError(f"certificate for n={n} spans rank {len(certificate)}, need {target}")
+    rows = [(label, f) for f, label in labels.items()]
+    return rows + [("patch", f) for f in certificate if f not in labels]
 
 
 def render_t3_certificates_csv(n: int) -> str:

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -433,3 +435,41 @@ def test_python_m_fcone_usage_error():
     proc = run_module("fcone", "class", "hodge", "--n", "5", "--p", "2")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: degree 2 must divide the number of markings 5\n"
+
+
+def readme_shell_examples() -> list[tuple[str, str]]:
+    """Each ``$ fcone ...`` line of the README's sh blocks with the output
+    lines under it."""
+    text = (ROOT / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = example.partition("\n")
+            examples.append((command, output))
+    return examples
+
+
+def output_pattern(output: str) -> str:
+    """A regex for the shown output: a ``...`` line stands for any run of
+    lines, and a ``; ...`` suffix for the rest of its line."""
+    pattern = []
+    for line in output.splitlines():
+        if line == "...":
+            pattern.append(r"(?:.*\n)*")
+        elif line.endswith("; ..."):
+            pattern.append(re.escape(line[:-len("; ...")]) + r";.*\n")
+        else:
+            pattern.append(re.escape(line) + r"\n")
+    return "".join(pattern)
+
+
+README_EXAMPLES = readme_shell_examples()
+
+
+@pytest.mark.parametrize("command, output", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_shell_examples(capsys, command, output):
+    program, *argv = shlex.split(command, comments=True)
+    assert program == "fcone"
+    _, out, err = run(capsys, *argv)
+    assert re.fullmatch(output_pattern(output), out), out
+    assert err == ""

@@ -61,8 +61,8 @@ def test_weight_data_validation():
         WeightData((1, -1, 0), 2)
     with pytest.raises(ValueError):
         WeightData((1, 1, 1), 2)  # sum not divisible
-    with pytest.raises(ValueError):
-        WeightData((1, 1, 1, 1), 2, j=2)
+    with pytest.raises(TypeError):
+        WeightData((1, 1, 1, 1), 2, j=2)  # no character field
 
 
 def test_genus_values():
@@ -302,8 +302,8 @@ def test_full_classes_match_the_per_side_oracles(w):
 @pinned_weights
 def test_classes_on_one_weight_datum_match_fresh_builds(w):
     # the side tables are filled by the first build and read by the others
-    reused = WeightData(w.d, w.p, w.j)
-    fresh = WeightData(w.d, w.p, w.j)
+    reused = WeightData(w.d, w.p)
+    fresh = WeightData(w.d, w.p)
     for j in range(1, w.p):
         assert eigen_det_class(reused, j) == eigen_det_class(WeightData(w.d, w.p), j)
     assert weighted_pullbacks(reused) == weighted_pullbacks(WeightData(w.d, w.p))
@@ -347,8 +347,8 @@ def test_eigen_det_character_symmetry():
         eigen_det_class(w, 0)
     with pytest.raises(ValueError):
         eigen_det_class(w, 5)
-    with pytest.raises(ValueError):
-        eigen_det_class(WeightData((1,) * 10, 5))  # no character anywhere
+    with pytest.raises(TypeError):
+        eigen_det_class(WeightData((1,) * 10, 5))  # the character is required
 
 
 def test_eigen_det_known_rays():

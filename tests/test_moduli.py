@@ -17,6 +17,7 @@ from fcone.moduli import (
     delta_range,
     enumerate_full_fcurves,
     enumerate_sym_fcurves,
+    fcurve_certificate,
     fcurve_class_vector,
     format_divisor,
     full_pairing,
@@ -30,6 +31,9 @@ from fcone.moduli import (
     tk_pairing,
     zero_and_negative_fcurves,
 )
+from fcone.tables import fcone_rays
+
+from oracles import reference_rank
 
 # the n=10 coordinate table, D2..D5 per curve type
 N10_TABLE = {
@@ -702,6 +706,44 @@ def test_width_boundary_classes_reach_seven_times_their_largest_numerator():
         d = aligned_with_a_curve(24, m)
         assert max(map(abs, d._expanded[0])) == m
         assert max(sym_pairing(d, f) for f in enumerate_sym_fcurves(24)) == 7 * m
+
+
+def greedy_certificate(curves: list) -> list:
+    """Oracle for fcurve_certificate: keep a curve iff it raises the
+    reference rank of the curves kept before it."""
+    kept = []
+    for f in curves:
+        if reference_rank([fcurve_class_vector(g) for g in [*kept, f]]) > len(kept):
+            kept.append(f)
+    return kept
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_fcurve_certificate_of_every_fcone_ray_has_full_rank(n):
+    for ray in fcone_rays(n).rays:
+        zero, negative = zero_and_negative_fcurves(sym_divisor_from_vector(n, ray))
+        certificate = fcurve_certificate(zero)
+        assert not negative
+        assert len(certificate) == n // 2 - 2
+        assert reference_rank([fcurve_class_vector(f) for f in certificate]) == n // 2 - 2
+    assert fcurve_certificate([]) == []
+
+
+@st.composite
+def sums_of_two_rays(draw) -> SymDivisor:
+    n = draw(st.integers(6, 16))
+    rays = fcone_rays(n).rays
+    i, j = draw(st.lists(st.integers(0, len(rays) - 1), min_size=2, max_size=2, unique=True))
+    return sym_divisor_from_vector(n, rays[i]) + sym_divisor_from_vector(n, rays[j])
+
+
+@settings(max_examples=100, deadline=None)
+@given(sums_of_two_rays())
+def test_fcurve_certificate_of_a_sum_of_two_rays_is_the_greedy_scan(d):
+    zero, _ = zero_and_negative_fcurves(d)
+    certificate = fcurve_certificate(zero)
+    assert certificate == greedy_certificate(zero)
+    assert len(certificate) < d.n // 2 - 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from fcone import tables
 from fcone.moduli import (
     delta_range,
     enumerate_sym_fcurves,
@@ -135,6 +136,15 @@ def test_triple_cover_divisor_is_fnef():
     assert str(div) == "SymDivisor(12, '2*psi - 2*D2 - 3*D3 - 2*D4 - 2*D5 - 3*D6')"
     assert [11 * c for c in div.class_vector()] == [18, 21, 42, 48, 39]
     assert all(sym_pairing(div, f) >= 0 for f in enumerate_sym_fcurves(12))
+
+
+def test_certificate_keeps_the_first_label_of_a_repeated_curve(monkeypatch):
+    # no curve is named by two blocks at n = 12..399, so a last block repeats them all
+    expected = t3_certificate_blocks(24)
+    blocks = tables._t3_curve_blocks(24)
+    repeat = ("repeat", [f for _, curves in blocks for f in curves])
+    monkeypatch.setattr(tables, "_t3_curve_blocks", lambda n: [*blocks, repeat])
+    assert t3_certificate_blocks(24) == expected
 
 
 def test_certificate_shape():
