@@ -290,22 +290,9 @@ def p5_class(n: int, j: int) -> SymDivisor:
     """The two nonnegative degree-5 eigenbundle combinations 50·det E_j − δ_irr."""
     if n % 5:
         raise ValueError(f"5 must divide the number of markings {n}")
-    if j == 1:
-        psi, near, far = 4, -4, -6
-    elif j == 2:
-        psi, near, far = 6, -6, -4
-    else:
+    if j not in (1, 2):
         raise ValueError("character must be 1 or 2")
-    delta = {}
-    for k in delta_range(n):
-        r = k % 5
-        if r == 0:
-            delta[k] = Fraction(-5)
-        elif r in (1, 4):
-            delta[k] = Fraction(near)
-        else:
-            delta[k] = Fraction(far)
-    return SymDivisor(n, psi, delta)
+    return 50 * sym_eigen_det_class(WeightData((1,) * n, 5), j) - pullback_boundary(n, 5)[0]
 
 
 def log_canonical_class(n: int, p: int) -> SymDivisor:
