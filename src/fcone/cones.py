@@ -6,9 +6,11 @@ conversion from H to V is the double description method with incremental
 inequality insertion (Fukuda & Prodon, "Double description method
 revisited", LNCS 1120, 1996), in one fixed colexicographic order of the
 normals, chosen by measurement.  It runs on plain integers: each ray keeps
-its integer slack against every normal, its tight set is an int bitmask,
-and adjacency is decided combinatorially from those bitmasks, so the
-output is exact without any rational arithmetic or rank computation.
+its integer slack against the normals still to come, and its tight set is
+an int bitmask.  Adjacency is decided combinatorially from those bitmasks,
+one big-int test per pair against every ray's tight set packed into one
+int per insertion step, so the output is exact without any rational
+arithmetic or rank computation.
 
 Canonical forms: normals and rays are primitive integer vectors (no sign
 flip, orientation is meaningful); the lineality basis is the reduced row
@@ -144,47 +146,75 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
 
 
 # A ray during double description: the primitive vector, its slack against
-# every normal of the cone, and the bitmask of inserted normals tight at it.
+# each normal still to come, and the bitmask of inserted normals tight at it.
 _Ray = tuple[tuple[int, ...], list[int], int]
 
 
-def _combine(x: int, u: _Ray, y: int, w: _Ray, tight: int) -> _Ray:
-    """The ray x·u − y·w in primitive form; its slacks are x·su − y·sw
-    divided by the same content, so they stay exact without a dot product."""
+def _combine(x: int, u: _Ray, y: int, w: _Ray, tight: int, k: int) -> _Ray:
+    """The ray x·u − y·w in primitive form, made while inserting normal k.
+
+    Its slacks are x·su − y·sw divided by the same content, so they stay
+    exact without a dot product.  Only the normals still to come,
+    normals[:k], get a slack: no later step reads the others.
+    """
     vec = [x * p - y * q for p, q in zip(u[0], w[0])]
     g = gcd(*vec)
-    slacks = [(x * p - y * q) // g for p, q in zip(u[1], w[1])]
+    slacks = [(x * p - y * q) // g for p, q in zip(u[1][:k], w[1][:k])]
     return tuple(v // g for v in vec), slacks, tight
 
 
-def _adjacent(common: int, masks: Sequence[int]) -> bool:
+# (shift, packed, ones, low, top, others): see _pack
+_Table = tuple[int, int, int, int, int, int]
+
+
+def _pack(masks: Sequence[int], k: int, m: int) -> _Table:
+    """Pack tight sets over the normals k+1..m−1 of m for _adjacent.
+
+    Mask i >> shift sits in field i of packed.  Each field has
+    width = (m − k − 1) // 8 + 1 bytes, so it keeps a spare top bit above
+    the m − k − 1 bits of a shifted mask.  ones has 1 in each field, top
+    each field's top bit, low = top − ones, and others is the number of
+    masks less the pair.
+    """
+    shift = k + 1
+    width = (m - shift) // 8 + 1
+    fields = b"".join((t >> shift).to_bytes(width, "little") for t in masks)
+    packed = int.from_bytes(fields, "little")
+    ones = int.from_bytes((1).to_bytes(width, "little") * len(masks), "little")
+    top = ones << (8 * width - 1)
+    return shift, packed, ones, top - ones, top, len(masks) - 2
+
+
+def _adjacent(common: int, table: _Table) -> bool:
     """No third ray's tight set contains ``common``.
 
     The two rays of the pair always contain their common tight set, so
-    the pair is adjacent iff exactly two masks contain it.  Counting hits
-    excludes the pair by position: a third ray whose mask equals one of
-    theirs still counts.
+    the pair is adjacent iff exactly two masks contain it.  With common
+    copied into every field, (mask & common) ^ common is zero in a field
+    iff its mask contains common, and adding low carries into the top bit
+    of every other field, never past it: the pair is adjacent iff every
+    field but two has its top bit set.  Counting fields excludes the pair
+    by position: a third ray whose mask equals one of theirs still counts.
     """
-    hits = 0
-    for m in masks:
-        if m & common == common:
-            hits += 1
-            if hits > 2:
-                return False
-    return True
+    shift, packed, ones, low, top, others = table
+    spread = (common >> shift) * ones
+    return (((packed & spread) ^ spread) + low & top).bit_count() == others
 
 
 def extreme_rays(c: ConeH) -> ConeV:
     """V-representation via double description with incremental insertion.
 
     State: a lineality basis plus extreme rays (mod lineality) of the cone
-    cut by the inequalities inserted so far.  Each ray carries its integer
-    slack against every normal, computed when the ray is made, and its tight
-    set over the inserted normals as a bitmask.  The normals are inserted
-    once each in colexicographic order (the last coordinate decides first).
-    On the symmetric F-cone and its dual it measured faster than picking the
-    normal with the fewest violating rays, and than lexicographic, descending
-    or input order; and the run does not depend on the input order.
+    cut by the inequalities inserted so far.  The normals are inserted once
+    each in colexicographic order (the last coordinate decides first).  On
+    the symmetric F-cone and its dual it measured faster than picking the
+    normal with the fewest violating rays, and than lexicographic,
+    descending or input order; and the run does not depend on the input
+    order.  They are stored in the reverse order and inserted from the last
+    index down, so the normals still to come are always normals[:k]: each
+    ray carries its integer slack against those only, computed when the
+    ray is made, and its tight set over the inserted normals (bits k+1 and
+    up) as a bitmask.
 
     A new inequality either slices the lineality space (every ray is
     projected onto the new wall and the surviving lineality direction
@@ -192,13 +222,16 @@ def extreme_rays(c: ConeH) -> ConeV:
     with combinations of adjacent positive/negative pairs.  Adjacency is
     the combinatorial test of Fukuda & Prodon: the common tight set has at
     least dim − lineality − 2 elements and no third ray's tight set
-    contains it.
+    contains it.  The second half is one big-int test per pair, against
+    every ray's tight set packed into one int once per step.
     """
     dim = c.dim
-    normals = sorted(c.normals, key=lambda a: a[::-1])
+    normals = sorted(c.normals, key=lambda a: a[::-1], reverse=True)
+    m = len(normals)
     lineality: list[tuple[int, ...]] = [_unit(i, dim) for i in range(dim)]
     rays: list[_Ray] = []
-    for k, a in enumerate(normals):
+    for k in reversed(range(m)):
+        a = normals[k]
         bit = 1 << k
         hit = next((v for v in lineality if _dot(a, v)), None)
         if hit is not None:
@@ -213,23 +246,24 @@ def extreme_rays(c: ConeH) -> ConeV:
                 new_lin.append(primitive([av0 * x - av * y for x, y in zip(v, v0)]) if av else v)
             lineality = new_lin
             # v0 was a lineality direction, so every earlier wall is tight at it
-            ray0 = (v0, [_dot(b, v0) for b in normals], bit - 1)
+            ray0 = (v0, [_dot(b, v0) for b in normals[:k]], (1 << m) - (bit << 1))
             rays = [
-                (r, s, t | bit) if s[k] == 0 else _combine(av0, (r, s, t), s[k], ray0, t | bit)
+                (r, s, t | bit) if s[k] == 0 else _combine(av0, (r, s, t), s[k], ray0, t | bit, k)
                 for r, s, t in rays
             ]
             rays.append(ray0)
         else:
-            masks = [t for _, _, t in rays]
             positive = [ray for ray in rays if ray[1][k] > 0]
             negative = [ray for ray in rays if ray[1][k] < 0]
             kept = [(r, s, t | bit if s[k] == 0 else t) for r, s, t in rays if s[k] >= 0]
-            need = dim - len(lineality) - 2
-            for rp in positive:
-                for rn in negative:
-                    common = rp[2] & rn[2]
-                    if common.bit_count() >= need and _adjacent(common, masks):
-                        kept.append(_combine(rp[1][k], rn, rn[1][k], rp, common | bit))
+            if positive and negative:
+                table = _pack([t for _, _, t in rays], k, m)
+                need = dim - len(lineality) - 2
+                for rp in positive:
+                    for rn in negative:
+                        common = rp[2] & rn[2]
+                        if common.bit_count() >= need and _adjacent(common, table):
+                            kept.append(_combine(rp[1][k], rn, rn[1][k], rp, common | bit, k))
             rays = kept
     return ConeV(dim, tuple(r for r, _, _ in rays), tuple(lineality))
 

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fcone.cones import (
     Certificate,
     ConeH,
     ConeV,
+    _adjacent,
+    _pack,
     contains,
     extremality_certificate,
     extreme_rays,
@@ -177,6 +180,26 @@ def test_double_description_matches_brute_force():
         assert extreme_rays(cone) == extreme_rays_by_enumeration(cone)
 
 
+def test_double_description_matches_brute_force_on_many_normals():
+    # 17..24 normals near a circle in dim 3: the late steps see 16 or more
+    # inserted normals, so their tight sets pack into 3-byte fields
+    rng = random.Random(20261018)
+    for _ in range(20):
+        count = rng.randint(17, 24)
+        normals = []
+        for _ in range(count):
+            angle = rng.uniform(0, 2 * math.pi)
+            radius = rng.randint(20, 60)
+            normals.append((
+                round(radius * math.cos(angle)),
+                round(radius * math.sin(angle)),
+                radius + rng.randint(-3, 3),
+            ))
+        cone = ConeH(3, tuple(normals))
+        assert rank(cone.normals) == 3
+        assert extreme_rays(cone) == extreme_rays_by_enumeration(cone)
+
+
 def test_double_description_permutation_invariant():
     rng = random.Random(7)
     for _ in range(25):
@@ -243,6 +266,40 @@ def test_double_description_properties(cone, data):
     assert cone.pointed == (reference_rank(cone.normals) == cone.dim)
     if cone.pointed:
         assert v == extreme_rays_by_enumeration(cone)
+
+
+@st.composite
+def packed_steps(draw):
+    """One DD step's tight sets, a common tight set and the step's indices.
+
+    Normals k+1..m−1 of m ≤ 40 are inserted, with m − k − 1 at both ends of
+    1-, 2- and 3-byte fields.  The masks come with repeats, and common is
+    either 0 or the tight set shared by two of them, sometimes with extra
+    masks that contain it.
+    """
+    bits = draw(st.sampled_from([7, 8, 15, 16, 23, 24]))
+    k = draw(st.integers(0, 39 - bits))
+    mask = st.integers(0, (1 << bits) - 1).map(lambda t: t << (k + 1))
+    masks = draw(st.lists(mask, min_size=2, max_size=10))
+    masks += draw(st.lists(st.sampled_from(masks), max_size=3))
+    i, j = draw(st.lists(st.integers(0, len(masks) - 1), min_size=2, max_size=2, unique=True))
+    common = masks[i] & masks[j] if draw(st.booleans()) else 0
+    masks += [t | common for t in draw(st.lists(mask, max_size=2))]
+    return draw(st.permutations(masks)), common, k, k + 1 + bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_steps())
+# a full 8-bit field: in a field one byte short it carries out of the field
+@example(([0x1FE, 0x1FE, 0], 0x1FE, 0, 9))
+# a third ray with an equal mask still counts
+@example(([0b110, 0b110, 0b110], 0b110, 0, 3))
+# exactly two rays, common = 0
+@example(([0, 1 << 39], 0, 0, 40))
+def test_packed_adjacency_matches_a_loop_over_the_masks(step):
+    masks, common, k, m = step
+    expected = sum(t & common == common for t in masks) == 2
+    assert _adjacent(common, _pack(masks, k, m)) == expected
 
 
 @pytest.mark.parametrize("n", range(6, 19))
