@@ -5,12 +5,12 @@ or by generators (ConeV: extreme rays plus a lineality basis).  The
 conversion from H to V is the double description method with incremental
 inequality insertion (Fukuda & Prodon, "Double description method
 revisited", LNCS 1120, 1996), in one fixed colexicographic order of the
-normals, chosen by measurement.  It runs on plain integers: each ray keeps
-its integer slack against the normals still to come, and its tight set is
-an int bitmask.  Adjacency is decided combinatorially from those bitmasks,
-one big-int test per pair against every ray's tight set packed into one
-int per insertion step, so the output is exact without any rational
-arithmetic or rank computation.
+normals, chosen by measurement.  It runs on plain integers: each ray's
+tight set is an int bitmask, and each inserted normal keeps an int
+incidence bitset of the rays tight at it.  Adjacency is decided
+combinatorially, as the AND of the incidence bitsets over a pair's common
+tight set, so the output is exact without any rational arithmetic or rank
+computation.
 
 Canonical forms: normals and rays are primitive integer vectors (no sign
 flip, orientation is meaningful); the lineality basis is the reduced row
@@ -145,60 +145,40 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
     return Certificate(tuple(chosen), len(chosen))
 
 
-# A ray during double description: the primitive vector, its slack against
-# each normal still to come, and the bitmask of inserted normals tight at it.
-_Ray = tuple[tuple[int, ...], list[int], int]
+# A ray during double description: the primitive vector, the bitmask of
+# inserted normals tight at it, and its id, a bit position in the incidence
+# bitsets.  Ids are never reused within a run.
+_Ray = tuple[tuple[int, ...], int, int]
 
 
-def _combine(x: int, u: _Ray, y: int, w: _Ray, tight: int, k: int) -> _Ray:
-    """The ray x·u − y·w in primitive form, made while inserting normal k.
-
-    Its slacks are x·su − y·sw divided by the same content, so they stay
-    exact without a dot product.  Only the normals still to come,
-    normals[:k], get a slack: no later step reads the others.
-    """
-    vec = [x * p - y * q for p, q in zip(u[0], w[0])]
+def _combine(x: int, u: Sequence[int], y: int, w: Sequence[int]) -> tuple[int, ...]:
+    """The vector x·u − y·w in primitive form."""
+    vec = [x * p - y * q for p, q in zip(u, w)]
     g = gcd(*vec)
-    slacks = [(x * p - y * q) // g for p, q in zip(u[1][:k], w[1][:k])]
-    return tuple(v // g for v in vec), slacks, tight
+    return tuple(vec) if g == 1 else tuple([v // g for v in vec])
 
 
-# (shift, packed, ones, low, top, others): see _pack
-_Table = tuple[int, int, int, int, int, int]
+def _bits(ids: Sequence[int], count: int) -> int:
+    """The int with bit i set for each i in ids, all below count."""
+    field = bytearray(count // 8 + 1)
+    for i in ids:
+        field[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(field, "little")
 
 
-def _pack(masks: Sequence[int], k: int, m: int) -> _Table:
-    """Pack tight sets over the normals k+1..m−1 of m for _adjacent.
+def _containing(common: int, inc: Sequence[int], present: int) -> int:
+    """The rays in present whose tight set contains common, as id bits.
 
-    Mask i >> shift sits in field i of packed.  Each field has
-    width = (m − k − 1) // 8 + 1 bytes, so it keeps a spare top bit above
-    the m − k − 1 bits of a shifted mask.  ones has 1 in each field, top
-    each field's top bit, low = top − ones, and others is the number of
-    masks less the pair.
+    A ray's tight set contains common iff the ray is tight at every normal
+    i in common, so this is the AND of inc[i] over those i, masked to
+    present.
     """
-    shift = k + 1
-    width = (m - shift) // 8 + 1
-    fields = b"".join((t >> shift).to_bytes(width, "little") for t in masks)
-    packed = int.from_bytes(fields, "little")
-    ones = int.from_bytes((1).to_bytes(width, "little") * len(masks), "little")
-    top = ones << (8 * width - 1)
-    return shift, packed, ones, top - ones, top, len(masks) - 2
-
-
-def _adjacent(common: int, table: _Table) -> bool:
-    """No third ray's tight set contains ``common``.
-
-    The two rays of the pair always contain their common tight set, so
-    the pair is adjacent iff exactly two masks contain it.  With common
-    copied into every field, (mask & common) ^ common is zero in a field
-    iff its mask contains common, and adding low carries into the top bit
-    of every other field, never past it: the pair is adjacent iff every
-    field but two has its top bit set.  Counting fields excludes the pair
-    by position: a third ray whose mask equals one of theirs still counts.
-    """
-    shift, packed, ones, low, top, others = table
-    spread = (common >> shift) * ones
-    return (((packed & spread) ^ spread) + low & top).bit_count() == others
+    rays = present
+    while common:
+        i = common.bit_length() - 1
+        rays &= inc[i]
+        common ^= 1 << i
+    return rays
 
 
 def extreme_rays(c: ConeH) -> ConeV:
@@ -210,11 +190,10 @@ def extreme_rays(c: ConeH) -> ConeV:
     the symmetric F-cone and its dual it measured faster than picking the
     normal with the fewest violating rays, and than lexicographic,
     descending or input order; and the run does not depend on the input
-    order.  They are stored in the reverse order and inserted from the last
-    index down, so the normals still to come are always normals[:k]: each
-    ray carries its integer slack against those only, computed when the
-    ray is made, and its tight set over the inserted normals (bits k+1 and
-    up) as a bitmask.
+    order.  Each ray carries its tight set over the inserted normals
+    (bit i for normal i) as a bitmask and an id; each inserted normal i keeps
+    the incidence bitset inc[i], with bit id set for every ray ever made
+    that is tight at it.  A step takes one integer dot per ray.
 
     A new inequality either slices the lineality space (every ray is
     projected onto the new wall and the surviving lineality direction
@@ -222,15 +201,19 @@ def extreme_rays(c: ConeH) -> ConeV:
     with combinations of adjacent positive/negative pairs.  Adjacency is
     the combinatorial test of Fukuda & Prodon: the common tight set has at
     least dim − lineality − 2 elements and no third ray's tight set
-    contains it.  The second half is one big-int test per pair, against
-    every ray's tight set packed into one int once per step.
+    contains it.  The second half is the AND of inc[i] over the common
+    tight set, masked to the rays alive at the start of the step: the pair
+    is adjacent iff it has exactly their two bits.
     """
     dim = c.dim
-    normals = sorted(c.normals, key=lambda a: a[::-1], reverse=True)
+    normals = sorted(c.normals, key=lambda a: a[::-1])
     m = len(normals)
     lineality: list[tuple[int, ...]] = [_unit(i, dim) for i in range(dim)]
     rays: list[_Ray] = []
-    for k in reversed(range(m)):
+    inc = [0] * m
+    count = 0
+    present = 0
+    for k in range(m):
         a = normals[k]
         bit = 1 << k
         hit = next((v for v in lineality if _dot(a, v)), None)
@@ -245,25 +228,58 @@ def extreme_rays(c: ConeH) -> ConeV:
                 av = _dot(a, v)
                 new_lin.append(primitive([av0 * x - av * y for x, y in zip(v, v0)]) if av else v)
             lineality = new_lin
-            # v0 was a lineality direction, so every earlier wall is tight at it
-            ray0 = (v0, [_dot(b, v0) for b in normals[:k]], (1 << m) - (bit << 1))
-            rays = [
-                (r, s, t | bit) if s[k] == 0 else _combine(av0, (r, s, t), s[k], ray0, t | bit, k)
-                for r, s, t in rays
-            ]
-            rays.append(ray0)
+            # projecting along v0, which every earlier wall is tight at, keeps
+            # each ray's tight set and id, and puts every ray on the new wall
+            projected = []
+            for r, t, i in rays:
+                s = _dot(a, r)
+                projected.append((_combine(av0, r, s, v0) if s else r, t | bit, i))
+            rays = projected
+            inc[k] = present
+            # v0 is tight at every earlier wall and strictly positive on a
+            rays.append((v0, bit - 1, count))
+            for i in range(k):
+                inc[i] |= 1 << count
+            present |= 1 << count
+            count += 1
         else:
-            positive = [ray for ray in rays if ray[1][k] > 0]
-            negative = [ray for ray in rays if ray[1][k] < 0]
-            kept = [(r, s, t | bit if s[k] == 0 else t) for r, s, t in rays if s[k] >= 0]
+            positive, negative, kept, zero = [], [], [], []
+            for r, t, i in rays:
+                s = sum(map(mul, a, r))
+                if s > 0:
+                    positive.append((t, r, s))
+                    kept.append((r, t, i))
+                elif s < 0:
+                    negative.append((t, r, s, i))
+                else:
+                    kept.append((r, t | bit, i))
+                    zero.append(i)
+            start = count
             if positive and negative:
-                table = _pack([t for _, _, t in rays], k, m)
                 need = dim - len(lineality) - 2
-                for rp in positive:
-                    for rn in negative:
-                        common = rp[2] & rn[2]
-                        if common.bit_count() >= need and _adjacent(common, table):
-                            kept.append(_combine(rp[1][k], rn, rn[1][k], rp, common | bit, k))
+                new = []
+                for tp, rp, sp in positive:
+                    # the filter reads only the mask: most pairs stop here, and
+                    # unpacking every pair measured slower
+                    for ray in negative:
+                        if (tp & ray[0]).bit_count() < need:
+                            continue
+                        tn, rn, sn, _ = ray
+                        common = tp & tn
+                        if _containing(common, inc, present).bit_count() == 2:
+                            kept.append((_combine(sp, rn, sn, rp), common | bit, count))
+                            new.append(common)
+                            count += 1
+                for i, common in enumerate(new, start):
+                    b = 1 << i
+                    while common:
+                        j = common.bit_length() - 1
+                        inc[j] |= b
+                        common ^= 1 << j
+            # the negative rays die, and the new rays, ids start..count−1, join
+            made = (1 << count) - (1 << start)
+            present ^= _bits([i for _, _, _, i in negative], count) | made
+            inc[k] = _bits(zero, count) | made
             rays = kept
     return ConeV(dim, tuple(r for r, _, _ in rays), tuple(lineality))
 

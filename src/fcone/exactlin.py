@@ -53,17 +53,20 @@ def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
     With ``flip_sign`` the first nonzero entry is made positive, the
     canonical form for kernel vectors and lineality generators.  Rays and
     inequality normals carry an orientation, so they pass ``flip_sign=False``
-    and are only rescaled by a positive rational.
+    and are only rescaled by a positive rational.  An all-int tuple that
+    needs no change is returned as it is.
     """
-    # ints and Fractions are read through numerator and denominator as they are
-    fracs = [e if type(e) is int or type(e) is Fraction else Fraction(e) for e in v]
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    if all(type(e) is int for e in v):
+        ints = v
+    else:
+        # ints and Fractions are read through numerator and denominator as they are
+        fracs = [e if type(e) is int or type(e) is Fraction else Fraction(e) for e in v]
+        mult = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (mult // f.denominator) for f in fracs]
     content = gcd(*ints)
-    if not content:
-        return tuple(ints)
-    ints = [a // content for a in ints]
-    if flip_sign:
+    if content > 1:
+        ints = [a // content for a in ints]
+    if flip_sign and content:
         lead = next(a for a in ints if a != 0)
         if lead < 0:
             ints = [-a for a in ints]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -77,8 +78,6 @@ def test_primitive_examples():
 
 @given(st.lists(rationals, min_size=1, max_size=6))
 def test_primitive_is_proportional_and_reduced(v):
-    from math import gcd
-
     p = primitive(v)
     if all(x == 0 for x in v):
         assert p == tuple(0 for _ in v)
@@ -89,6 +88,27 @@ def test_primitive_is_proportional_and_reduced(v):
     c = Fraction(v[i]) / p[i]
     assert all(Fraction(x) == c * y for x, y in zip(v, p))
     assert next(x for x in p if x) > 0
+
+
+# content 1 and above, the zero vector, and a negative lead
+@example([3, -5, 0], True)
+@example([0, -4, 6], False)
+@example([0, 0, 0], True)
+@example([-6, 0, 9], True)
+@example([-6, 0, 9], False)
+@given(st.lists(st.integers(-50, 50), max_size=6), st.booleans())
+def test_primitive_of_ints_matches_the_fraction_path(v, flip_sign):
+    # Fraction entries of denominator 1 and bools take the Fraction path;
+    # each must give the same tuple as the ints themselves
+    expected = primitive(v, flip_sign)
+    assert type(expected) is tuple and all(type(x) is int for x in expected)
+    assert primitive([Fraction(x) for x in v], flip_sign) == expected
+    t = tuple(v)
+    assert primitive(t, flip_sign) == expected
+    if not flip_sign and gcd(*t) == 1:
+        assert primitive(t, flip_sign) is t
+    bools = [x != 0 for x in v]
+    assert primitive(bools, flip_sign) == primitive([int(b) for b in bools], flip_sign)
 
 
 HILBERT = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)]
