@@ -17,11 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
-from .moduli import FullDivisor, SymDivisor, _check_n, _mean_scales, _side_masks, delta_range
+from .moduli import FullDivisor, SymDivisor, _check_n, _side_masks, delta_range
 
 
 def residue(a: int, p: int) -> int:
@@ -107,18 +107,16 @@ def _over(den: int, table: list[int]) -> tuple[list[int], int]:
     return [v // g for v in table], den // g
 
 
-def _unit_pullbacks(n: int, p: int) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
+def _unit_weights(n: int, p: int) -> WeightData:
     _check_n(n)
-    if p < 2:
-        raise ValueError("cover degree must be at least 2")
-    if n % p:
+    if p > 1 and n % p:  # WeightData rejects p < 2
         raise ValueError(f"degree {p} must divide the number of markings {n}")
-    return sym_weighted_pullbacks(WeightData((1,) * n, p))
+    return WeightData((1,) * n, p)
 
 
 def hodge_class(n: int, p: int) -> SymDivisor:
     """Hodge-class pullback for the unit-weight cover, on the symmetric quotient."""
-    return _unit_pullbacks(n, p)[0]
+    return sym_weighted_pullbacks(_unit_weights(n, p))[0]
 
 
 def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
@@ -128,14 +126,14 @@ def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
     side size shares a factor with p stays irreducible upstairs and picks
     up multiplicity gcd²/p; coprime sides split the cover.
     """
-    _, irr, red = _unit_pullbacks(n, p)
+    _, irr, red = sym_weighted_pullbacks(_unit_weights(n, p))
     return irr, red
 
 
 def pullback_combo(n: int, p: int, c_lambda, c_irr, c_red) -> SymDivisor:
     """Linear combination c_λ·λ + c_irr·δ_irr + c_red·δ_red, pulled back."""
-    lam, irr, red = _unit_pullbacks(n, p)
-    return Fraction(c_lambda) * lam + Fraction(c_irr) * irr + Fraction(c_red) * red
+    row = {"lambda": Fraction(c_lambda), "irr": Fraction(c_irr), "red": Fraction(c_red)}
+    return _symmetric_classes(_unit_weights(n, p), (row,))[0]
 
 
 def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDivisor]:
@@ -189,96 +187,82 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     return FullDivisor(w.n, _cleared=([value[di % p] for di in w.d], delta, den))
 
 
-def _symmetric_classes(
-    w: WeightData,
-    marking: Callable[[int], tuple[int, ...]],
-    side: Callable[[int, bool], tuple[int, ...]],
-    denominators: tuple[int, ...],
-) -> tuple[SymDivisor, ...]:
-    """S_n-averages of classes whose coefficients depend only on weights.
+def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDivisor]:
+    """S_n-averages of combinations of the classes of the cover w, from one
+    walk over weight profiles.
 
-    The n markings of the degree-p cover w come in groups of m_d markings
-    of weight d.  marking(d) gives the ψ_i numerators, one per class, of a
-    marking of weight d.  side(s, split) gives the numerators on Δ_{I,J},
-    where s is the weight sum of I mod p and split says whether both
-    halves of the node carry a cover of positive genus.  Class i has
-    denominator denominators[i] throughout.
-
-    Both arguments of side() depend only on the profile of I: how many
-    markings c_d of each weight d it takes.  The Δ_k coefficient of the
-    average is the mean over all C(n, k) sets I of size k, so it is a sum
-    over profiles weighted by ∏ C(m_d, c_d).  Because p divides the total
-    weight, the coefficient on I equals the one on its complement, which
-    makes this hold at k = n/2 too.  The result equals symmetrize() of
-    the per-side class without visiting its 2^(n−1) sides.
+    A row maps bases to rational coefficients: "lambda", "irr", "red" for
+    λ, δ_irr, δ_red and j for det E_j.  Over 12p², λ and det E_j put t(s)
+    on a side I of Δ_{I,J} of weight sum s mod p and −t(d) on ψ_i of a
+    marking of weight d, with t(s) = p(q² − p²), q = gcd(s, p), for λ and
+    −6r(p − r), r = j·s mod p, for det E_j.  δ_irr puts 12p·q² on a side
+    with q > 1, δ_red 12p on a side with q = 1 that splits the cover as in
+    weighted_pullbacks.  So the Δ_k coefficient of the average, a mean over
+    the C(n, k) sets I of size k, is a sum over the profiles of I (how many
+    markings of each weight it takes), equal to that of symmetrize().  As p
+    divides the total weight, I and its complement agree at k = n/2.
     """
     n, p = w.n, w.p
     groups = Counter(w.d).items()
-    psi = [0] * len(denominators)
-    for d, m in groups:
-        for i, value in enumerate(marking(d)):
-            psi[i] += m * value
-    # Riemann-Hurwitz as in _genus_value: a point of weight d ramifies with
-    # p − gcd(d, p), and a cover with χ = 2p − Σ ramification ≤ 1 has
-    # positive genus.  Profiles that agree on (|I|, s, ramification of I)
-    # are merged, so the walk stays polynomial in n for any weights.
+    # profiles agreeing on (|I|, s, ramification of I) are merged
     total_ram = 0
     profiles = {(0, 0, 0): 1}
     for d, m in groups:
         e = p - gcd(d, p)
         total_ram += m * e
-        grown: dict[tuple[int, int, int], int] = {}
+        grown = {}
         for (k, s, ram), times in profiles.items():
             for c in range(min(m, n // 2 - k) + 1):
                 key = (k + c, (s + c * d) % p, ram + c * e)
                 grown[key] = grown.get(key, 0) + times * comb(m, c)
         profiles = grown
-    sums = [[0] * len(denominators) for _ in delta_range(n)]
+    # per k: the shares of the C(n, k) sets of size k by s, and of the
+    # split ones; these and 1/n are numerators over l
+    sets = [{} for _ in delta_range(n)]
+    split = [0] * len(sets)
     for (k, s, ram), times in profiles.items():
-        if k < 2:
-            continue
-        # the attaching point carries weight −s on I's half and s on the other
-        chi = p + gcd(s, p)
-        split = chi - ram <= 1 and chi - (total_ram - ram) <= 1
-        row = sums[k - 2]
-        for i, value in enumerate(side(s, split)):
-            row[i] += times * value
-    # class i over l·denominators[i], l = lcm(n, C(n, k) for every k)
-    scale, scales = _mean_scales(n)
-    return tuple(
-        SymDivisor(n, _cleared=((psi[i] * (scale // n),),
-                                [row[i] * f for row, f in zip(sums, scales)], scale * den))
-        for i, den in enumerate(denominators)
-    )
+        if k >= 2:
+            sets[k - 2][s] = sets[k - 2].get(s, 0) + times
+            if p <= ram <= total_ram - p and gcd(s, p) == 1:
+                split[k - 2] += times
+    sizes = [comb(n, k) for k in delta_range(n)]
+    l = lcm(n, *(size // gcd(size, times) for size, at_k, c in zip(sizes, sets, split)
+                 for times in (c, *at_k.values())))
+    sets = [[(s, times * l // size) for s, times in at_k.items()]
+            for size, at_k in zip(sizes, sets)]
+    # base b reads t[j·s mod p], j = 1 but for det E_j
+    gcds = [gcd(s, p) for s in range(p)]
+    tables = {"lambda": [p * (q * q - p * p) for q in gcds],
+              "irr": [12 * p * q * q if q > 1 else 0 for q in gcds]}
+    eigen = [-6 * r * (p - r) for r in range(p)]
+    psis = {"red": 0}
+    columns = {"red": [12 * p * c * l // size for size, c in zip(sizes, split)]}
+    for b in {b for row in rows for b, c in row.items() if c} - {"red"}:
+        t, j = (tables[b], 1) if b in tables else (eigen, b)
+        psis[b] = 0 if b == "irr" else -sum([m * t[j * d % p] for d, m in groups]) * (l // n)
+        columns[b] = [sum([c * t[j * s % p] for s, c in at_k]) for at_k in sets]
+    out = []
+    for row in rows:
+        den = lcm(*(c.denominator for c in row.values()))
+        bs = [b for b, c in row.items() if c]
+        cs = [row[b].numerator * (den // row[b].denominator) for b in bs]
+        delta = columns[bs[0]] if cs == [1] else \
+            [sum(map(mul, cs, at_k)) for at_k in zip(*map(columns.get, bs))]
+        out.append(SymDivisor(n, _cleared=((sum(map(mul, cs, map(psis.get, bs))),),
+                                           delta or [0] * len(sizes), 12 * p * p * l * den)))
+    return out
 
 
 def sym_weighted_pullbacks(w: WeightData) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
     """(λ, δ_irr, δ_red): symmetrize() of each of weighted_pullbacks(w), from
     weight profiles."""
-    p = w.p
-
-    def marking(d: int) -> tuple[int, ...]:
-        return (p * p - gcd(d, p) ** 2, 0, 0)
-
-    def side(s: int, split: bool) -> tuple[int, ...]:
-        q = gcd(s, p)
-        return (q * q - p * p, q * q if q > 1 else 0, 1 if q == 1 and split else 0)
-
-    return _symmetric_classes(w, marking, side, (12 * p, p, p))
+    return tuple(_symmetric_classes(w, ({"lambda": 1}, {"irr": 1}, {"red": 1})))
 
 
 def sym_eigen_det_class(w: WeightData, j: int) -> SymDivisor:
     """symmetrize(eigen_det_class(w, j)), from weight profiles."""
     _check_character(w, j)
-    p = w.p
-
-    def weight(t: int) -> int:
-        r = t * j % p
-        return r * (p - r)
-
-    return _symmetric_classes(
-        w, lambda d: (weight(d),), lambda s, split: (-weight(s),), (2 * p * p,)
-    )[0]
+    return _symmetric_classes(w, ({j: 1},))[0]
 
 
 def conformal_blocks_class(p: int, d: Sequence[int]) -> FullDivisor:
@@ -288,21 +272,12 @@ def conformal_blocks_class(p: int, d: Sequence[int]) -> FullDivisor:
 
 def p5_class(n: int, j: int) -> SymDivisor:
     """The two nonnegative degree-5 eigenbundle combinations 50·det E_j − δ_irr."""
-    if n % 5:
-        raise ValueError(f"5 must divide the number of markings {n}")
     if j not in (1, 2):
         raise ValueError("character must be 1 or 2")
-    return 50 * sym_eigen_det_class(WeightData((1,) * n, 5), j) - pullback_boundary(n, 5)[0]
+    return _symmetric_classes(_unit_weights(n, 5), ({j: 50, "irr": -1},))[0]
 
 
 def log_canonical_class(n: int, p: int) -> SymDivisor:
     """ψ − ΣΔ_k − (1/2)Σ_{p|k}Δ_k, the boundary log canonical combination."""
-    if p < 2:
-        raise ValueError("cover degree must be at least 2")
-    if n % p:
-        raise ValueError(f"degree {p} must divide the number of markings {n}")
-    delta = {
-        k: Fraction(-3, 2) if k % p == 0 else Fraction(-1)
-        for k in delta_range(n)
-    }
-    return SymDivisor(n, 1, delta)
+    _unit_weights(n, p)
+    return SymDivisor(n, 1, {k: -1 if k % p else Fraction(-3, 2) for k in delta_range(n)})

@@ -582,6 +582,7 @@ class FullFCurve:
     # unions of two blocks
     _terms: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
@@ -594,6 +595,7 @@ class FullFCurve:
             raise ValueError("F-curve blocks must partition {1..n}")
         object.__setattr__(self, "blocks", blocks)
         n = len(union)
+        object.__setattr__(self, "n", n)
         everything, top = (1 << n) - 1, 1 << (n - 1)
         masks = [_side_mask(b) for b in blocks]
 
@@ -606,10 +608,6 @@ class FullFCurve:
             tuple(side(m) for m, block in zip(masks, blocks) if len(block) > 1),
             (side(a | b), side(a | c), side(a | e)),
         ))
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
 
     def sym_type(self) -> SymFCurve:
         return SymFCurve(tuple(len(b) for b in self.blocks))

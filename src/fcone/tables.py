@@ -14,13 +14,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .cones import ConeH, ConeV, extreme_rays
-from .covers import (
-    WeightData,
-    p5_class,
-    pullback_combo,
-    sym_eigen_det_class,
-    sym_weighted_pullbacks,
-)
+from .covers import WeightData, _symmetric_classes, pullback_combo
 from .moduli import (
     SymDivisor,
     SymFCurve,
@@ -63,25 +57,30 @@ def annotation_candidates(n: int) -> list[tuple[str, SymDivisor]]:
 
     Covers the unit-weight pullbacks for every degree dividing n, the
     standard degree combinations, the symmetrized eigenbundle determinants,
-    and the weighted covers that perturb a single marking weight.
+    then the p5_class combinations, and the weighted covers that perturb a
+    single marking weight.
     """
     out: list[tuple[str, SymDivisor]] = []
+    p5 = []
 
-    def cover(w: WeightData, key: str, eigen_key: str, names: tuple[str, str, str]) -> None:
+    def cover(w: WeightData, key: str, eigen_key: str, names: tuple[str, str, str], extra=()):
+        # one walk for every class of w; the extra rows go to p5
         hodge, combo, eigen = names
-        lam, irr, red = sym_weighted_pullbacks(w)
-        out.append((f"{hodge}({key})", lam))
+        rows = {f"{hodge}({key})": {"lambda": 1}}
         for cl, ci, cr in COMBO_COEFFS:
-            out.append((f"{combo}({key},{cl},{ci},{cr})", lam * cl + irr * ci + red * cr))
+            rows[f"{combo}({key},{cl},{ci},{cr})"] = {"lambda": cl, "irr": ci, "red": cr}
         for j in range(1, w.p):
-            out.append((f"{eigen}({eigen_key},{j})", sym_eigen_det_class(w, j)))
+            rows[f"{eigen}({eigen_key},{j})"] = {j: 1}
+        rows.update(extra)
+        for label, d in zip(rows, _symmetric_classes(w, list(rows.values()))):
+            (p5 if label in extra else out).append((label, d))
 
     for p in range(2, n + 1):
         if n % p == 0:
-            cover(WeightData((1,) * n, p), f"{n},{p}", f"1^{n},{p}", ("hodge", "combo", "eigen"))
-    if n % 5 == 0:
-        for j in (1, 2):
-            out.append((f"p5({n},{j})", p5_class(n, j)))
+            p5_rows = {f"p5({n},{j})": {j: 50, "irr": -1} for j in (1, 2)} if p == 5 else ()
+            cover(WeightData((1,) * n, p), f"{n},{p}", f"1^{n},{p}", ("hodge", "combo", "eigen"),
+                  p5_rows)
+    out += p5
     for v in (0, 2):
         weights = (1,) * (n - 1) + (v,)
         label = _weight_label(weights)

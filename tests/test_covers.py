@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fcone.covers import (
     WeightData,
+    _symmetric_classes,
     conformal_blocks_class,
     eigen_det_class,
     exceptional_genus,
@@ -35,6 +36,7 @@ from fcone.moduli import (
     symmetrize,
     tk_pairing,
 )
+from fcone.tables import COMBO_COEFFS
 
 PRIME_PAIRS = ((6, 2), (6, 3), (9, 3), (10, 2), (10, 5), (12, 2), (12, 3),
                (14, 7), (15, 3), (15, 5), (16, 2))
@@ -190,6 +192,7 @@ PINNED_WEIGHTS = (
     WeightData((2, 4, 2, 4, 0, 0), 6),  # gcd(p, d...) = 2
     WeightData((3, 3, 3, 3, 0, 0, 0), 6),  # gcd(p, d...) = 3
     WeightData((1, 2, 3, 1, 2, 3, 0, 0, 2, 2), 4),  # Δ_{n/2}, four values
+    WeightData((1,) * 10, 5),  # unit weights: pullback_combo and p5_class
 )
 
 
@@ -207,6 +210,19 @@ def test_profile_classes_equal_symmetrized_full_classes(w):
     assert all(same_raw(a, b) for a, b in zip(sym_weighted_pullbacks(w), full))
     for j in range(1, w.p):
         assert same_raw(sym_eigen_det_class(w, j), symmetrize(eigen_det_class(w, j)))
+    # combination rows, one with a rational coefficient, from one walk against
+    # SymDivisor arithmetic on the symmetrized per-marking classes
+    lam, irr, red = full
+    coeffs = [*COMBO_COEFFS, (10, -1, Fraction(-2, 3))]
+    rows = [{"lambda": cl, "irr": ci, "red": cr} for cl, ci, cr in coeffs] + [{1: 50, "irr": -1}]
+    expected = [cl * lam + ci * irr + cr * red for cl, ci, cr in coeffs]
+    expected.append(50 * symmetrize(eigen_det_class(w, 1)) - irr)
+    got = _symmetric_classes(w, rows)
+    assert len(got) == len(expected) and all(map(same_raw, got, expected))
+    if set(w.d) == {1}:
+        assert same_raw(pullback_combo(w.n, w.p, 10, -1, Fraction(-2, 3)), expected[3])
+        if w.p == 5:
+            assert same_raw(p5_class(w.n, 1), expected[4])
 
 
 # ---------------------------------------------------------------------------

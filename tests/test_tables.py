@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from fcone import tables
+from fcone.covers import WeightData, eigen_det_class, weighted_pullbacks
 from fcone.moduli import (
     delta_range,
     enumerate_sym_fcurves,
@@ -11,8 +12,10 @@ from fcone.moduli import (
     proportional,
     sym_divisor_from_vector,
     sym_pairing,
+    symmetrize,
 )
 from fcone.tables import (
+    COMBO_COEFFS,
     TABLE_NAMES,
     annotation_candidates,
     fcone_rays,
@@ -100,6 +103,45 @@ def test_annotations_witness_proportionality():
             div = sym_divisor_from_vector(n, ray)
             for lab in labels:
                 assert proportional(candidates[lab], div) is not None
+
+
+def candidates_class_by_class(n):
+    """annotation_candidates built one class at a time: symmetrize() of the
+    per-marking classes, and SymDivisor arithmetic for the combinations."""
+    out = []
+
+    def cover(w, key, eigen_key, hodge, combo, eigen):
+        lam, irr, red = (symmetrize(d) for d in weighted_pullbacks(w))
+        out.append((f"{hodge}({key})", lam))
+        for cl, ci, cr in COMBO_COEFFS:
+            out.append((f"{combo}({key},{cl},{ci},{cr})", lam * cl + irr * ci + red * cr))
+        for j in range(1, w.p):
+            out.append((f"{eigen}({eigen_key},{j})", symmetrize(eigen_det_class(w, j))))
+
+    for p in range(2, n + 1):
+        if n % p == 0:
+            cover(WeightData((1,) * n, p), f"{n},{p}", f"1^{n},{p}", "hodge", "combo", "eigen")
+    if n % 5 == 0:
+        w = WeightData((1,) * n, 5)
+        irr = symmetrize(weighted_pullbacks(w)[1])
+        for j in (1, 2):
+            out.append((f"p5({n},{j})", 50 * symmetrize(eigen_det_class(w, j)) - irr))
+    for v in (0, 2):
+        weights = (1,) * (n - 1) + (v,)
+        label = f"1^{n - 1} {v}"
+        for p in range(2, n + 1):
+            if sum(weights) % p == 0:
+                key = f"{label},{p}"
+                cover(WeightData(weights, p), key, key, "weighted", "wcombo", "eigenw")
+    return out
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_annotation_candidates_match_the_class_by_class_build(n):
+    def raw(candidates):
+        return [(label, d.n, d._psi, d._delta, d._den) for label, d in candidates]
+
+    assert raw(annotation_candidates(n)) == raw(candidates_class_by_class(n))
 
 
 def proportional_by_division(d1, d2):
