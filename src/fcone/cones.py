@@ -154,6 +154,7 @@ _Ray = tuple[tuple[int, ...], int, int]
 def _combine(x: int, u: Sequence[int], y: int, w: Sequence[int]) -> tuple[int, ...]:
     """The vector x·u − y·w in primitive form."""
     vec = [x * p - y * q for p, q in zip(u, w)]
+    # its own gcd, not primitive(): this is the double description's inner loop
     g = gcd(*vec)
     return tuple(vec) if g == 1 else tuple([v // g for v in vec])
 

@@ -6,9 +6,9 @@ classes of the target moduli space back through that construction yields
 the classes built here: the Hodge class and its eigenbundle summands,
 boundary pullbacks, and a few named nonnegative combinations.
 
-All functions return SymDivisor or FullDivisor values with exact rational
-coefficients, held in lowest terms; callers normalize to rays when they
-need to.
+The class builders return SymDivisor or FullDivisor values with exact
+rational coefficients, held in lowest terms; callers normalize to rays when
+they need to.  genus, exceptional_genus and residue return ints.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from math import comb, gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
+from .exactlin import _lowest_terms, _over_lcm
 from .moduli import FullDivisor, SymDivisor, _check_n, _side_masks, delta_range
 
 
@@ -100,13 +101,6 @@ def exceptional_genus(di: int, dj: int, p: int) -> int:
     return twice
 
 
-def _over(den: int, table: list[int]) -> tuple[list[int], int]:
-    """A table of numerators over den, and den, divided by their common
-    factor, so that a class read from the table is close to lowest terms."""
-    g = gcd(den, *table)
-    return [v // g for v in table], den // g
-
-
 def _unit_weights(n: int, p: int) -> WeightData:
     _check_n(n)
     if p > 1 and n % p:  # WeightData rejects p < 2
@@ -150,8 +144,8 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     # numerators indexed by the side weight s mod p, through q = gcd(s, p);
     # ψ_i of λ is the negated λ entry of d_i mod p
     gcds = [gcd(s, p) for s in range(p)]
-    lam_of, lam_den = _over(12 * p, [q * q - p * p for q in gcds])
-    irr_of, irr_den = _over(p, [q * q if q > 1 else 0 for q in gcds])
+    lam_of, lam_den = _lowest_terms([q * q - p * p for q in gcds], 12 * p)
+    irr_of, irr_den = _lowest_terms([q * q if q > 1 else 0 for q in gcds], p)
     # a half with ramification r carries a cover with χ = p + 1 − r when q = 1
     # (its attaching point ramifies fully), positive genus when χ ≤ 1
     total_ram = sum(p - gcd(di, p) for di in w.d)
@@ -180,7 +174,7 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     _check_character(w, j)
     p = w.p
     # r(p − r) for the residue r of j·d, over 2p²
-    value, den = _over(2 * p * p, [r * (p - r) for r in (j * t % p for t in range(p))])
+    value, den = _lowest_terms([r * (p - r) for r in (j * t % p for t in range(p))], 2 * p * p)
     # the Δ coefficient of a side depends only on its weight sum mod p
     delta_of = [-v for v in value]
     delta = itemgetter(*w._side_sums[0])(delta_of)
@@ -243,9 +237,8 @@ def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDiviso
         columns[b] = [sum([c * t[j * s % p] for s, c in at_k]) for at_k in sets]
     out = []
     for row in rows:
-        den = lcm(*(c.denominator for c in row.values()))
         bs = [b for b, c in row.items() if c]
-        cs = [row[b].numerator * (den // row[b].denominator) for b in bs]
+        cs, den = _over_lcm([row[b] for b in bs])
         delta = columns[bs[0]] if cs == [1] else \
             [sum(map(mul, cs, at_k)) for at_k in zip(*map(columns.get, bs))]
         out.append(SymDivisor(n, _cleared=((sum(map(mul, cs, map(psis.get, bs))),),

@@ -10,8 +10,8 @@ such a family.
 
 ``oracle_h0`` recounts the dimensions by brute force, enumerating monomial
 differentials over an exponent box and checking orders of vanishing point
-by point.  It shares no logic with the closed-form counts and serves as an
-independent check on them.
+by point.  It shares only the check on the cover degree with the
+closed-form counts and serves as an independent check on them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 from typing import Sequence
-
-from .covers import residue
 
 
 @dataclass(frozen=True)
@@ -41,9 +39,8 @@ class BranchData:
 
     def __post_init__(self) -> None:
         p = int(self.p)
-        if p < 2:
-            raise ValueError(f"cover degree must be at least 2, got {p}")
-        ws = tuple(residue(int(w), p) for w in self.weights)
+        _check_degree(p)
+        ws = tuple(int(w) % p for w in self.weights)
         if len(ws) not in (3, 4):
             raise ValueError(f"expected 3 or 4 branch weights, got {len(ws)}")
         if sum(ws) % p:
@@ -63,11 +60,16 @@ class BranchData:
 
     def residues(self) -> tuple[int, ...]:
         """The scaled residues <j*w> of the branch weights."""
-        return tuple(residue(self.j * w, self.p) for w in self.weights)
+        return tuple(self.j * w % self.p for w in self.weights)
 
     def h0(self) -> int:
         """Dimension of the weight-j summand of the forms on this cover."""
         return _h0_from_residues(self.residues(), self.p)
+
+
+def _check_degree(p: int) -> None:
+    if p < 2:
+        raise ValueError(f"cover degree must be at least 2, got {p}")
 
 
 def _h0_from_residues(residues: Sequence[int], p: int) -> int:
@@ -83,26 +85,20 @@ def _h0_from_residues(residues: Sequence[int], p: int) -> int:
     return max(0, nonzero - 1 - total // p)
 
 
+def _h0(weights: Sequence[int], p: int, j: int) -> int:
+    _check_degree(p)
+    return _h0_from_residues([j * w % p for w in weights], p)
+
+
 def h0_weight_3pt(a: int, b: int, p: int, j: int) -> int:
     """Form count for a three-point cover: 1 exactly when both scaled
     residues <aj>, <bj> are nonzero and their sum stays below p."""
-    if p < 2:
-        raise ValueError(f"cover degree must be at least 2, got {p}")
-    rs = (residue(a * j, p), residue(b * j, p), residue(-(a + b) * j, p))
-    return _h0_from_residues(rs, p)
+    return _h0((a, b, -(a + b)), p, j)
 
 
 def h0_weight_4pt(a: int, b: int, c: int, p: int, j: int) -> int:
     """Form count for a four-point cover, between 0 and 2."""
-    if p < 2:
-        raise ValueError(f"cover degree must be at least 2, got {p}")
-    rs = (
-        residue(a * j, p),
-        residue(b * j, p),
-        residue(c * j, p),
-        residue(-(a + b + c) * j, p),
-    )
-    return _h0_from_residues(rs, p)
+    return _h0((a, b, c, -(a + b + c)), p, j)
 
 
 def eigen_rank_degree_fcurve(
@@ -116,13 +112,12 @@ def eigen_rank_degree_fcurve(
     then equals the smallest of the eight residues <aj>, <-aj>, ..., <-dj>
     divided by p.
     """
-    if p < 2:
-        raise ValueError(f"cover degree must be at least 2, got {p}")
+    _check_degree(p)
     if (a + b + c + d) % p:
         raise ValueError(f"tail weights {(a, b, c, d)} do not sum to 0 mod {p}")
     if not 0 <= j < p:
         raise ValueError(f"character must lie in 0..{p - 1}, got {j}")
-    rs = tuple(residue(x * j, p) for x in (a, b, c, d))
+    rs = tuple(x * j % p for x in (a, b, c, d))
     rank = _h0_from_residues(rs, p)
     if all(rs) and sum(rs) == 2 * p:
         degree = Fraction(min(min(rs), p - max(rs)), p)
@@ -141,12 +136,11 @@ def oracle_h0(weights: Sequence[int], p: int, j: int) -> int:
     nonnegative over every branch point, and the span of the survivors
     has one dimension per distinct total exponent among them.
     """
-    if p < 2:
-        raise ValueError(f"cover degree must be at least 2, got {p}")
+    _check_degree(p)
     if len(weights) not in (2, 3):
         raise ValueError(f"expected 2 or 3 finite branch weights, got {len(weights)}")
-    key = tuple(sorted(residue(int(w), p) for w in weights))
-    return _oracle_h0_cached(key, p, residue(j, p))
+    key = tuple(sorted(int(w) % p for w in weights))
+    return _oracle_h0_cached(key, p, j % p)
 
 
 @lru_cache(maxsize=None)

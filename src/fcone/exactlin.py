@@ -5,6 +5,12 @@ lowest terms with positive denominator), vectors are sequences of them and
 matrices are sequences of equally long rows.  Nothing here is ever
 approximate.
 
+The package has one integer normal form, and only this module clears
+denominators: ``_over_lcm`` writes values as integer numerators over the lcm
+of their denominators, ``_lowest_terms`` divides out the common factor of
+numerators and denominator, and ``primitive`` scales a vector to coprime
+integers.
+
 All elimination is one integer row scan.  Each row, its denominators
 cleared, is reduced against a sparse echelon basis of the rows kept so far
 (primitive rows with positive pivots, each zero at the pivots of the rows
@@ -47,6 +53,30 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _over_lcm(values: Sequence) -> tuple[list[int], int]:
+    """Ints or Fractions as integer numerators over the lcm of their
+    denominators; ``[]`` gives ``([], 1)``."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _lowest_terms(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num/den with the common factor of the denominator and every numerator
+    divided out; a positive denominator stays positive."""
+    g = gcd(den, *num)
+    return tuple(a // g for a in num), den // g
+
+
+def _integer_row(row: Sequence) -> Sequence[int]:
+    """``row`` itself if it holds only ints, else a fresh positive multiple
+    of it with its denominators cleared."""
+    if all(type(e) is int for e in row):
+        return row
+    # only other types become Fractions: copying a Fraction costs as much as clearing it
+    return _over_lcm([e if type(e) is int or type(e) is Fraction else Fraction(e)
+                      for e in row])[0]
+
+
 def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
     """Scale to a primitive integer vector (entry gcd 1).
 
@@ -56,13 +86,7 @@ def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
     and are only rescaled by a positive rational.  An all-int tuple that
     needs no change is returned as it is.
     """
-    if all(type(e) is int for e in v):
-        ints = v
-    else:
-        # ints and Fractions are read through numerator and denominator as they are
-        fracs = [e if type(e) is int or type(e) is Fraction else Fraction(e) for e in v]
-        mult = lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    ints = _integer_row(v)
     content = gcd(*ints)
     if content > 1:
         ints = [a // content for a in ints]
@@ -79,16 +103,6 @@ def _rows(m: Sequence[Sequence]) -> list[list]:
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows must all have the same length")
     return rows
-
-
-def _integer_row(row: list) -> list[int]:
-    """``row`` itself if it holds only ints, else a fresh positive multiple
-    of it with its denominators cleared."""
-    if all(type(e) is int for e in row):
-        return row
-    fracs = [Fraction(e) for e in row]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * mult) for f in fracs]
 
 
 # A basis row of the scan: its pivot column and its nonzero entries by column.
@@ -112,6 +126,7 @@ def _reduce(row: list, basis: Sequence[_BasisRow]) -> list:
 
 
 def _basis_row(row: list[int], pivot: int) -> _BasisRow:
+    # not primitive(): the sign follows the pivot, not the first entry
     g = gcd(*row) if row[pivot] > 0 else -gcd(*row)
     return pivot, {c: x // g for c, x in enumerate(row) if x}
 

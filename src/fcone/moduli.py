@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import QVector, format_rational, independent_rows, parse_rational
+from .exactlin import (QVector, _lowest_terms, _over_lcm, format_rational, independent_rows,
+                       parse_rational, primitive)
 
 
 def _check_n(n: int) -> None:
@@ -52,6 +53,8 @@ class _Numerators:
     __slots__ = ("n", "_psi", "_delta", "_den")
 
     def _store(self, n: int, psi: Sequence[int], delta: Sequence[int], den: int) -> None:
+        # its own gcd, not _lowest_terms: that would join ψ and the 2^(n−1)
+        # Δ slots of a FullDivisor into one copy on every build
         g = gcd(den, *psi, *delta)
         if g > 1:
             psi = [a // g for a in psi]
@@ -98,12 +101,6 @@ class _Numerators:
         return self * -1
 
 
-def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Fractions as integer numerators over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in values))
-    return [c.numerator * (den // c.denominator) for c in values], den
-
-
 class SymDivisor(_Numerators):
     """Symmetric divisor class: a ψ-coefficient plus one coefficient per Δ_k.
 
@@ -125,7 +122,7 @@ class SymDivisor(_Numerators):
         # denominator) is passed only by the builders and the arithmetic
         if _cleared is None:
             ks = delta_range(n)
-            coeffs = [psi if type(psi) is Fraction else Fraction(psi)] + [Fraction(0)] * len(ks)
+            coeffs = [psi if type(psi) is Fraction else Fraction(psi)] + [0] * len(ks)
             for k, c in (delta or {}).items():
                 if k not in ks:
                     raise ValueError(f"Delta_{k} is not a basis class for n={n}")
@@ -167,11 +164,7 @@ class SymDivisor(_Numerators):
         """The primitive integer vector on the ray of the class, sign kept;
         all zeros for the zero class.  Two classes are positive multiples of
         each other exactly when their rays are equal."""
-        num = self._expanded[0]
-        content = gcd(*num)
-        if not content:
-            return num
-        return tuple(a // content for a in num)
+        return primitive(self._expanded[0], flip_sign=False)
 
     def is_zero(self) -> bool:
         return not any(self._expanded[0])
@@ -188,13 +181,6 @@ class SymDivisor(_Numerators):
 
     def __repr__(self):
         return f"SymDivisor({self.n}, {format_divisor(self)!r})"
-
-
-def _lowest_terms(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """num/den with the common factor of the denominator and every numerator
-    divided out; the denominator stays positive."""
-    g = gcd(den, *num)
-    return tuple(a // g for a in num), den // g
 
 
 def sym_divisor_from_vector(n: int, vector: Sequence) -> SymDivisor:

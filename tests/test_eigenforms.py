@@ -144,6 +144,15 @@ def test_eigen_rank_degree_examples():
     assert eigen_rank_degree_fcurve(2, 2, 1, 1, 3, 0) == (0, Fraction(0))
 
 
+def test_eigen_rank_matches_oracle():
+    # the rank that fcone eigenrank prints, on every tail weight grid point
+    for p in range(2, 8):
+        for a, b, c, j in product(range(p), repeat=4):
+            d = -(a + b + c) % p
+            rank, _ = eigen_rank_degree_fcurve(a, b, c, d, p, j)
+            assert rank == oracle_h0((a, b, c), p, j), (a, b, c, d, p, j)
+
+
 def test_eigen_rank_degree_validation():
     with pytest.raises(ValueError):
         eigen_rank_degree_fcurve(1, 1, 1, 1, 3, 1)

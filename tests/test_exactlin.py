@@ -1,10 +1,12 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from fcone.exactlin import (
+    _lowest_terms,
+    _over_lcm,
     dot,
     format_rational,
     independent_rows,
@@ -109,6 +111,27 @@ def test_primitive_of_ints_matches_the_fraction_path(v, flip_sign):
         assert primitive(t, flip_sign) is t
     bools = [x != 0 for x in v]
     assert primitive(bools, flip_sign) == primitive([int(b) for b in bools], flip_sign)
+
+
+@example([])
+@example([0, Fraction(-1, 6), 3, Fraction(5, 4)])
+@given(st.lists(st.one_of(st.integers(-50, 50), rationals), max_size=6))
+def test_over_lcm_clears_to_the_lcm(values):
+    num, den = _over_lcm(values)
+    assert all(type(a) is int for a in num) and type(den) is int
+    assert [Fraction(a, den) for a in num] == [Fraction(c) for c in values]
+    assert den == lcm(*(Fraction(c).denominator for c in values))
+
+
+@example([0, 0], 6)
+@example([4, -6, 0], 8)
+@example([3, 6], 4)
+@given(st.lists(st.integers(-100, 100), max_size=6), st.integers(1, 100))
+def test_lowest_terms_keeps_every_ratio(num, den):
+    reduced, d = _lowest_terms(num, den)
+    assert type(reduced) is tuple and d > 0
+    assert gcd(d, *reduced) == 1
+    assert [Fraction(a, d) for a in reduced] == [Fraction(a, den) for a in num]
 
 
 HILBERT = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)]
