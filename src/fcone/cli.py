@@ -5,13 +5,15 @@ against curves, ``fnef`` and ``extremal`` report positivity and ray
 certificates, ``rays`` enumerates the F-cone, ``table`` regenerates the
 canonical CSV tables, and ``eigenrank`` tabulates eigenbundle ranks and
 degrees.  Exit codes: 0 success or affirmative verdict, 1 mathematical
-negative (not F-nef, not extremal), 2 usage error.
+negative (not F-nef, not extremal), 2 usage error; 1 also when the reader
+closes the output pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -90,8 +92,7 @@ CLASS_KINDS = {
                      ("lambda", "irr", "red").index(a.part_w or "lambda")]),
     "eigen": (("p", "weights", "j"), lambda a: sym_eigen_det_class(_cover_weights(a), a.j)),
     # conformal_blocks_class: p·det E_1
-    "cb": (("p", "weights"),
-           lambda a: a.p * sym_eigen_det_class(WeightData(_parse_weights(a.weights), a.p), 1)),
+    "cb": (("p", "weights"), lambda a: a.p * sym_eigen_det_class(_cover_weights(a), 1)),
     "combo": (("n", "p", "lambda", "irr", "red"),
               lambda a: pullback_combo(a.n, a.p, a.c_lambda or 0, a.c_irr or 0, a.c_red or 0)),
     "p5": (("n", "j"), lambda a: p5_class(a.n, a.j)),
@@ -320,7 +321,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

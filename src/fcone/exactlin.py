@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 QVector = tuple[Fraction, ...]
 
@@ -136,22 +136,23 @@ def _dense(b: dict[int, int], ncols: int) -> list[int]:
 
 
 def _scan(
-    rows: list[list], leftmost: bool, target: Optional[int] = None
+    rows: Iterable[list[int]], leftmost: bool, target: Optional[int] = None
 ) -> tuple[list[_BasisRow], list[int]]:
     """The echelon basis of ``rows`` and the indices of the rows it kept,
-    stopping once ``target`` rows are kept."""
+    stopping once ``target`` rows are kept.  Rows are fresh int lists, which
+    the scan may change; none is pulled after the stop."""
     basis: list[_BasisRow] = []
     kept: list[int] = []
+    if target == 0:
+        return basis, kept
     for i, row in enumerate(rows):
-        if len(kept) == target:
-            break
-        # clearing a row's denominators scales it by a positive factor,
-        # which changes no span; rows after the stop are never cleared
-        row = _reduce(_integer_row(row), basis)
+        row = _reduce(row, basis)
         nonzero = [(abs(x), c) for c, x in enumerate(row) if x]
         if nonzero:
             basis.append(_basis_row(row, nonzero[0][1] if leftmost else min(nonzero)[1]))
             kept.append(i)
+            if len(kept) == target:
+                break
     return basis, kept
 
 
@@ -163,7 +164,8 @@ def independent_rows(m: Sequence[Sequence], target: Optional[int] = None) -> lis
     kept.  The caller must know that the rank of ``m`` is at most
     ``target``; the result is then the same as without it.
     """
-    return _scan(_rows(m), False, target)[1]
+    # clearing a row scales it by a positive factor, which changes no span
+    return _scan(map(_integer_row, _rows(m)), False, target)[1]
 
 
 def rank(m: Sequence[Sequence]) -> int:
@@ -180,7 +182,7 @@ def _rref(m: Sequence[Sequence]) -> list[_BasisRow]:
     """
     rows = _rows(m)
     reduced: list[_BasisRow] = []
-    for c, b in reversed(_scan(rows, True)[0]):
+    for c, b in reversed(_scan(map(_integer_row, rows), True)[0]):
         reduced.append(_basis_row(_reduce(_dense(b, len(rows[0])), reduced), c))
     return sorted(reduced)
 

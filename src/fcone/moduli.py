@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import (QVector, _lowest_terms, _over_lcm, format_rational, independent_rows,
+from .exactlin import (QVector, _lowest_terms, _over_lcm, _scan, format_rational,
                        parse_rational, primitive)
 
 
@@ -357,8 +357,9 @@ def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
     """
     if not curves:
         return []
-    rows = independent_rows([fcurve_class_vector(f) for f in curves], curves[0].n // 2 - 2)
-    return [curves[i] for i in rows]
+    # cached int rows, each copied only when the scan pulls it
+    rows = (list(fcurve_class_vector(f)) for f in curves)
+    return [curves[i] for i in _scan(rows, False, curves[0].n // 2 - 2)[1]]
 
 
 def tk_pairing(d: SymDivisor, k: int) -> Fraction:
@@ -686,17 +687,18 @@ def _mean_scales(n: int) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Divisor literal grammar: rational-coefficient terms in psi and D<k>.
 
-_TERM = re.compile(r"^(?:(?P<coef>[0-9]+(?:/[0-9]+)?)\s*\*\s*)?(?P<sym>psi|D(?P<k>[0-9]+))$")
+_TERM = re.compile(r"^(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?\s*\*\s*)?(?:psi|D(?P<k>[0-9]+))$")
 
 
 def parse_divisor(text: str, n: int) -> SymDivisor:
-    """Parse literals like ``2*psi - 2*D2 - 3*D3`` or ``0``."""
+    """Parse literals like ``2*psi - 2*D2 - 3*D3`` or ``0``; coefficients are
+    cleared once and summed per slot as integers."""
     _check_n(n)
     tokens = [t.strip() for t in re.split(r"([+-])", text) if t.strip()]
     if not tokens:
         raise ValueError("empty divisor literal")
-    psi = Fraction(0)
-    delta: dict[int, Fraction] = {}
+    slots: list[int] = []
+    coeffs: list[Fraction] = []
     # optional sign at the start, then strictly alternating term, sign, term, ...
     sign: Optional[int] = 1
     pending_sign = False
@@ -711,21 +713,25 @@ def parse_divisor(text: str, n: int) -> SymDivisor:
             raise ValueError(f"missing +/- between terms in {text!r}")
         m = _TERM.match(tok)
         if m:
-            coef = sign * (parse_rational(m.group("coef")) if m.group("coef") else Fraction(1))
-            if m.group("sym") == "psi":
-                psi += coef
-            else:
-                k = int(m.group("k"))
-                if k not in delta_range(n):
-                    raise ValueError(f"D{k} is not a basis class for n={n}")
-                delta[k] = delta.get(k, Fraction(0)) + coef
+            num, den, k = m.group("num", "den", "k")
+            if den and not int(den):
+                raise ValueError(f"malformed rational literal '{num}/{den}'")
+            slot = int(k or 1) - 1  # 0 for ψ, k − 1 for Δ_k
+            if k and not 0 < slot < n // 2:
+                raise ValueError(f"D{slot + 1} is not a basis class for n={n}")
+            slots.append(slot)
+            coeffs.append(Fraction(sign * int(num or 1), int(den or 1)))
         elif parse_rational(tok) != 0:
             raise ValueError(f"constant term {tok!r} is not a divisor")
         sign = None
         pending_sign = False
     if pending_sign:
         raise ValueError(f"dangling sign in divisor literal {text!r}")
-    return SymDivisor(n, psi, delta)
+    nums, den = _over_lcm(coeffs)
+    summed = [0] * (n // 2)
+    for slot, a in zip(slots, nums):
+        summed[slot] += a
+    return SymDivisor(n, _cleared=(summed[:1], summed[1:], den))
 
 
 def format_divisor(d: SymDivisor) -> str:

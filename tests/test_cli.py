@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fcone.cli import _build_parser, main
+from fcone.covers import hodge_class
 from fcone.moduli import SymFCurve, fcurve_class_vector, format_divisor
 from fcone.tables import triple_cover_divisor
 
@@ -380,6 +381,8 @@ CLASS_FLAG_VALUES = {
          "no test curve T_k exists below n = 6, got n=5"),
         (("pair", "1*D2", "--n", "4", "--tk", "3"),
          "no test curve T_k exists below n = 6, got n=4"),
+        (("class", "cb", "--weights", "2,2,2,2", "--p", "2"),
+         "weights 2,2,2,2 and degree 2 share the factor 2, so the cover is disconnected"),
     ],
 )
 def test_usage_errors(capsys, argv, message):
@@ -403,11 +406,15 @@ def test_help_exits_zero(capsys):
     assert "usage: fcone" in out
 
 
-def run_module(*argv):
+def module_env() -> dict:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", *argv], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=module_env(),
     )
 
 
@@ -435,6 +442,20 @@ def test_python_m_fcone_usage_error():
     proc = run_module("fcone", "class", "hodge", "--n", "5", "--p", "2")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: degree 2 must divide the number of markings 5\n"
+
+
+def test_closed_pipe_exits_without_a_traceback():
+    # about 100 KB of output, more than a pipe holds, so the write after the
+    # reader closes the pipe fails
+    literal = format_divisor(hodge_class(96, 3))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fcone", "fnef", literal, "--n", "96"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=module_env(),
+    )
+    assert proc.stdout.readline() == "F-nef\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=120), stderr) == (1, "")
 
 
 def readme_shell_examples() -> list[tuple[str, str]]:

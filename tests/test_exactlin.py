@@ -202,6 +202,11 @@ def test_independent_rows_examples():
     assert independent_rows(m, 1) == [0]
 
 
+def test_independent_rows_clears_no_row_after_the_stop():
+    # the third row is no number at all: clearing it would raise
+    assert independent_rows([[1, 0], [0, 1], ["x", "y"]], 2) == [0, 1]
+
+
 @given(st.one_of(matrix_strategy, tall_matrix_strategy))
 def test_independent_rows_is_the_greedy_scan(m):
     greedy = []

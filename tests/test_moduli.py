@@ -367,6 +367,61 @@ def test_parse_divisor_rejects_garbage():
             parse_divisor(text, 6)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty divisor literal"),
+    ("2*D9", "D9 is not a basis class for n=6"),
+    ("D1", "D1 is not a basis class for n=6"),
+    ("psi + + D2", "two consecutive signs in divisor literal 'psi + + D2'"),
+    ("psi 3*D2", "malformed rational literal 'psi 3*D2'"),
+    ("2*psi + 1", "constant term '1' is not a divisor"),
+    ("D2 -", "dangling sign in divisor literal 'D2 -'"),
+    ("1/0*psi", "malformed rational literal '1/0'"),
+    ("0/0*D2", "malformed rational literal '0/0'"),
+])
+def test_parse_divisor_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_divisor(text, 6)
+    assert str(info.value) == message
+
+
+@st.composite
+def divisor_literals(draw):
+    """(n, literal, ψ, {k: Δ_k}): a literal with repeated symbols, unreduced
+    and zero coefficients, leading zeros, zero constants and terms in any
+    order, with its ψ and Δ_k sums taken term by term in Fractions."""
+    n = draw(st.integers(4, 20))
+    syms = ["psi", *(f"D{k}" for k in delta_range(n))]
+    psi, delta = Fraction(0), {k: Fraction(0) for k in delta_range(n)}
+    parts = []
+    for i in range(draw(st.integers(1, 12))):
+        sign = draw(st.sampled_from(["-", "+", ""] if i == 0 else ["-", "+"]))
+        zeros = "0" * draw(st.integers(0, 2))
+        num, den = draw(st.integers(0, 40)), draw(st.integers(1, 12))
+        if draw(st.integers(0, 9)) == 0:
+            parts.append(f"{sign} {zeros}0/{den}")
+            continue
+        sym = draw(st.sampled_from(syms))
+        written = draw(st.sampled_from(["", f"{zeros}{num}*", f"{zeros}{num}/{zeros}{den} * "]))
+        c = Fraction(num, den if "/" in written else 1) if written else Fraction(1)
+        c = -c if sign == "-" else c
+        if sym == "psi":
+            psi += c
+        else:
+            delta[int(sym[1:])] += c
+        parts.append(f"{sign} {written}{sym}")
+    return n, " ".join(parts), psi, delta
+
+
+@example((6, "-002/4*D2 + 1/2 * D2 + 0*psi + 03/06*psi - 00/5", Fraction(1, 2),
+          {2: Fraction(0), 3: Fraction(0)}))
+@given(divisor_literals())
+def test_parse_divisor_matches_fraction_sums(case):
+    n, text, psi, delta = case
+    got, fresh = parse_divisor(text, n), SymDivisor(n, psi, delta)
+    assert (got._psi, got._delta, got._den) == (fresh._psi, fresh._delta, fresh._den)
+    assert got._expanded == fresh._expanded
+
+
 def test_format_divisor_examples():
     assert format_divisor(SymDivisor(6)) == "0"
     d = SymDivisor(6, 0, {2: Fraction(2, 15), 3: Fraction(6, 15)})
