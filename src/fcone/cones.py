@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import _dense, _reduce, _rref, dot, independent_rows, kernel_basis, primitive, rank
+from .exactlin import (_Packed, _dense, _field_width, _pack, _reduce, _rref, _scan, _signs, dot,
+                       independent_rows, kernel_basis, primitive, rank)
 
 
 def _unit(i: int, dim: int) -> tuple[int, ...]:
@@ -67,6 +68,11 @@ class ConeH:
         """Whether the cone contains no line: its normals have rank dim."""
         return len(independent_rows(self.normals, self.dim)) == self.dim
 
+    @cached_property
+    def _packs(self) -> tuple[int, dict[int, _Packed]]:
+        """The largest L1 norm of a normal, and the packed normals by width."""
+        return max((sum(map(abs, a)) for a in self.normals), default=0), {}
+
 
 @dataclass(frozen=True)
 class ConeV:
@@ -102,22 +108,31 @@ class Certificate:
     rank: int
 
 
-def _cleared(c: ConeH, v: Sequence) -> tuple[int, ...]:
-    """v with its denominators cleared: a positive multiple in integers, so
-    every sign against a normal is kept."""
+def _cleared_signs(c: ConeH, v: Sequence) -> tuple[tuple[int, ...], bytes, bytes]:
+    """w, v with its denominators cleared (a positive multiple in integers,
+    so every sign against a normal is kept), and ``exactlin._signs`` of w
+    on the normals, packed on first use of a width."""
     if len(v) != c.dim:
         raise ValueError(f"vector of dimension {len(v)} against cone of dimension {c.dim}")
-    return primitive(v, flip_sign=False)
+    w = primitive(v, flip_sign=False)
+    bound, packs = c._packs
+    width = _field_width(w, bound)
+    packed = packs.get(width)
+    if packed is None:
+        rows = [[(i, x) for i, x in enumerate(a) if x] for a in c.normals]
+        packed = packs[width] = _pack(rows, c.dim, width)
+    return (w, *_signs(w, packed))
 
 
 def contains(c: ConeH, v: Sequence) -> bool:
     """Whether v satisfies every inequality of the cone.
 
-    v may have rational entries; its denominators are cleared once, and
-    each normal is then an integer dot product.
+    v may have rational entries; ``primitive`` clears them once.  The signs
+    of all normals then come from one big-int product, ``exactlin._signs``
+    as in ``moduli.zero_and_negative_fcurves``, in fields wide enough for
+    max|v| and the largest normal L1 norm; the cone keeps each packing.
     """
-    w = _cleared(c, v)
-    return all(_dot(a, w) >= 0 for a in c.normals)
+    return not any(_cleared_signs(c, v)[2])
 
 
 def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
@@ -128,18 +143,22 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
     other rank.  v must lie in the cone, and the cone must be pointed: in a
     cone with lineality, a rank-(dim−1) tight set can span a line, which is
     no ray.
+
+    The tight set comes from the product of ``contains``; its normals go
+    lazily to ``exactlin._scan``, which keeps the rows ``independent_rows``
+    would.
     """
-    w = _cleared(c, v)
+    w, zero, negative = _cleared_signs(c, v)
     if not c.pointed:
         raise ValueError("extremality certificates need a pointed cone")
-    slacks = [_dot(a, w) for a in c.normals]
-    if any(s < 0 for s in slacks):
+    if any(negative):
         raise ValueError("vector is not in the cone")
-    tight = [i for i, s in enumerate(slacks) if s == 0]
+    tight = list(compress(range(len(c.normals)), zero))
     # the normals tight at a nonzero w are orthogonal to it, so their rank
     # is at most dim−1; at w = 0 every normal is tight and the rank is dim
     target = c.dim - 1 if any(w) else None
-    chosen = [tight[i] for i in independent_rows([c.normals[i] for i in tight], target)]
+    rows = (list(c.normals[i]) for i in tight)
+    chosen = [tight[i] for i in _scan(rows, False, target)[1]]
     if len(chosen) != c.dim - 1:
         return None
     return Certificate(tuple(chosen), len(chosen))

@@ -110,20 +110,25 @@ def eigen_rank_degree_fcurve(
     The rank is the fiberwise form count.  The degree is nonzero only in
     the balanced case, all four scaled residues positive with sum 2p, and
     then equals the smallest of the eight residues <aj>, <-aj>, ..., <-dj>
-    divided by p.
+    divided by p.  Both depend only on the scaled residues and p, so they
+    come from a bounded cache keyed by those: one ``Fraction`` per class.
     """
     _check_degree(p)
     if (a + b + c + d) % p:
         raise ValueError(f"tail weights {(a, b, c, d)} do not sum to 0 mod {p}")
     if not 0 <= j < p:
         raise ValueError(f"character must lie in 0..{p - 1}, got {j}")
-    rs = tuple(x * j % p for x in (a, b, c, d))
+    return _rank_degree(a * j % p, b * j % p, c * j % p, d * j % p, p)
+
+
+# 1024 entries hold every key with p <= 7: p³ per p, 783 in all
+@lru_cache(maxsize=1024)
+def _rank_degree(ra: int, rb: int, rc: int, rd: int, p: int) -> tuple[int, Fraction]:
+    rs = (ra, rb, rc, rd)
     rank = _h0_from_residues(rs, p)
     if all(rs) and sum(rs) == 2 * p:
-        degree = Fraction(min(min(rs), p - max(rs)), p)
-    else:
-        degree = Fraction(0)
-    return rank, degree
+        return rank, Fraction(min(min(rs), p - max(rs)), p)
+    return rank, Fraction(0)
 
 
 def oracle_h0(weights: Sequence[int], p: int, j: int) -> int:

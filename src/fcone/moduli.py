@@ -28,8 +28,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import (QVector, _lowest_terms, _over_lcm, _scan, format_rational,
-                       parse_rational, primitive)
+from .exactlin import (QVector, _Packed, _field_width, _lowest_terms, _over_lcm, _pack,
+                       _scan, _signs, format_rational, parse_rational, primitive)
 
 
 def _check_n(n: int) -> None:
@@ -287,26 +287,9 @@ def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
 
 
 @lru_cache(maxsize=32)
-def _packed_fcurves(n: int, width: int) -> tuple[tuple[int, ...], int, int]:
-    """The packed columns of ``zero_and_negative_fcurves``, then ``top``
-    (the top bit of every field) and ``low`` (its other bits)."""
-    curves = _sym_fcurves(n)
-    size = len(curves) * width
-    # each coefficient goes in the last byte of its field
-    positive = [bytearray(size) for _ in delta_range(n)]
-    negative = [bytearray(size) for _ in delta_range(n)]
-    for row, f in enumerate(curves):
-        at = (row + 1) * width - 1
-        for i, c in _fcurve_terms(f.parts):
-            if c > 0:
-                positive[i][at] = c
-            else:
-                negative[i][at] = -c
-    columns = tuple(int.from_bytes(pos, "big") - int.from_bytes(neg, "big")
-                    for pos, neg in zip(positive, negative))
-    top = int.from_bytes(b"\x80".ljust(width, b"\0") * len(curves), "big")
-    low = int.from_bytes(b"\x7f".ljust(width, b"\xff") * len(curves), "big")
-    return columns, top, low
+def _packed_fcurves(n: int, width: int) -> _Packed:
+    """The F-curves of ``zero_and_negative_fcurves`` packed at ``width``."""
+    return _pack([_fcurve_terms(f.parts) for f in _sym_fcurves(n)], n // 2 - 1, width)
 
 
 def zero_and_negative_fcurves(
@@ -315,34 +298,17 @@ def zero_and_negative_fcurves(
     negative together with the degree, both in ``enumerate_sym_fcurves``
     order.
 
-    Every degree comes out of one big-int product.  The F-curve matrix is
-    cached as one int per pure-Δ coordinate, with curve k in field k from
-    the top, each field ``width`` bytes.  An F-curve has at most seven ±1
-    terms, so ``width = (max|num|.bit_length() + 11) // 8`` bytes keep
-    |degree| < 2^(8·width−1), and ``top + Σ num[i]·column[i]`` holds
-    degree + 2^(8·width−1) in each field.  A field is negative iff its top
-    bit is clear, and zero iff it equals that bias.  Only a negative degree
-    is made a ``Fraction``, by ``sym_pairing``.
+    Every degree comes out of one big-int product, ``exactlin._signs`` on
+    the F-curves packed per field width, the kernel ``cones.contains`` runs.
+    An F-curve has at most seven ±1 terms, so the row bound is 7 and a field
+    ``(max|num|.bit_length() + 11) // 8`` bytes.  Only a negative degree is
+    made a ``Fraction``, by ``sym_pairing``.
     """
     num = d._expanded[0]
-    width = (max(map(abs, num)).bit_length() + 11) // 8
-    columns, top, low = _packed_fcurves(d.n, width)
-    packed = top
-    for a, column in zip(num, columns):
-        if a:
-            packed += a * column
-    z = packed ^ top
-    # (z & low) + low carries into a field's top bit iff its low bits are nonzero
-    zero_flags = top & ~(((z & low) + low) | z)
-    negative_flags = top & ~packed
+    zero, negative = _signs(num, _packed_fcurves(d.n, _field_width(num, 7)))
     curves = _sym_fcurves(d.n)
-    size = len(curves) * width
-
-    def flagged(flags: int):
-        return itertools.compress(curves, flags.to_bytes(size, "big")[::width])
-
-    return (list(flagged(zero_flags)),
-            [(f, sym_pairing(d, f)) for f in flagged(negative_flags)])
+    return (list(itertools.compress(curves, zero)),
+            [(f, sym_pairing(d, f)) for f in itertools.compress(curves, negative)])
 
 
 def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
@@ -650,9 +616,13 @@ def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
     psi, delta, slots = d._psi, d._delta, _side_slots(d.n)
-    singles, blocks, pairs = f._terms
-    total = sum([psi[i] for i in singles]) + sum([delta[slots[m]] for m in pairs]) \
-        - sum([delta[slots[m]] for m in blocks])
+    singles, blocks, (a, b, c) = f._terms
+    # plain loops: three list comprehensions, or map gathers, took twice as long
+    total = delta[slots[a]] + delta[slots[b]] + delta[slots[c]]
+    for i in singles:
+        total += psi[i]
+    for m in blocks:
+        total -= delta[slots[m]]
     return Fraction(total, d._den)
 
 

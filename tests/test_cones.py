@@ -17,7 +17,7 @@ from fcone.cones import (
     format_cone,
     parse_cone,
 )
-from fcone.exactlin import dot, rank
+from fcone.exactlin import _field_width, dot, rank
 from fcone.tables import fcone_rays, fcurve_cone
 
 from oracles import reference_rank
@@ -379,8 +379,42 @@ def cones_and_vectors(draw):
     return cone, tuple(v)
 
 
+# Pointed cones whose largest normal L1 norm L is 1, 7, 255 and 256, and one
+# with entries two and three bytes wide; each has the tight normal e3.
+BOUNDARY_CONES = [ConeH(3, normals) for normals in (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((3, 4, 0), (-1, 6, 0), (0, 0, 1)),
+    ((254, 1, 0), (-127, 128, 0), (0, 0, 1)),
+    ((255, 1, 0), (1, 255, 0), (0, 0, 1)),
+    ((300, -7, 0), (-1, 299, 0), (0, 0, 1), (-65536, 65537, 1)),
+)]
+
+
+def width_boundary_cases() -> list:
+    """(cone, vector) pairs on either side of a field-width step of the
+    packed kernel: max|v| = 2^(8w−k) − 1, the largest that fits w bytes, and
+    2^(8w−k), the smallest that needs w + 1, where k = bitlen L + 1, for
+    w = 1, 2, 8, 9 and both signs.  v = ±(m, m − 1, 0) is primitive, so
+    clearing keeps it, and its dot with a normal comes near L·m."""
+    cases = []
+    for cone in BOUNDARY_CONES:
+        k = max(sum(map(abs, a)) for a in cone.normals).bit_length() + 1
+        for w in (1, 2, 8, 9):
+            if 8 * w >= k:
+                for m in (2 ** (8 * w - k) - 1, 2 ** (8 * w - k)):
+                    cases += [(cone, (s * m, s * (m - 1), 0)) for s in (1, -1) if m]
+    return cases
+
+
+def with_width_boundary_examples(test):
+    for case in width_boundary_cases():
+        test = example(case, Fraction(1))(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(cones_and_vectors(), positive_scales)
+@with_width_boundary_examples
 def test_contains_and_certificate_match_fraction_dots(cone_and_vector, scale):
     cone, v = cone_and_vector
     slacks = [fraction_dot(a, v) for a in cone.normals]
@@ -406,3 +440,41 @@ def test_contains_and_certificate_match_fraction_dots(cone_and_vector, scale):
         assert cert.rank == len(cert.indices) == cone.dim - 1
         assert reference_rank([cone.normals[i] for i in cert.indices]) == cone.dim - 1
     assert extremality_certificate(cone, scaled) == cert
+
+
+def test_width_boundary_cases_cross_every_width_step():
+    # the examples above reach the widths they are named for
+    widths = {(cone, _field_width(v, max(sum(map(abs, a)) for a in cone.normals)))
+              for cone, v in width_boundary_cases()}
+    for cone in BOUNDARY_CONES:
+        reached = {w for c, w in widths if c is cone}
+        assert {9, 10} <= reached
+    assert {1, 2, 3} <= {w for c, w in widths if c is BOUNDARY_CONES[0]}
+
+
+def test_coneh_with_filled_packs_equals_and_hashes_like_a_fresh_one():
+    cone = ConeH(4, fcurve_cone(11).normals)
+    for v in [(1, 0, 0, 0), (2 ** 70, 1, 0, -3), (-5, 2 ** 20, 7, 1)]:
+        contains(cone, v)
+    assert len(cone._packs[1]) == 3
+    fresh = ConeH(4, fcurve_cone(11).normals)
+    assert fresh == cone and hash(fresh) == hash(cone)
+    assert {cone: 1}[fresh] == 1
+
+
+def greedy_certificate(cone: ConeH, v) -> tuple:
+    """Oracle for extremality_certificate: keep a normal tight at v iff it
+    raises the reference rank of the normals kept before it."""
+    kept = []
+    for i, a in enumerate(cone.normals):
+        if fraction_dot(a, v) == 0 and \
+                reference_rank([cone.normals[k] for k in [*kept, i]]) > len(kept):
+            kept.append(i)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_certificate_of_every_fcone_ray_is_the_greedy_choice(n):
+    cone = fcurve_cone(n)
+    for ray in fcone_rays(n).rays:
+        assert extremality_certificate(cone, ray).indices == greedy_certificate(cone, ray)

@@ -1,9 +1,10 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fcone.covers import WeightData, eigen_det_class
 from fcone.eigenforms import (
@@ -160,6 +161,46 @@ def test_eigen_rank_degree_validation():
         eigen_rank_degree_fcurve(1, 1, 1, 1, 2, 2)
     with pytest.raises(ValueError):
         eigen_rank_degree_fcurve(1, 1, 1, 1, 1, 0)
+
+
+@pytest.mark.parametrize("valid, invalid, message", [
+    ((1, 0, 0, 3, 4, 2), (1, 0, 0, 1, 4, 2), "tail weights (1, 0, 0, 1) do not sum to 0 mod 4"),
+    ((1, 1, 1, 1, 2, 1), (1, 1, 1, 1, 2, 3), "character must lie in 0..1, got 3"),
+    ((1, 1, 1, 1, 2, 1), (1, 1, 1, 1, 1, 0), "cover degree must be at least 2, got 1"),
+])
+def test_eigen_input_checks_run_before_the_residue_lookup(valid, invalid, message):
+    # the first two invalid calls scale to the residues of their valid
+    # partners, so a check moved behind the lookup would let them through
+    eigen_rank_degree_fcurve(*valid)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eigen_rank_degree_fcurve(*invalid)
+
+
+@st.composite
+def tails_and_characters(draw):
+    p = draw(st.integers(2, 60))
+    a, b, c = draw(st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3))
+    d = draw(st.integers(-10**6 // p, 10**6 // p)) * p - (a + b + c) % p
+    return a, b, c, d, p, draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tails_and_characters(), min_size=1, max_size=4))
+def test_eigen_rank_degree_matches_the_closed_form(cases):
+    # a draw may repeat its residues, so later calls hit the lookup
+    for a, b, c, d, p, j in [*cases, *cases]:
+        rs = [x * j % p for x in (a, b, c, d)]
+        rank = max(0, sum(1 for r in rs if r) - 1 - sum(rs) // p)
+        balanced = all(rs) and sum(rs) == 2 * p
+        degree = Fraction(min(*rs, *(p - r for r in rs)), p) if balanced else 0
+        assert eigen_rank_degree_fcurve(a, b, c, d, p, j) == (rank, degree)
+
+
+def test_eigen_degree_is_one_fraction_per_residue_class():
+    first = eigen_rank_degree_fcurve(1, 1, 2, 2, 3, 1)
+    again = eigen_rank_degree_fcurve(4, -2, 5, 2, 3, 1)
+    assert first == again == (1, Fraction(1, 3))
+    assert first[1] is again[1]
 
 
 def test_degree_bounds_and_rank_link():
