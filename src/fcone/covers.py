@@ -21,7 +21,7 @@ from math import comb, gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
-from .exactlin import _lowest_terms, _over_lcm
+from .exactlin import _lowest_terms, _over_lcm, primitive
 from .moduli import FullDivisor, SymDivisor, _check_n, _side_masks, delta_range
 
 
@@ -170,6 +170,7 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     """Determinant of the weight-j eigenbundle of the Hodge bundle.
 
     Closed formula: (1/2p²)[Σ⟨j·d_i⟩(p−⟨j·d_i⟩)ψ_i − Σ⟨j·d(I)⟩(p−⟨j·d(I)⟩)Δ_{I,J}].
+    It reads j only through ⟨j·d⟩(p − ⟨j·d⟩), so det E_{p−j} = det E_j.
     """
     _check_character(w, j)
     p = w.p
@@ -181,9 +182,9 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     return FullDivisor(w.n, _cleared=([value[di % p] for di in w.d], delta, den))
 
 
-def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDivisor]:
-    """S_n-averages of combinations of the classes of the cover w, from one
-    walk over weight profiles.
+def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
+                     ) -> tuple[list[tuple[tuple, tuple]], dict, dict, int]:
+    """The profile walk of the symmetric read-outs.
 
     A row maps bases to rational coefficients: "lambda", "irr", "red" for
     λ, δ_irr, δ_red and j for det E_j.  Over 12p², λ and det E_j put t(s)
@@ -195,8 +196,15 @@ def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDiviso
     the C(n, k) sets I of size k, is a sum over the profiles of I (how many
     markings of each weight it takes), equal to that of symmetrize().  As p
     divides the total weight, I and its complement agree at k = n/2.
+
+    Returns (terms, psis, columns, den): per row, its bases with a nonzero
+    coefficient and those coefficients, as two tuples; one ψ numerator and
+    one Δ column by distinct base, over den.  As det E_{p−j} = det E_j, the
+    terms name it by the smaller of j and p − j.
     """
     n, p = w.n, w.p
+    terms = [(tuple([min(b, p - b) if type(b) is int else b for b, c in row.items() if c]),
+              tuple([c for c in row.values() if c])) for row in rows]
     groups = Counter(w.d).items()
     # profiles agreeing on (|I|, s, ramification of I) are merged
     total_ram = 0
@@ -231,19 +239,53 @@ def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDiviso
     eigen = [-6 * r * (p - r) for r in range(p)]
     psis = {"red": 0}
     columns = {"red": [12 * p * c * l // size for size, c in zip(sizes, split)]}
-    for b in {b for row in rows for b, c in row.items() if c} - {"red"}:
+    for b in {b for bs, _ in terms for b in bs} - {"red"}:
         t, j = (tables[b], 1) if b in tables else (eigen, b)
         psis[b] = 0 if b == "irr" else -sum([m * t[j * d % p] for d, m in groups]) * (l // n)
         columns[b] = [sum([c * t[j * s % p] for s, c in at_k]) for at_k in sets]
-    out = []
-    for row in rows:
-        bs = [b for b, c in row.items() if c]
-        cs, den = _over_lcm([row[b] for b in bs])
-        delta = columns[bs[0]] if cs == [1] else \
-            [sum(map(mul, cs, at_k)) for at_k in zip(*map(columns.get, bs))]
-        out.append(SymDivisor(n, _cleared=((sum(map(mul, cs, map(psis.get, bs))),),
-                                           delta or [0] * len(sizes), 12 * p * p * l * den)))
-    return out
+    return terms, psis, columns, 12 * p * p * l
+
+
+def _combine(cs: Sequence[int], bs: Sequence, columns: Mapping) -> list[int]:
+    """Σ c_b·column_b over the terms of one row; [] for a row of no terms."""
+    if cs == [1]:
+        return columns[bs[0]]
+    return [sum(map(mul, cs, at_k)) for at_k in zip(*map(columns.get, bs))]
+
+
+def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDivisor]:
+    """S_n-averages of combinations of the classes of the cover w, one
+    SymDivisor per row, from one walk over weight profiles (see
+    _symmetric_bases).  Rows with the same terms, as det E_j and det E_{p−j}
+    are, get the same SymDivisor."""
+    n = w.n
+    terms, psis, columns, den = _symmetric_bases(w, rows)
+    zero = [0] * len(delta_range(n))
+    built = {}
+    for row in terms:
+        if row not in built:
+            bs, (cs, row_den) = row[0], _over_lcm(row[1])
+            built[row] = SymDivisor(n, _cleared=((sum(map(mul, cs, map(psis.get, bs))),),
+                                                 _combine(cs, bs, columns) or zero, den * row_den))
+    return [built[row] for row in terms]
+
+
+def _symmetric_rays(w: WeightData, rows: Sequence[Mapping]) -> list[tuple[int, ...]]:
+    """``[d.ray() for d in _symmetric_classes(w, rows)]`` with no SymDivisor:
+    (n−1)ψ = Σ k(n−k)Δ_k is folded into each base column once, and a row's
+    ray is the primitive form of its combination of those columns."""
+    n = w.n
+    terms, psis, columns, _ = _symmetric_bases(w, rows)
+    weights = [k * (n - k) for k in delta_range(n)]
+    expanded = {b: [c * (n - 1) + a * t for c, t in zip(columns[b], weights)]
+                for b, a in psis.items()}
+    zero = [0] * len(weights)
+    found = {}
+    for row in terms:
+        if row not in found:
+            found[row] = primitive(_combine(_over_lcm(row[1])[0], row[0], expanded) or zero,
+                                   flip_sign=False)
+    return [found[row] for row in terms]
 
 
 def sym_weighted_pullbacks(w: WeightData) -> tuple[SymDivisor, SymDivisor, SymDivisor]:

@@ -14,7 +14,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .cones import ConeH, ConeV, extreme_rays
-from .covers import WeightData, _symmetric_classes, pullback_combo
+from .covers import WeightData, _symmetric_classes, _symmetric_rays, pullback_combo
 from .moduli import (
     SymDivisor,
     SymFCurve,
@@ -52,16 +52,14 @@ def _weight_label(weights: Sequence[int]) -> str:
     return " ".join(f"{w}^{c}" if c > 1 else f"{w}" for w, c in runs)
 
 
-def annotation_candidates(n: int) -> list[tuple[str, SymDivisor]]:
-    """Deterministic list of labeled cover classes used to identify rays.
-
-    Covers the unit-weight pullbacks for every degree dividing n, the
-    standard degree combinations, the symmetrized eigenbundle determinants,
-    then the p5_class combinations, and the weighted covers that perturb a
-    single marking weight.
-    """
-    out: list[tuple[str, SymDivisor]] = []
-    p5 = []
+def _candidate_rows(n: int
+                    ) -> tuple[list[tuple[WeightData, list[dict]]], list[tuple[str, int, int]]]:
+    """The candidates of annotation_candidates as (walks, labels): each
+    cover's weight datum with its rows, and (label, walk index, row index) in
+    candidate order.  The p5 rows join the p = 5 walk."""
+    walks: list[tuple[WeightData, list[dict]]] = []
+    labels: list[tuple[str, int, int]] = []
+    p5: list[tuple[str, int, int]] = []
 
     def cover(w: WeightData, key: str, eigen_key: str, names: tuple[str, str, str], extra=()):
         # one walk for every class of w; the extra rows go to p5
@@ -72,15 +70,16 @@ def annotation_candidates(n: int) -> list[tuple[str, SymDivisor]]:
         for j in range(1, w.p):
             rows[f"{eigen}({eigen_key},{j})"] = {j: 1}
         rows.update(extra)
-        for label, d in zip(rows, _symmetric_classes(w, list(rows.values()))):
-            (p5 if label in extra else out).append((label, d))
+        for r, label in enumerate(rows):
+            (p5 if label in extra else labels).append((label, len(walks), r))
+        walks.append((w, list(rows.values())))
 
     for p in range(2, n + 1):
         if n % p == 0:
             p5_rows = {f"p5({n},{j})": {j: 50, "irr": -1} for j in (1, 2)} if p == 5 else ()
             cover(WeightData((1,) * n, p), f"{n},{p}", f"1^{n},{p}", ("hodge", "combo", "eigen"),
                   p5_rows)
-    out += p5
+    labels += p5
     for v in (0, 2):
         weights = (1,) * (n - 1) + (v,)
         label = _weight_label(weights)
@@ -88,21 +87,38 @@ def annotation_candidates(n: int) -> list[tuple[str, SymDivisor]]:
             if sum(weights) % p == 0:
                 key = f"{label},{p}"
                 cover(WeightData(weights, p), key, key, ("weighted", "wcombo", "eigenw"))
-    return out
+    return walks, labels
+
+
+def annotation_candidates(n: int) -> list[tuple[str, SymDivisor]]:
+    """Deterministic list of labeled cover classes used to identify rays.
+
+    Covers the unit-weight pullbacks for every degree dividing n, the
+    standard degree combinations, the symmetrized eigenbundle determinants,
+    then the p5_class combinations, and the weighted covers that perturb a
+    single marking weight.  Each cover's classes come from one
+    _symmetric_classes call.
+    """
+    walks, labels = _candidate_rows(n)
+    classes = [_symmetric_classes(w, rows) for w, rows in walks]
+    return [(label, classes[i][r]) for label, i, r in labels]
 
 
 def ray_annotations(n: int) -> list[tuple[tuple[int, ...], list[str]]]:
     """Extreme rays of the F-cone with the labels of every candidate class
     lying on each ray.
 
-    A class lies on a ray when its primitive ray is that ray, so the labels
-    are grouped by primitive ray once, in candidate order, and each F-cone
-    ray is one lookup.  A zero class files its label under the zero vector,
+    A class lies on a ray when its primitive ray is that ray.  The rays of
+    the candidates come from _symmetric_rays, with no SymDivisor; the labels
+    are grouped by ray once, in candidate order, and each F-cone ray is one
+    lookup.  A zero class files its label under the zero vector,
     which is no ray of the cone.
     """
+    walks, labels = _candidate_rows(n)
+    rays = [_symmetric_rays(w, rows) for w, rows in walks]
     labels_by_ray: dict[tuple[int, ...], list[str]] = {}
-    for label, d in annotation_candidates(n):
-        labels_by_ray.setdefault(d.ray(), []).append(label)
+    for label, i, r in labels:
+        labels_by_ray.setdefault(rays[i][r], []).append(label)
     return [(ray, labels_by_ray.get(ray, [])) for ray in fcone_rays(n).rays]
 
 

@@ -278,6 +278,20 @@ def test_rays_annotated_json(capsys):
     assert all(labels for labels in annotations.values())
 
 
+@pytest.mark.parametrize("n", range(5, 13))
+def test_rays_annotated_json_matches_text(capsys, n):
+    code, text, _ = run(capsys, "rays", "--n", str(n), "--annotate")
+    assert code == 0
+    code, out, _ = run(capsys, "rays", "--n", str(n), "--annotate", "--json")
+    assert code == 0
+    from_text = []
+    for line in text.splitlines():
+        vector, _, labels = line.partition("  ")
+        from_text.append(([int(x) for x in vector.split()], labels.split("; ") if labels else []))
+    from_json = [(r["vector"], r["annotations"]) for r in json.loads(out)["rays"]]
+    assert from_json == from_text
+
+
 def test_table_matches_golden(capsys):
     for name in ("n6", "n7", "n9", "n10", "n10-fcurves"):
         code, out, _ = run(capsys, "table", name)

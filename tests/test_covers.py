@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from fcone.covers import (
     WeightData,
     _symmetric_classes,
+    _symmetric_rays,
     conformal_blocks_class,
     eigen_det_class,
     exceptional_genus,
@@ -210,6 +211,10 @@ def test_profile_classes_equal_symmetrized_full_classes(w):
     assert all(same_raw(a, b) for a, b in zip(sym_weighted_pullbacks(w), full))
     for j in range(1, w.p):
         assert same_raw(sym_eigen_det_class(w, j), symmetrize(eigen_det_class(w, j)))
+        # det E_{p−j} = det E_j, which the profile walk computes once per pair
+        assert eigen_det_class(w, j) == eigen_det_class(w, w.p - j)
+        a, b = sym_eigen_det_class(w, j), sym_eigen_det_class(w, w.p - j)
+        assert (a._psi, a._delta, a._den) == (b._psi, b._delta, b._den)
     # combination rows, one with a rational coefficient, from one walk against
     # SymDivisor arithmetic on the symmetrized per-marking classes
     lam, irr, red = full
@@ -219,6 +224,8 @@ def test_profile_classes_equal_symmetrized_full_classes(w):
     expected.append(50 * symmetrize(eigen_det_class(w, 1)) - irr)
     got = _symmetric_classes(w, rows)
     assert len(got) == len(expected) and all(map(same_raw, got, expected))
+    # the ray read-out of the same rows, from the ψ-expanded base columns
+    assert _symmetric_rays(w, rows) == [d.ray() for d in got]
     if set(w.d) == {1}:
         assert same_raw(pullback_combo(w.n, w.p, 10, -1, Fraction(-2, 3)), expected[3])
         if w.p == 5:
