@@ -21,6 +21,7 @@ value, which keeps later multipliers small (leftmost pivots made the scan
 two to five times slower on extremality certificates); ``rref``,
 ``kernel_basis`` and the lineality of ``cones.ConeV`` take the leftmost
 nonzero entry, which makes the back-reduced basis the canonical RREF.
+``_kernel`` solves a scan's basis by back-substitution.
 
 ``_pack`` and ``_signs`` give the signs of many integer rows on one vector
 from one big-int product, for the F-curves of ``moduli`` and the normals of
@@ -208,6 +209,35 @@ def _scan(
             if len(kept) == target:
                 break
     return basis, kept
+
+
+def _kernel(basis: Sequence[_BasisRow], ncols: int) -> list[list[int]]:
+    """The right kernel of an echelon basis of ``_scan``: one primitive
+    integer vector per column that is no pivot, in ascending order, positive
+    at that column and zero at the others.
+
+    Each basis row is zero at the pivots of the rows before it, so from the
+    last row up each row fixes its own pivot entry from entries already
+    set; the vector is rescaled where a pivot does not divide.
+    """
+    pivots = {c for c, _ in basis}
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = {f: 1}
+        for c, b in reversed(basis):
+            s = sum([e * x[k] for k, e in b.items() if k in x])
+            if s:
+                p = b[c]
+                g = gcd(s, p)
+                if p != g:
+                    x = {k: a * (p // g) for k, a in x.items()}
+                x[c] = -s // g
+        v = _dense(x, ncols)
+        g = gcd(*v)
+        kernel.append([a // g for a in v])
+    return kernel
 
 
 def independent_rows(m: Sequence[Sequence], target: Optional[int] = None) -> list[int]:

@@ -28,8 +28,9 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import (QVector, _Packed, _field_width, _lowest_terms, _over_lcm, _pack,
-                       _scan, _signs, format_rational, parse_rational, primitive)
+from .exactlin import (QVector, _Packed, _field_width, _kernel, _lowest_terms, _over_lcm,
+                       _pack, _reduce, _scan, _signs, format_rational, parse_rational,
+                       primitive)
 
 
 def _check_n(n: int) -> None:
@@ -263,14 +264,20 @@ def _fcurve_terms(parts: tuple[int, int, int, int]) -> tuple[tuple[int, int], ..
     return tuple(sorted((k - 2, c) for k, c in coeffs.items() if c))
 
 
+def _fcurve_row(parts: tuple[int, int, int, int], ncols: int) -> list[int]:
+    """The sparse terms of ``_fcurve_terms`` spread over a fresh list of
+    ``ncols`` ints."""
+    row = [0] * ncols
+    for i, c in _fcurve_terms(parts):
+        row[i] = c
+    return row
+
+
 @cache
 def fcurve_class_vector(f: SymFCurve) -> tuple[int, ...]:
     """Coordinates of the F-curve class in the dual pure-Δ basis, as ints:
     the sparse terms of ``_fcurve_terms`` spread over Δ_2..Δ_{⌊n/2⌋}."""
-    vector = [0] * (f.n // 2 - 1)
-    for i, c in _fcurve_terms(f.parts):
-        vector[i] = c
-    return tuple(vector)
+    return tuple(_fcurve_row(f.parts, f.n // 2 - 1))
 
 
 def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
@@ -320,12 +327,33 @@ def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
     their rank is at most ⌊n/2⌋ − 2, and the scan stops at that rank: a
     result of that length certifies the class as extremal in the symmetric
     F-cone when it is F-nef.  An empty list gives ``[]``.
+
+    The scan runs to one row short of that rank, and a close finds the
+    last row: the next curve if it lies outside the span of the kept rows,
+    else the first later curve with a nonzero dot against one of the two
+    vectors of their kernel.  A curve lies in that span iff it is orthogonal
+    to both, and each dot reads at most seven terms.
     """
     if not curves:
         return []
-    # cached int rows, each copied only when the scan pulls it
-    rows = (list(fcurve_class_vector(f)) for f in curves)
-    return [curves[i] for i in _scan(rows, False, curves[0].n // 2 - 2)[1]]
+    ncols = curves[0].n // 2 - 1
+    target = ncols - 1
+    if target < 1:
+        return []
+    # each row built only when the scan pulls it
+    basis, kept = _scan((_fcurve_row(f.parts, ncols) for f in curves), False, target - 1)
+    i = kept[-1] + 1 if kept else 0
+    if len(kept) == target - 1 and i < len(curves):
+        if any(_reduce(_fcurve_row(curves[i].parts, ncols), basis)):
+            kept.append(i)
+        else:
+            u, v = _kernel(basis, ncols)
+            for j in range(i + 1, len(curves)):
+                terms = _fcurve_terms(curves[j].parts)
+                if sum([u[k] * c for k, c in terms]) or sum([v[k] * c for k, c in terms]):
+                    kept.append(j)
+                    break
+    return [curves[j] for j in kept]
 
 
 def tk_pairing(d: SymDivisor, k: int) -> Fraction:
@@ -661,14 +689,15 @@ _TERM = re.compile(r"^(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?\s*\*\s*)?(?:psi|D(
 
 
 def parse_divisor(text: str, n: int) -> SymDivisor:
-    """Parse literals like ``2*psi - 2*D2 - 3*D3`` or ``0``; coefficients are
-    cleared once and summed per slot as integers."""
+    """Parse literals like ``2*psi - 2*D2 - 3*D3`` or ``0``; the term
+    numerators are summed per slot as integers over the lcm of the term
+    denominators."""
     _check_n(n)
     tokens = [t.strip() for t in re.split(r"([+-])", text) if t.strip()]
     if not tokens:
         raise ValueError("empty divisor literal")
-    slots: list[int] = []
-    coeffs: list[Fraction] = []
+    # (slot, signed numerator, denominator) per term
+    terms: list[tuple[int, int, int]] = []
     # optional sign at the start, then strictly alternating term, sign, term, ...
     sign: Optional[int] = 1
     pending_sign = False
@@ -689,18 +718,18 @@ def parse_divisor(text: str, n: int) -> SymDivisor:
             slot = int(k or 1) - 1  # 0 for ψ, k − 1 for Δ_k
             if k and not 0 < slot < n // 2:
                 raise ValueError(f"D{slot + 1} is not a basis class for n={n}")
-            slots.append(slot)
-            coeffs.append(Fraction(sign * int(num or 1), int(den or 1)))
+            terms.append((slot, sign * int(num or 1), int(den or 1)))
         elif parse_rational(tok) != 0:
             raise ValueError(f"constant term {tok!r} is not a divisor")
         sign = None
         pending_sign = False
     if pending_sign:
         raise ValueError(f"dangling sign in divisor literal {text!r}")
-    nums, den = _over_lcm(coeffs)
+    den = lcm(*(d for _, _, d in terms))
     summed = [0] * (n // 2)
-    for slot, a in zip(slots, nums):
-        summed[slot] += a
+    for slot, a, d in terms:
+        summed[slot] += a * (den // d)
+    # SymDivisor brings the sums to lowest terms
     return SymDivisor(n, _cleared=(summed[:1], summed[1:], den))
 
 

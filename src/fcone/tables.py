@@ -18,6 +18,7 @@ from .covers import WeightData, _symmetric_classes, _symmetric_rays, pullback_co
 from .moduli import (
     SymDivisor,
     SymFCurve,
+    _fcurve_row,
     enumerate_sym_fcurves,
     fcurve_certificate,
     fcurve_class_vector,
@@ -244,28 +245,28 @@ def t3_certificate_blocks(n: int) -> list[tuple[str, SymFCurve]]:
     if n % 3 or n < 12:
         raise ValueError(f"certificate blocks need a multiple of 3 at least 12, got {n}")
     zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
-    zero_set = set(zero)
-    # the label of each block curve, from the first block that names it
-    labels: dict[SymFCurve, str] = {}
+    # curves are keyed by their parts: a tuple hashes faster than a SymFCurve
+    zero_parts = {f.parts for f in zero}
+    # each block curve with its label, from the first block that names it
+    rows: dict[tuple[int, ...], tuple[str, SymFCurve]] = {}
     for label, curves in _t3_curve_blocks(n):
         for f in curves:
-            if f not in zero_set:
+            if f.parts not in zero_parts:
                 raise RuntimeError(f"certificate curve {f} has nonzero degree")
-            labels.setdefault(f, label)
-    certificate = fcurve_certificate([*labels, *(f for f in zero if f not in labels)])
+            rows.setdefault(f.parts, (label, f))
+    certificate = fcurve_certificate([*(f for _, f in rows.values()),
+                                      *(f for f in zero if f.parts not in rows)])
     target = n // 2 - 2
     if len(certificate) != target:
         raise RuntimeError(f"certificate for n={n} spans rank {len(certificate)}, need {target}")
-    rows = [(label, f) for f, label in labels.items()]
-    return rows + [("patch", f) for f in certificate if f not in labels]
+    return [*rows.values(), *(("patch", f) for f in certificate if f.parts not in rows)]
 
 
 def render_t3_certificates_csv(n: int) -> str:
     header = ["block", "curve"] + [f"D{k}" for k in range(2, n // 2 + 1)]
     rows = []
     for label, f in t3_certificate_blocks(n):
-        vec = fcurve_class_vector(f)
-        rows.append([label, str(f)] + [str(x) for x in vec])
+        rows.append([label, str(f)] + [str(x) for x in _fcurve_row(f.parts, n // 2 - 1)])
     return _csv(header, rows)
 
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fcone.exactlin import (
+    _kernel,
     _lowest_terms,
     _over_lcm,
+    _scan,
     dot,
     format_rational,
     independent_rows,
@@ -191,6 +193,41 @@ tall_matrix_strategy = st.integers(1, 6).flatmap(
         max_size=10,
     )
 )
+
+
+def proportional_rows(u, v) -> bool:
+    """u is a nonzero rational multiple of v."""
+    i = next(i for i, x in enumerate(v) if x)
+    return u[i] != 0 and all(a * v[i] == b * u[i] for a, b in zip(u, v))
+
+
+# integer matrices with small entries, so that the kernel is often large
+int_matrix_strategy = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols), min_size=1, max_size=8
+    )
+)
+
+
+@given(int_matrix_strategy)
+def test_kernel_of_a_scan_basis_is_kernel_basis(m):
+    ncols = len(m[0])
+    expected = kernel_basis(m)
+    # with leftmost pivots the free columns are those of the RREF, and each
+    # kernel vector is fixed up to scaling by its free column
+    leftmost = _kernel(_scan([list(r) for r in m], True)[0], ncols)
+    assert len(leftmost) == len(expected)
+    assert all(proportional_rows(u, v) for u, v in zip(leftmost, expected))
+    # smallest pivots pick other free columns, of the same kernel
+    basis = _scan([list(r) for r in m], False)[0]
+    smallest = _kernel(basis, ncols)
+    free = sorted(set(range(ncols)) - {c for c, _ in basis})
+    assert len(smallest) == len(free)
+    for f, v in zip(free, smallest):
+        assert [v[g] > 0 if g == f else v[g] == 0 for g in free] == [True] * len(free)
+        assert gcd(*v) == 1
+        assert all(dot(row, v) == 0 for row in m)
+    assert rank([*expected, *smallest]) == len(expected)
 
 
 def test_independent_rows_examples():

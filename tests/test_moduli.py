@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fcone import moduli
-from fcone.exactlin import primitive
+from fcone.covers import hodge_class
+from fcone.exactlin import _scan, primitive
 from fcone.moduli import (
     FullDivisor,
     FullFCurve,
@@ -31,7 +33,7 @@ from fcone.moduli import (
     tk_pairing,
     zero_and_negative_fcurves,
 )
-from fcone.tables import fcone_rays
+from fcone.tables import _t3_curve_blocks, fcone_rays, triple_cover_divisor
 
 from oracles import reference_rank
 
@@ -799,6 +801,101 @@ def test_fcurve_certificate_of_a_sum_of_two_rays_is_the_greedy_scan(d):
     certificate = fcurve_certificate(zero)
     assert certificate == greedy_certificate(zero)
     assert len(certificate) < d.n // 2 - 2
+
+
+def plain_certificate(curves: list) -> list:
+    """fcurve_certificate as the plain scan: every row reduced until the
+    rank ⌊n/2⌋ − 2 is reached."""
+    if not curves:
+        return []
+    rows = [list(fcurve_class_vector(f)) for f in curves]
+    return [curves[i] for i in _scan(rows, False, curves[0].n // 2 - 2)[1]]
+
+
+def t3_order(n: int, zero: list) -> list:
+    """The zero curves in the order of t3_certificate_blocks: the curves of
+    the t3 blocks that are among them first, in block order, then the rest
+    in enumeration order."""
+    blocks = _t3_curve_blocks(n) if n % 3 == 0 and n >= 12 else []
+    parts = {f.parts for f in zero}
+    first = dict.fromkeys(f.parts for _, curves in blocks for f in curves if f.parts in parts)
+    return [SymFCurve(x) for x in first] + [f for f in zero if f.parts not in first]
+
+
+@st.composite
+def fnef_zero_curves(draw) -> tuple[int, list]:
+    """The zero curves of a positive integer sum of hodge_class(n, p) for
+    p | n and, for 3 | n, the triple-cover class, n = 6..60."""
+    n = draw(st.integers(6, 60))
+    bases = [hodge_class(n, p) for p in range(2, n + 1) if n % p == 0]
+    if n % 3 == 0:
+        bases.append(triple_cover_divisor(n))
+    picked = draw(st.lists(st.sampled_from(range(len(bases))), min_size=1, max_size=3))
+    d = bases[picked[0]] * draw(st.integers(1, 5))
+    for i in picked[1:]:
+        d = d + bases[i] * draw(st.integers(1, 5))
+    zero, _ = zero_and_negative_fcurves(d)
+    # an interior class, which half of the draws are, has no zero curve
+    assume(zero and not d.is_zero())
+    return n, zero
+
+
+@st.composite
+def sparse_class_zero_curves(draw) -> tuple[int, list]:
+    """The zero curves of a class with small coordinates, many of them zero,
+    n = 8..24.  A kernel vector of the close is the class itself when the
+    class is zero at the other column without a pivot, and then only the
+    other vector finds the last row.  No base class of fnef_zero_curves has
+    a zero coordinate, so it is these draws that tell a dropped vector."""
+    n = draw(st.integers(8, 24))
+    vector = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=n // 2 - 1,
+                           max_size=n // 2 - 1).filter(any))
+    zero, _ = zero_and_negative_fcurves(sym_divisor_from_vector(n, vector))
+    return n, zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(fnef_zero_curves(), sparse_class_zero_curves()),
+       st.randoms(use_true_random=False))
+def test_fcurve_certificate_is_the_plain_scan(case, rng):
+    n, zero = case
+    shuffled = list(zero)
+    rng.shuffle(shuffled)
+    for curves in (zero, shuffled, t3_order(n, zero)):
+        assert fcurve_certificate(curves) == plain_certificate(curves)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_fcurve_certificate_at_rank_one_and_below(n):
+    # n = 4, 5 certify nothing; at n = 6, 7 the close starts from no kept row
+    for vector in itertools.product(range(-1, 3), repeat=n // 2 - 1):
+        if any(vector):
+            zero, _ = zero_and_negative_fcurves(sym_divisor_from_vector(n, vector))
+            assert fcurve_certificate(zero) == plain_certificate(zero)
+
+
+def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
+    # t3 order at n = 48: rows 0..21 reach rank 21, row 22 lies in their
+    # span, and rows 23..101 are dotted until row 101 raises the rank to 22
+    counts = {"rows": 0, "terms": 0}
+    row, terms = moduli._fcurve_row, moduli._fcurve_terms
+
+    def counted_row(parts, ncols):
+        counts["rows"] += 1
+        return row(parts, ncols)
+
+    def counted_terms(parts):
+        counts["terms"] += 1
+        return terms(parts)
+
+    zero, _ = zero_and_negative_fcurves(triple_cover_divisor(48))
+    curves = t3_order(48, zero)
+    monkeypatch.setattr(moduli, "_fcurve_row", counted_row)
+    monkeypatch.setattr(moduli, "_fcurve_terms", counted_terms)
+    certificate = fcurve_certificate(curves)
+    assert len(certificate) == 22 and curves.index(certificate[-1]) == 101
+    assert counts["rows"] == 23
+    assert counts["terms"] - counts["rows"] == 79
 
 
 # ---------------------------------------------------------------------------
