@@ -21,7 +21,7 @@ from math import comb, gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
-from .exactlin import _lowest_terms, _over_lcm
+from .exactlin import _lowest_terms, _over_lcm, primitive
 from .moduli import FullDivisor, SymDivisor, _check_n, _side_masks, delta_range
 
 
@@ -237,21 +237,12 @@ def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
     tables = {"lambda": [p * (q * q - p * p) for q in gcds],
               "irr": [12 * p * q * q if q > 1 else 0 for q in gcds]}
     eigen = [-6 * r * (p - r) for r in range(p)]
-    # with one residue s per k (unit weights) a column is one gather of the
-    # base's residue table, scaled by the shares
-    single = all(len(at_k) == 1 for at_k in sets)
-    if single:
-        residues, shares = [at_k[0][0] for at_k in sets], [at_k[0][1] for at_k in sets]
     psis = {"red": 0}
     columns = {"red": [12 * p * c * l // size for size, c in zip(sizes, split)]}
     for b in {b for bs, _ in terms for b in bs} - {"red"}:
         t, j = (tables[b], 1) if b in tables else (eigen, b)
         psis[b] = 0 if b == "irr" else -sum([m * t[j * d % p] for d, m in groups]) * (l // n)
-        if single:
-            at_s = [t[j * s % p] for s in range(p)]
-            columns[b] = list(map(mul, shares, map(at_s.__getitem__, residues)))
-        else:
-            columns[b] = [sum([c * t[j * s % p] for s, c in at_k]) for at_k in sets]
+        columns[b] = [sum([c * t[j * s % p] for s, c in at_k]) for at_k in sets]
     return terms, psis, columns, 12 * p * p * l
 
 
@@ -292,10 +283,8 @@ def _symmetric_rays(w: WeightData, rows: Sequence[Mapping]) -> list[tuple[int, .
     found = {}
     for row in terms:
         if row not in found:
-            # ints already: primitive() would check every entry again
-            ray = _combine(_over_lcm(row[1])[0], row[0], expanded) or zero
-            g = gcd(*ray)
-            found[row] = tuple([a // g for a in ray]) if g > 1 else tuple(ray)
+            found[row] = primitive(_combine(_over_lcm(row[1])[0], row[0], expanded) or zero,
+                                   flip_sign=False)
     return [found[row] for row in terms]
 
 

@@ -20,8 +20,10 @@ nonzero remainder joins the basis.  Each caller fixes the pivot rule:
 value, which keeps later multipliers small (leftmost pivots made the scan
 two to five times slower on extremality certificates); ``rref``,
 ``kernel_basis`` and the lineality of ``cones.ConeV`` take the leftmost
-nonzero entry, which makes the back-reduced basis the canonical RREF.
-``_kernel`` solves a scan's basis by back-substitution.
+nonzero entry, which makes the back-reduced basis the canonical RREF and
+leaves its free columns without a pivot.  ``_kernel`` solves a scan's basis
+by back-substitution: ``kernel_basis`` and the F-curve certificate of
+``moduli`` read their kernel vectors from it.
 
 ``_pack`` and ``_signs`` give the signs of many integer rows on one vector
 from one big-int product, for the F-curves of ``moduli`` and the normals of
@@ -285,18 +287,6 @@ def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """
     if not m:
         raise ValueError("kernel of an empty matrix is undetermined, supply rows")
-    basis = _rref(m)
-    ncols = len(m[0])
-    pivots = {c for c, _ in basis}
-    # x_f = l and x_c = -row[f]·l/row[c] for the RREF row with pivot c, l the
-    # lcm of the pivots, is integral and zero against every row
-    l = lcm(*(b[c] for c, b in basis))
-    kernel = []
-    for f in range(ncols):
-        if f not in pivots:
-            x = [0] * ncols
-            x[f] = l
-            for c, b in basis:
-                x[c] = -b.get(f, 0) * (l // b[c])
-            kernel.append(primitive(x))
-    return kernel
+    rows = _rows(m)
+    # leftmost pivots leave the free columns of the RREF without a pivot
+    return [primitive(v) for v in _kernel(_scan(map(_integer_row, rows), True)[0], len(rows[0]))]

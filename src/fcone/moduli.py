@@ -29,8 +29,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import (QVector, _Packed, _field_width, _kernel, _lowest_terms, _over_lcm,
-                       _pack, _reduce, _scan, _signs, format_rational, parse_rational,
-                       primitive)
+                       _pack, _scan, _signs, format_rational, parse_rational, primitive)
 
 
 def _check_n(n: int) -> None:
@@ -328,11 +327,10 @@ def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
     result of that length certifies the class as extremal in the symmetric
     F-cone when it is F-nef.  An empty list gives ``[]``.
 
-    The scan runs to one row short of that rank, and a close finds the
-    last row: the next curve if it lies outside the span of the kept rows,
-    else the first later curve with a nonzero dot against one of the two
-    vectors of their kernel.  A curve lies in that span iff it is orthogonal
-    to both, and each dot reads at most seven terms.
+    The scan runs to one row short of that rank, and the last row is the
+    first later curve with a nonzero dot against one of the two vectors of
+    the kernel of the kept rows.  A curve lies in their span iff it is
+    orthogonal to both, and each dot reads at most seven terms.
     """
     if not curves:
         return []
@@ -342,17 +340,13 @@ def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
         return []
     # each row built only when the scan pulls it
     basis, kept = _scan((_fcurve_row(f.parts, ncols) for f in curves), False, target - 1)
-    i = kept[-1] + 1 if kept else 0
-    if len(kept) == target - 1 and i < len(curves):
-        if any(_reduce(_fcurve_row(curves[i].parts, ncols), basis)):
-            kept.append(i)
-        else:
-            u, v = _kernel(basis, ncols)
-            for j in range(i + 1, len(curves)):
-                terms = _fcurve_terms(curves[j].parts)
-                if sum([u[k] * c for k, c in terms]) or sum([v[k] * c for k, c in terms]):
-                    kept.append(j)
-                    break
+    if len(kept) == target - 1:
+        u, v = _kernel(basis, ncols)
+        for j in range(kept[-1] + 1 if kept else 0, len(curves)):
+            terms = _fcurve_terms(curves[j].parts)
+            if sum([u[k] * c for k, c in terms]) or sum([v[k] * c for k, c in terms]):
+                kept.append(j)
+                break
     return [curves[j] for j in kept]
 
 

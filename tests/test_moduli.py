@@ -875,8 +875,8 @@ def test_fcurve_certificate_at_rank_one_and_below(n):
 
 
 def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
-    # t3 order at n = 48: rows 0..21 reach rank 21, row 22 lies in their
-    # span, and rows 23..101 are dotted until row 101 raises the rank to 22
+    # t3 order at n = 48: rows 0..21 reach rank 21, and rows 22..101 are
+    # dotted until row 101 raises the rank to 22
     counts = {"rows": 0, "terms": 0}
     row, terms = moduli._fcurve_row, moduli._fcurve_terms
 
@@ -894,8 +894,8 @@ def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
     monkeypatch.setattr(moduli, "_fcurve_terms", counted_terms)
     certificate = fcurve_certificate(curves)
     assert len(certificate) == 22 and curves.index(certificate[-1]) == 101
-    assert counts["rows"] == 23
-    assert counts["terms"] - counts["rows"] == 79
+    assert counts["rows"] == 22
+    assert counts["terms"] - counts["rows"] == 80
 
 
 # ---------------------------------------------------------------------------
