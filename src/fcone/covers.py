@@ -22,7 +22,7 @@ from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .exactlin import _lowest_terms, _over_lcm, primitive
-from .moduli import FullDivisor, SymDivisor, _check_n, _side_masks, delta_range
+from .moduli import FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, delta_range
 
 
 def residue(a: int, p: int) -> int:
@@ -57,25 +57,27 @@ class WeightData:
         return len(self.d)
 
     @cached_property
-    def _side_sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Weight sum mod p and ramification of every canonical side, as two
-        tuples in ``_side_masks(n)`` order, filled once per weight datum.
-
-        The ramification of a set is Σ(p − gcd(d_i, p)) over its markings, as
-        in _genus_value.  Both are filled for all 2^(n−1) sets without n,
-        indexed by bitmask, bit i−1 standing for marking i: marking i doubles
-        the lists, and a mask with top bit i−1 gets the entry of the mask
-        without that bit, plus marking i.  Then the sides are read out.
-        """
+    def _profiles(self) -> tuple[_Layout, itemgetter, list[int]]:
+        """The layout of the markings 1..n−1 by weight, a getter of each side
+        profile's weight sum mod p, and each profile's ramification
+        Σ(p − gcd(d_i, p)), filled once per weight datum.  Profiles of no
+        side get weight sum p, which every builder reads as a zero."""
         _check_n(self.n)
         p = self.p
+        blocks: dict[int, list[int]] = {}
+        for i, di in enumerate(self.d[:-1], 1):
+            blocks.setdefault(di, []).append(i)
+        layout = _layout_of(blocks.values())
         weight, ram = [0], [0]
-        for di in self.d[:-1]:
+        for block in layout.blocks:
+            di = self.d[block[0] - 1]
             ei = p - gcd(di, p)
-            weight += [(x + di) % p for x in weight]
-            ram += [x + ei for x in ram]
-        sides = itemgetter(*_side_masks(self.n))
-        return sides(weight), sides(ram)
+            steps = range(len(block) + 1)
+            weight = [(x + c * di) % p for c in steps for x in weight]
+            ram = [x + c * ei for c in steps for x in ram]
+        for i in layout.empty:
+            weight[i] = p
+        return layout, itemgetter(*weight), ram
 
 
 def _genus_value(weights: Sequence[int], p: int) -> int:
@@ -140,25 +142,24 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     and the image family leaves the boundary.
     """
     p, n = w.p, w.n
-    weight, ram = w._side_sums
-    # numerators indexed by the side weight s mod p, through q = gcd(s, p);
-    # ψ_i of λ is the negated λ entry of d_i mod p
+    layout, by_weight, ram = w._profiles
+    # numerators indexed by the side weight s mod p, through q = gcd(s, p),
+    # and a last 0; ψ_i of λ is the negated λ entry of d_i mod p
     gcds = [gcd(s, p) for s in range(p)]
     lam_of, lam_den = _lowest_terms([q * q - p * p for q in gcds], 12 * p)
     irr_of, irr_den = _lowest_terms([q * q if q > 1 else 0 for q in gcds], p)
     # a half with ramification r carries a cover with χ = p + 1 − r when q = 1
     # (its attaching point ramifies fully), positive genus when χ ≤ 1
     total_ram = sum(p - gcd(di, p) for di in w.d)
-    unit = [1 if q == 1 else 0 for q in gcds]
+    unit = [1 if q == 1 else 0 for q in gcds] + [0]
     split = [1 if p <= r <= total_ram - p else 0 for r in range(total_ram + 1)]
-    by_weight = itemgetter(*weight)
     red = list(map(mul, by_weight(unit), itemgetter(*ram)(split)))
     zero = (0,) * n
-    return (
-        FullDivisor(n, _cleared=([-lam_of[di % p] for di in w.d], by_weight(lam_of), lam_den)),
-        FullDivisor(n, _cleared=(zero, by_weight(irr_of), irr_den)),
-        FullDivisor(n, _cleared=(zero, red, p)),
-    )
+    return tuple(FullDivisor(n, _cleared=cleared, _layout=layout) for cleared in (
+        ([-lam_of[di % p] for di in w.d], by_weight([*lam_of, 0]), lam_den),
+        (zero, by_weight([*irr_of, 0]), irr_den),
+        (zero, red, p),
+    ))
 
 
 def _check_character(w: WeightData, j: int) -> None:
@@ -177,9 +178,9 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     # r(p − r) for the residue r of j·d, over 2p²
     value, den = _lowest_terms([r * (p - r) for r in (j * t % p for t in range(p))], 2 * p * p)
     # the Δ coefficient of a side depends only on its weight sum mod p
-    delta_of = [-v for v in value]
-    delta = itemgetter(*w._side_sums[0])(delta_of)
-    return FullDivisor(w.n, _cleared=([value[di % p] for di in w.d], delta, den))
+    layout, by_weight, _ = w._profiles
+    delta = by_weight([-v for v in value] + [0])
+    return FullDivisor(w.n, _cleared=([value[di % p] for di in w.d], delta, den), _layout=layout)
 
 
 def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import (QVector, _Packed, _field_width, _kernel, _lowest_terms, _over_lcm,
@@ -47,14 +48,14 @@ class _Numerators:
     lowest terms: ``_psi`` and ``_delta`` tuples over ``_den``.
 
     Immutable.  Supports +, -, negation and scaling by a rational; each
-    result is built through the subclass's ``_cleared=`` path.
+    result is built by ``_like``, through the subclass's ``_cleared=`` path.
     """
 
     __slots__ = ("n", "_psi", "_delta", "_den")
 
     def _store(self, n: int, psi: Sequence[int], delta: Sequence[int], den: int) -> None:
-        # its own gcd, not _lowest_terms: that would join ψ and the 2^(n−1)
-        # Δ slots of a FullDivisor into one copy on every build
+        # its own gcd, not _lowest_terms: that would join ψ and the Δ slots
+        # into one copy on every build
         g = gcd(den, *psi, *delta)
         if g > 1:
             psi = [a // g for a in psi]
@@ -76,11 +77,11 @@ class _Numerators:
         du, dv = self._den, other._den
         den = lcm(du, dv)
         su, sv = den // du, sign * (den // dv)
-        return type(self)(self.n, _cleared=(
-            [su * a + sv * b for a, b in zip(self._psi, other._psi)],
-            [su * a + sv * b for a, b in zip(self._delta, other._delta)],
-            den,
-        ))
+        return self._like([su * a + sv * b for a, b in zip(self._psi, other._psi)],
+                          [su * a + sv * b for a, b in zip(self._delta, other._delta)], den)
+
+    def _like(self, psi: Sequence[int], delta: Sequence[int], den: int):
+        return type(self)(self.n, _cleared=(psi, delta, den))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -91,9 +92,8 @@ class _Numerators:
     def __mul__(self, scalar):
         c = Fraction(scalar)
         a = c.numerator
-        return type(self)(self.n, _cleared=([a * x for x in self._psi],
-                                            [a * v for v in self._delta],
-                                            c.denominator * self._den))
+        return self._like([a * x for x in self._psi], [a * v for v in self._delta],
+                          c.denominator * self._den)
 
     __rmul__ = __mul__
 
@@ -409,30 +409,12 @@ def _side_mask(side: Iterable[int]) -> int:
 @cache
 def _side_masks(n: int) -> tuple[int, ...]:
     """Bitmasks of the canonical sides for n markings: sizes 2..n−2, the sets
-    of one size in lexicographic order; FullDivisor's Δ slot order."""
+    of one size in lexicographic order; the order of ``delta_map``."""
     return tuple(
         _side_mask(side)
         for size in range(2, n - 1)
         for side in itertools.combinations(range(1, n), size)
     )
-
-
-@cache
-def _side_slots(n: int) -> dict[int, int]:
-    """Canonical side mask → its position in ``_side_masks(n)``."""
-    return {m: i for i, m in enumerate(_side_masks(n))}
-
-
-@cache
-def _size_slices(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(size, start, stop): the run of ``_side_masks(n)`` holding the sides
-    of each size, sizes ascending."""
-    out, start = [], 0
-    for size in range(2, n - 1):
-        stop = start + comb(n - 1, size)
-        out.append((size, start, stop))
-        start = stop
-    return tuple(out)
 
 
 class _SideSets(dict):
@@ -449,28 +431,116 @@ class _SideSets(dict):
 _SIDE_SETS = _SideSets()
 
 
+class _Layout:
+    """A partition of the markings 1..n−1 into blocks, sorted by size, then
+    least marking.  A side's profile is how many markings it takes from each
+    block, in mixed radix: block b has stride Π_{b'<b} (m_{b'} + 1).  With
+    singleton blocks a side's profile is its mask."""
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        self.blocks = blocks
+        self.n = sum(map(len, blocks)) + 1
+        self.masks = [_side_mask(b) for b in blocks]
+        self.strides, self.empty, self.means = _radix(tuple(map(len, blocks)))
+
+    def index(self, mask: int) -> int:
+        """The profile of a canonical side mask."""
+        return sum([(mask & m).bit_count() * s for m, s in zip(self.masks, self.strides)])
+
+    def sums(self, delta: Sequence[int]) -> list[int]:
+        """Per Δ_k, the scaled sum of the sides with min side k."""
+        return [sum(map(mul, get(delta), mult)) * f for get, mult, f in self.means]
+
+    def profiles(self, blocks: Sequence[Sequence[int]]) -> list[int]:
+        """Per profile over ``blocks``, a refinement, the profile here."""
+        out = [0]
+        for block in blocks:
+            s = self.index(1 << (block[0] - 1))
+            out = [x + c * s for c in range(len(block) + 1) for x in out]
+        return out
+
+    def meet(self, other: "_Layout") -> "_Layout":
+        """The common refinement of two layouts of one n."""
+        if other is self:
+            return self
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i in range(1, self.n):
+            groups.setdefault((self.index(1 << i - 1), other.index(1 << i - 1)), []).append(i)
+        return _layout_of(groups.values())
+
+
+_interned = cache(_Layout)
+
+
+def _layout_of(blocks: Iterable[Sequence[int]]) -> _Layout:
+    """The one layout of a partition; its blocks come in least-marking
+    order, and are sorted by size to share ``_radix`` tables."""
+    return _interned(tuple(sorted(map(tuple, blocks), key=len)))
+
+
+@cache
+def _radix(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """Strides, the profiles of no side (sizes 0, 1, n−1), and per Δ_k a
+    getter of profile 0 (always zero) and those with min side k, their side
+    counts, and the factor of their mean over l = _mean_scales(n)[0]."""
+    n = sum(sizes) + 1
+    strides, size, mult = [], [0], [1]
+    for m in sizes:
+        strides.append(len(size))
+        size = [k + c for c in range(m + 1) for k in size]
+        mult = [x * comb(m, c) for c in range(m + 1) for x in mult]
+    groups = [[0] for _ in delta_range(n)]
+    for i, s in enumerate(size):
+        if 2 <= s <= n - 2:
+            groups[min(s, n - s) - 2].append(i)
+    # at k = n/2 a class has two sides of size k
+    means = tuple((get, get(mult), scale * (2 if 2 * k == n else 1))
+                  for k, scale, get in zip(delta_range(n), _mean_scales(n)[1],
+                                           (itemgetter(*g) for g in groups)))
+    return tuple(strides), (0, *strides, len(size) - 1), means
+
+
 class FullDivisor(_Numerators):
     """Divisor class before symmetrization: ψ_1..ψ_n plus Δ_{I,J} terms.
 
     Immutable.  Boundary keys are canonical sides (the half of the
     partition not containing the marking n).  The class is held as integer
     numerators over one common denominator, in lowest terms: a tuple for ψ
-    and one for Δ with a slot per canonical side, in ``_side_masks(n)``
-    order (size, then lexicographic), which ``delta_map`` keeps.  So a class
-    holds 2^(n−1) − n − 1 Δ slots whatever its support; the cover builders
-    fill every one of them anyway.
+    and one for Δ with a slot per side profile of its ``_layout``.  The
+    cover builders group the markings by weight; the public constructor
+    uses singleton blocks.  Arithmetic and ``==`` across layouts work on
+    their common refinement.
     """
 
-    __slots__ = ()
+    __slots__ = ("_layout",)
 
     def __init__(self, n: int, psi: Sequence = (), delta: Optional[Mapping] = None, *,
-                 _cleared: Optional[tuple[Sequence[int], Sequence[int], int]] = None):
+                 _cleared: Optional[tuple[Sequence[int], Sequence[int], int]] = None,
+                 _layout: Optional[_Layout] = None):
         _check_n(n)
-        # ``_cleared`` = (ψ numerators, Δ numerators in side order, positive
-        # denominator) is passed only by the builders and the arithmetic
+        # ``_cleared`` = (ψ numerators, Δ numerators by profile of ``_layout``,
+        # positive denominator) is passed only by the builders and the arithmetic
         if _cleared is None:
             _cleared = _clear(n, psi, delta)
+            _layout = _layout_of((i,) for i in range(1, n))
         self._store(n, *_cleared)
+        object.__setattr__(self, "_layout", _layout)
+
+    def _like(self, psi, delta, den):
+        return FullDivisor(self.n, _cleared=(psi, delta, den), _layout=self._layout)
+
+    def _on(self, layout: _Layout) -> "FullDivisor":
+        """The class laid out over a refinement of its layout."""
+        if layout is self._layout:
+            return self
+        delta = [self._delta[i] for i in self._layout.profiles(layout.blocks)]
+        return FullDivisor(self.n, _cleared=(self._psi, delta, self._den), _layout=layout)
+
+    def _binop(self, other, sign: int):
+        if isinstance(other, FullDivisor) and other.n == self.n:
+            meet = self._layout.meet(other._layout)
+            self, other = self._on(meet), other._on(meet)
+        return _Numerators._binop(self, other, sign)
 
     @property
     def psi(self) -> tuple[Fraction, ...]:
@@ -478,29 +548,33 @@ class FullDivisor(_Numerators):
         return tuple(Fraction(a, den) for a in self._psi)
 
     def delta(self, side: Iterable[int]) -> Fraction:
-        slot = _side_slots(self.n)[_side_mask(canonical_side(side, self.n))]
-        return Fraction(self._delta[slot], self._den)
+        profile = self._layout.index(_side_mask(canonical_side(side, self.n)))
+        return Fraction(self._delta[profile], self._den)
 
     def delta_map(self) -> dict[frozenset[int], Fraction]:
         # one Fraction per distinct numerator: a cover class has at most p+1
-        den = self._den
-        values = {c: Fraction(c, den) for c in set(self._delta)}
-        return {_SIDE_SETS[m]: values[c] for m, c in zip(_side_masks(self.n), self._delta) if c}
+        n, den, delta = self.n, self._den, self._delta
+        values = {c: Fraction(c, den) for c in set(delta)}
+        slot = self._layout.profiles([(i,) for i in range(1, n)])
+        return {_SIDE_SETS[m]: values[c] for m in _side_masks(n) if (c := delta[slot[m]])}
 
     def __eq__(self, other):
         if not isinstance(other, FullDivisor):
             return NotImplemented
-        return (self.n == other.n and self._den == other._den and self._psi == other._psi
-                and self._delta == other._delta)
+        if self.n != other.n or self._den != other._den or self._psi != other._psi:
+            return False
+        meet = self._layout.meet(other._layout)
+        return self._on(meet)._delta == other._on(meet)._delta
 
     def __hash__(self):
-        return hash((self.n, self._den, self._psi, self._delta))
+        return hash((self.n, self._den, self._psi, tuple(self._layout.sums(self._delta))))
 
     def is_zero(self) -> bool:
         return not any(self._delta) and not any(self._psi)
 
     def __repr__(self):
-        terms = len(self._delta) - self._delta.count(0)
+        terms = sum([m for get, mult, _ in self._layout.means
+                     for c, m in zip(get(self._delta), mult) if c])
         return f"FullDivisor(n={self.n}, psi={self.psi}, {terms} boundary terms)"
 
     def to_json(self) -> str:
@@ -524,7 +598,7 @@ class FullDivisor(_Numerators):
 
 def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], list[int], int]:
     """Checked public FullDivisor arguments as (ψ numerators, Δ numerators
-    in side order, common denominator).  Sides naming one class add up; a
+    by side mask, common denominator).  Sides naming one class add up; a
     zero coefficient is skipped before its side is read."""
     if psi:
         psi = [c if type(c) is Fraction else Fraction(c) for c in psi]
@@ -540,11 +614,11 @@ def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], 
             masks.append(_side_mask(canonical_side(side, n)))
             coeffs.append(c)
     nums, den = _over_lcm(psi + coeffs)
-    slots = _side_slots(n)
-    delta = [0] * len(slots)
+    delta = [0] * (1 << (n - 1))
     for m, a in zip(masks, nums[n:]):
-        delta[slots[m]] += a
+        delta[m] += a
     return nums[:n], delta, den
+
 
 
 @dataclass(frozen=True)
@@ -558,6 +632,9 @@ class FullFCurve:
     _terms: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
     n: int = field(init=False, repr=False, compare=False)
+    # per layout, the profiles of the three unions of two blocks, then of
+    # the larger blocks: what full_pairing reads
+    _slots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
@@ -583,6 +660,7 @@ class FullFCurve:
             tuple(side(m) for m, block in zip(masks, blocks) if len(block) > 1),
             (side(a | b), side(a | c), side(a | e)),
         ))
+        object.__setattr__(self, "_slots", {})
 
     def sym_type(self) -> SymFCurve:
         return SymFCurve(tuple(len(b) for b in self.blocks))
@@ -632,19 +710,23 @@ def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:
     A boundary class Δ_{I,J} meets it +1 when {I, J} merges the blocks two
     against two, −1 when one side is a single block, and 0 otherwise.
     So only seven boundary classes can meet it: one per block of two or
-    more markings and one per pairing of the blocks.  Their integer
-    numerators are summed and divided once by the class's denominator.
+    more markings and one per pairing of the blocks.  Their profiles are
+    cached on the curve per layout; their integer numerators are summed and
+    divided once by the class's denominator.
     """
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
-    psi, delta, slots = d._psi, d._delta, _side_slots(d.n)
-    singles, blocks, (a, b, c) = f._terms
+    layout = d._layout
+    slots = f._slots.get(layout)
+    if slots is None:
+        slots = f._slots[layout] = tuple(map(layout.index, (*f._terms[2], *f._terms[1])))
+    psi, delta = d._psi, d._delta
     # plain loops: three list comprehensions, or map gathers, took twice as long
-    total = delta[slots[a]] + delta[slots[b]] + delta[slots[c]]
-    for i in singles:
+    total = delta[slots[0]] + delta[slots[1]] + delta[slots[2]]
+    for i in f._terms[0]:
         total += psi[i]
-    for m in blocks:
-        total -= delta[slots[m]]
+    for m in slots[3:]:
+        total -= delta[m]
     return Fraction(total, d._den)
 
 
@@ -653,18 +735,12 @@ def symmetrize(d: FullDivisor) -> SymDivisor:
 
     In closed form the ψ-coefficient is (Σψ_i)/n and the Δ_k coefficient is
     the sum of the coefficients on boundary classes with min side k divided
-    by the number of such classes.
+    by the number of such classes, summed per side profile as integers.
     """
-    n, delta = d.n, d._delta
-    sums = [0] * (n // 2 - 1)
-    for s, start, stop in _size_slices(n):
-        sums[min(s, n - s) - 2] += sum(delta[start:stop])
-    if n % 2 == 0:
-        # at k = n/2 each class has two sides of size k
-        sums[-1] *= 2
-    scale, scales = _mean_scales(n)
-    return SymDivisor(n, _cleared=((sum(d._psi) * (scale // n),),
-                                   [a * b for a, b in zip(sums, scales)], scale * d._den))
+    n = d.n
+    scale = _mean_scales(n)[0]
+    return SymDivisor(n, _cleared=((sum(d._psi) * (scale // n),), d._layout.sums(d._delta),
+                                   scale * d._den))
 
 
 @cache

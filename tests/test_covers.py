@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction
-from itertools import combinations
 from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fcone import moduli
 from fcone.covers import (
     WeightData,
     _symmetric_classes,
@@ -24,6 +25,7 @@ from fcone.covers import (
     sym_weighted_pullbacks,
     weighted_pullbacks,
 )
+from fcone.eigenforms import eigen_rank_degree_fcurve
 from fcone.exactlin import format_rational
 from fcone.moduli import (
     FullDivisor,
@@ -31,13 +33,17 @@ from fcone.moduli import (
     SymFCurve,
     delta_range,
     enumerate_sym_fcurves,
+    full_pairing,
     proportional,
+    standard_full_fcurve,
     sym_divisor_from_vector,
     sym_pairing,
     symmetrize,
     tk_pairing,
 )
 from fcone.tables import COMBO_COEFFS
+
+from oracles import canonical_sides, eigen_det_class_by_side, weighted_pullbacks_by_side
 
 PRIME_PAIRS = ((6, 2), (6, 3), (9, 3), (10, 2), (10, 5), (12, 2), (12, 3),
                (14, 7), (15, 3), (15, 5), (16, 2))
@@ -237,46 +243,6 @@ def test_profile_classes_equal_symmetrized_full_classes(w):
 # as a frozenset, with its own Fraction, zero coefficients dropped.
 
 
-def canonical_sides(n: int) -> list[frozenset[int]]:
-    return [frozenset(side) for size in range(2, n - 1)
-            for side in combinations(range(1, n), size)]
-
-
-def weighted_pullbacks_by_side(w: WeightData) -> list[tuple[tuple, dict]]:
-    """Oracle for weighted_pullbacks: (ψ, Δ by side) of λ, δ_irr and δ_red."""
-    p, n = w.p, w.n
-    total_ram = sum(p - gcd(di, p) for di in w.d)
-    lam, irr, red = {}, {}, {}
-    for side in canonical_sides(n):
-        q = gcd(sum(w.d[i - 1] for i in side), p)
-        ram = sum(p - gcd(w.d[i - 1], p) for i in side)
-        if q < p:
-            lam[side] = -Fraction(p * p - q * q, 12 * p)
-        if q > 1:
-            irr[side] = Fraction(q * q, p)
-        elif ram >= p and total_ram - ram >= p:  # positive genus on both halves
-            red[side] = Fraction(1, p)
-    psi = tuple(Fraction(p * p - gcd(di, p) ** 2, 12 * p) for di in w.d)
-    zero = (Fraction(0),) * n
-    return [(psi, lam), (zero, irr), (zero, red)]
-
-
-def eigen_det_class_by_side(w: WeightData, j: int) -> tuple[tuple, dict]:
-    """Oracle for eigen_det_class: (ψ, Δ by side)."""
-    p = w.p
-
-    def weight(t: int) -> Fraction:
-        r = j * t % p
-        return Fraction(r * (p - r), 2 * p * p)
-
-    delta = {}
-    for side in canonical_sides(w.n):
-        c = weight(sum(w.d[i - 1] for i in side))
-        if c:
-            delta[side] = -c
-    return tuple(weight(di) for di in w.d), delta
-
-
 def json_by_side(n: int, psi: tuple, delta: dict) -> str:
     return json.dumps({
         "n": n,
@@ -324,14 +290,94 @@ def test_full_classes_match_the_per_side_oracles(w):
 @given(w=weight_data())
 @pinned_weights
 def test_classes_on_one_weight_datum_match_fresh_builds(w):
-    # the side tables are filled by the first build and read by the others
+    # the profile table is filled by the first build and read by the others
     reused = WeightData(w.d, w.p)
     fresh = WeightData(w.d, w.p)
     for j in range(1, w.p):
         assert eigen_det_class(reused, j) == eigen_det_class(WeightData(w.d, w.p), j)
     assert weighted_pullbacks(reused) == weighted_pullbacks(WeightData(w.d, w.p))
-    assert "_side_sums" in vars(reused) and "_side_sums" not in vars(fresh)
+    assert "_profiles" in vars(reused) and "_profiles" not in vars(fresh)
     assert reused == fresh and hash(reused) == hash(fresh) and repr(reused) == repr(fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=weight_data().filter(lambda w: w.n <= 9))
+@pinned_weights
+def test_full_classes_read_side_by_side_match_the_oracle(w):
+    # every canonical side read through delta(), and through its complement,
+    # which holds marking n, against the closed formulas at that side
+    n = w.n
+    got = [*weighted_pullbacks(w), *(eigen_det_class(w, j) for j in range(1, w.p))]
+    expected = [*weighted_pullbacks_by_side(w),
+                *(eigen_det_class_by_side(w, j) for j in range(1, w.p))]
+    everything = frozenset(range(1, n + 1))
+    for d, (psi, delta) in zip(got, expected):
+        assert d.psi == psi
+        for side in canonical_sides(n):
+            assert d.delta(side) == d.delta(everything - side) == delta.get(side, 0)
+
+
+@st.composite
+def layout_cases(draw):
+    """A weight datum, a class of it given side by side (on random sides,
+    coefficients in −2..2) and one of other weights on the same n, whose
+    layout is another partition, and a rational scalar."""
+    w = draw(st.one_of(st.sampled_from(PINNED_WEIGHTS), weight_data()))
+    n, p = w.n, w.p
+    picked = draw(st.lists(st.sampled_from(moduli._side_masks(n)), max_size=6))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(picked), max_size=len(picked)))
+    given_class = FullDivisor(n, (), {moduli._SIDE_SETS[m]: c for m, c in zip(picked, coeffs)})
+    head = draw(st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1))
+    other = eigen_det_class(WeightData(tuple(head) + (-sum(head) % p,), p), 1)
+    scalar = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    return w, (given_class, other), scalar
+
+
+def singleton_copy(d: FullDivisor) -> FullDivisor:
+    return FullDivisor(d.n, d.psi, d.delta_map())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=layout_cases())
+def test_builder_layouts_agree_with_the_singleton_layout(case):
+    w, others, scalar = case
+    for d in (*weighted_pullbacks(w), *(eigen_det_class(w, j) for j in range(1, w.p))):
+        single = singleton_copy(d)
+        assert single == d and hash(single) == hash(d)
+        assert repr(single) == repr(d) and single.to_json() == d.to_json()
+        assert FullDivisor.from_json(d.to_json()) == d
+        assert scalar * d == scalar * single
+        assert (scalar * d).to_json() == (scalar * single).to_json()
+        for e in others:
+            e_single = singleton_copy(e)
+            for got, want in ((d + e, single + e_single), (d - e, single - e_single),
+                              (e - d, e_single - single)):
+                assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+def large_weight_data() -> list[WeightData]:
+    return [WeightData((1,) * 40, 5), WeightData((1,) * 38 + (2, 2), 3),
+            WeightData((1,) * 60, 5)]
+
+
+@pytest.mark.parametrize("w", large_weight_data(), ids=lambda w: f"n{w.n}-p{w.p}")
+def test_large_n_classes_build_no_per_n_side_table(w, monkeypatch):
+    # at n = 40 and 60 a table over the 2^(n−1) sides could not be built, so
+    # the one per-n side table left is made to fail
+    def no_table(n):
+        raise AssertionError(f"a per-n side table was built for n={n}")
+
+    monkeypatch.setattr(moduli, "_side_masks", no_table)
+    for j in range(1, w.p):
+        assert symmetrize(eigen_det_class(w, j)) == sym_eigen_det_class(w, j)
+    for full, sym in zip(weighted_pullbacks(w), sym_weighted_pullbacks(w)):
+        assert symmetrize(full) == sym
+    eigen = [eigen_det_class(w, j) for j in range(1, w.p)]
+    for f in random.Random(w.n * w.p).sample(enumerate_sym_fcurves(w.n), 50):
+        curve = standard_full_fcurve(f)
+        tails = [sum(w.d[i - 1] for i in block) for block in curve.blocks]
+        for j, e in enumerate(eigen, 1):
+            assert full_pairing(e, curve) == eigen_rank_degree_fcurve(*tails, w.p, j)[1]
 
 
 def test_weighted_pullbacks_single_heavy_marking():

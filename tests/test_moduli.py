@@ -297,7 +297,7 @@ def test_full_fcurves_build_no_per_n_side_table(monkeypatch):
     def no_table(n):
         raise AssertionError(f"a per-n side table was built for n={n}")
 
-    for name in ("_side_masks", "_side_slots", "_size_slices"):
+    for name in ("_side_masks",):
         monkeypatch.setattr(moduli, name, no_table)
     blocks = (frozenset(range(1, 38)), frozenset({38}), frozenset({39}), frozenset({40}))
     curve = FullFCurve(blocks)
