@@ -19,9 +19,6 @@ from .cones import (
     contains,
     extremality_certificate,
     extreme_rays,
-    extreme_rays_by_enumeration,
-    format_cone,
-    parse_cone,
 )
 from .moduli import (
     FullDivisor,
@@ -30,7 +27,6 @@ from .moduli import (
     SymFCurve,
     canonical_side,
     delta_range,
-    enumerate_full_fcurves,
     enumerate_sym_fcurves,
     fcurve_certificate,
     fcurve_class_vector,
@@ -67,7 +63,6 @@ from .eigenforms import (
     eigen_rank_degree_fcurve,
     h0_weight_3pt,
     h0_weight_4pt,
-    oracle_h0,
 )
 from .tables import (
     TABLE_NAMES,

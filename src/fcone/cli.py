@@ -222,10 +222,18 @@ def cmd_eigenrank(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line, ``error: <message>``,
+    as the ValueErrors of ``main`` are; subparsers are made of this class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: argparse keeps no state between parse_args calls
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fcone",
         description="Divisor classes from cyclic covers and the symmetric F-cone.",
     )

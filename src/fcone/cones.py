@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import compress
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import (_Packed, _dense, _field_width, _pack, _reduce, _rref, _scan, _signs, dot,
-                       independent_rows, kernel_basis, primitive, rank)
+from .exactlin import (_Packed, _dense, _field_width, _pack, _reduce, _rref, _scan, _signs,
+                       independent_rows, primitive)
 
 
 def _unit(i: int, dim: int) -> tuple[int, ...]:
@@ -302,95 +302,3 @@ def extreme_rays(c: ConeH) -> ConeV:
             inc[k] = _bits(zero, count) | made
             rays = kept
     return ConeV(dim, tuple(r for r, _, _ in rays), tuple(lineality))
-
-
-def extreme_rays_by_enumeration(c: ConeH) -> ConeV:
-    """Brute-force reference enumeration for pointed cones.
-
-    Every extreme ray of a pointed cone is the kernel of some dim−1
-    independent normals; enumerate all such subsets, keep the kernel
-    direction that lies in the cone, and certify tight rank dim−1.
-    """
-    dim = c.dim
-    if not c.normals or rank(c.normals) < dim:
-        raise ValueError("enumeration oracle requires a pointed cone")
-    if dim == 1:
-        candidates = [(1,), (-1,)]
-    else:
-        candidates = []
-        for subset in combinations(range(len(c.normals)), dim - 1):
-            sub = [c.normals[i] for i in subset]
-            if rank(sub) != dim - 1:
-                continue
-            (v,) = kernel_basis(sub)
-            candidates.append(v)
-            candidates.append(tuple(-x for x in v))
-    found = set()
-    for v in candidates:
-        if not contains(c, v):
-            continue
-        tight = [a for a in c.normals if dot(a, v) == 0]
-        if tight and rank(tight) == dim - 1:
-            found.add(primitive(v, flip_sign=False))
-    return ConeV(dim, tuple(found), ())
-
-
-# ---------------------------------------------------------------------------
-# Plain-text H/V files: header `H <dim> <count>` or `V <dim> <count>`, one
-# integer vector per line; a V description with lineality appends a second
-# block headed `L <dim> <count>`.
-
-
-def format_cone(cone) -> str:
-    lines = []
-    if isinstance(cone, ConeH):
-        lines.append(f"H {cone.dim} {len(cone.normals)}")
-        lines.extend(" ".join(str(x) for x in a) for a in cone.normals)
-    elif isinstance(cone, ConeV):
-        lines.append(f"V {cone.dim} {len(cone.rays)}")
-        lines.extend(" ".join(str(x) for x in r) for r in cone.rays)
-        if cone.lineality:
-            lines.append(f"L {cone.dim} {len(cone.lineality)}")
-            lines.extend(" ".join(str(x) for x in v) for v in cone.lineality)
-    else:
-        raise TypeError(f"not a cone: {cone!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_cone(text: str):
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    if not rows:
-        raise ValueError("empty cone description")
-
-    def read_block(expect_kinds):
-        header = rows.pop(0)
-        if len(header) != 3 or header[0] not in expect_kinds:
-            raise ValueError(f"malformed cone header {' '.join(header)!r}")
-        kind, dim, count = header[0], int(header[1]), int(header[2])
-        if count > len(rows):
-            raise ValueError(f"{kind} block promises {count} rows, found {len(rows)}")
-        vectors = []
-        for _ in range(count):
-            row = rows.pop(0)
-            if len(row) != dim:
-                raise ValueError(f"row {' '.join(row)!r} does not have dimension {dim}")
-            vectors.append(tuple(int(x) for x in row))
-        return kind, dim, tuple(vectors)
-
-    kind, dim, vectors = read_block({"H", "V"})
-    if kind == "H":
-        if rows:
-            raise ValueError("trailing content after H block")
-        return ConeH(dim, vectors)
-    lineality = ()
-    if rows:
-        lkind, ldim, lineality = read_block({"L"})
-        if ldim != dim:
-            raise ValueError("lineality block dimension differs from ray block")
-        if rows:
-            raise ValueError("trailing content after L block")
-    return ConeV(dim, vectors, lineality)

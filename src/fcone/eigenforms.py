@@ -8,10 +8,8 @@ exactly the ones appearing over the special fibers of a four-tail family,
 so the same arithmetic yields the rank and degree of each eigenbundle on
 such a family.
 
-``oracle_h0`` recounts the dimensions by brute force, enumerating monomial
-differentials over an exponent box and checking orders of vanishing point
-by point.  It shares only the check on the cover degree with the
-closed-form counts and serves as an independent check on them.
+The counts are closed forms in the residues.  The test suite recounts them
+by brute force over monomial differentials, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd
 from typing import Sequence
 
 
@@ -129,46 +125,3 @@ def _rank_degree(ra: int, rb: int, rc: int, rd: int, p: int) -> tuple[int, Fract
     if all(rs) and sum(rs) == 2 * p:
         return rank, Fraction(min(min(rs), p - max(rs)), p)
     return rank, Fraction(0)
-
-
-def oracle_h0(weights: Sequence[int], p: int, j: int) -> int:
-    """Brute-force form count for the cover y^p = prod (x - b_i)^{w_i}.
-
-    ``weights`` lists the 2 or 3 finite branch weights; the point at
-    infinity carries the complementary weight.  Candidate forms
-    y^j dx / prod (x - b_i)^{s_i} are enumerated over the exponent box
-    0 <= s_i <= p, a candidate is kept when its vanishing order is
-    nonnegative over every branch point, and the span of the survivors
-    has one dimension per distinct total exponent among them.
-    """
-    _check_degree(p)
-    if len(weights) not in (2, 3):
-        raise ValueError(f"expected 2 or 3 finite branch weights, got {len(weights)}")
-    key = tuple(sorted(int(w) % p for w in weights))
-    return _oracle_h0_cached(key, p, j % p)
-
-
-@lru_cache(maxsize=None)
-def _oracle_h0_cached(weights: tuple[int, ...], p: int, j: int) -> int:
-    total = sum(weights)
-    g_inf = gcd(total, p)
-    e_inf = p // g_inf
-    # Over a finite branch point of weight w the local sheet count is
-    # e = p/gcd(w, p); there y vanishes to order w/gcd(w, p), dx to order
-    # e - 1, and x - b_i to order e.  Exponents past the regularity cap
-    # can never survive, so the box is trimmed to it.
-    caps = []
-    for w in weights:
-        g = gcd(w, p)
-        e = p // g
-        caps.append(min(p, (j * (w // g) + e - 1) // e))
-    totals = set()
-    for sig in product(*(range(c + 1) for c in caps)):
-        # order over infinity: poles of y^j and dx against the zeros
-        # contributed by every finite factor
-        s = sum(sig)
-        if s * e_inf - j * (total // g_inf) - e_inf - 1 >= 0:
-            totals.add(s)
-    if not totals:
-        return 0
-    return max(totals) - min(totals) + 1

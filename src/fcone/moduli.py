@@ -272,7 +272,6 @@ def _fcurve_row(parts: tuple[int, int, int, int], ncols: int) -> list[int]:
     return row
 
 
-@cache
 def fcurve_class_vector(f: SymFCurve) -> tuple[int, ...]:
     """Coordinates of the F-curve class in the dual pure-Δ basis, as ints:
     the sparse terms of ``_fcurve_terms`` spread over Δ_2..Δ_{⌊n/2⌋}."""
@@ -677,30 +676,6 @@ def standard_full_fcurve(f: SymFCurve) -> FullFCurve:
     return FullFCurve(tuple(
         frozenset(range(bounds[i] + 1, bounds[i + 1] + 1)) for i in range(4)
     ))
-
-
-def enumerate_full_fcurves(n: int) -> list[FullFCurve]:
-    """All set partitions of {1..n} into four nonempty blocks."""
-    _check_n(n)
-    out = []
-
-    def split(rest: list[int], blocks: list[list[int]]):
-        if not rest:
-            if all(blocks):
-                out.append(FullFCurve(tuple(frozenset(b) for b in blocks)))
-            return
-        item, rest = rest[0], rest[1:]
-        for i, block in enumerate(blocks):
-            if block or all(not b for b in blocks[i + 1:]):
-                # empty blocks are filled left to right, killing relabelings
-                block.append(item)
-                split(rest, blocks)
-                block.pop()
-            if not block:
-                break
-
-    split(list(range(1, n + 1)), [[], [], [], []])
-    return out
 
 
 def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from fcone.cones import ConeH, extremality_certificate, extreme_rays, extreme_rays_by_enumeration
+from fcone.cones import ConeH, extremality_certificate, extreme_rays
 from fcone.covers import (
     WeightData,
     eigen_det_class,
@@ -20,7 +20,7 @@ from fcone.covers import (
     pullback_combo,
     weighted_pullbacks,
 )
-from fcone.eigenforms import eigen_rank_degree_fcurve, h0_weight_3pt, h0_weight_4pt, oracle_h0
+from fcone.eigenforms import eigen_rank_degree_fcurve, h0_weight_3pt, h0_weight_4pt
 from fcone.exactlin import rank
 from fcone.moduli import (
     enumerate_sym_fcurves,
@@ -35,6 +35,8 @@ from fcone.moduli import (
     tk_pairing,
 )
 from fcone.tables import fcone_rays, fcurve_cone, t3_certificate_blocks, triple_cover_divisor
+
+from oracles import extreme_rays_by_enumeration, oracle_h0
 
 
 def test_criterion_01_fcurve_coordinates():

@@ -414,6 +414,20 @@ def test_bad_subcommand_and_choice(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("frobnicate",),
+    ("class", "nope", "--n", "6", "--p", "2"),
+    ("fnef", "psi"),
+    ("rays", "--n", "6", "--frob"),
+    ("class", "combo", "--n", "6", "--p", "3", "--lambda", "1/0"),
+])
+def test_argparse_errors_are_one_line(capsys, argv):
+    # unknown subcommand, invalid class kind, missing --n, unknown flag, bad rational
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

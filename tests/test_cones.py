@@ -13,14 +13,11 @@ from fcone.cones import (
     contains,
     extremality_certificate,
     extreme_rays,
-    extreme_rays_by_enumeration,
-    format_cone,
-    parse_cone,
 )
 from fcone.exactlin import _field_width, dot, rank
 from fcone.tables import fcone_rays, fcurve_cone
 
-from oracles import reference_rank
+from oracles import extreme_rays_by_enumeration, reference_rank
 
 
 def random_pointed_cone(rng, max_normals=10):
@@ -324,25 +321,6 @@ def test_fcone_dual_round_trip(n):
 def test_enumeration_oracle_requires_pointed():
     with pytest.raises(ValueError):
         extreme_rays_by_enumeration(ConeH(3, ((1, 0, 0),)))
-
-
-def test_format_parse_roundtrip():
-    h = ConeH(3, ((1, 0, 1), (0, 1, -2)))
-    assert parse_cone(format_cone(h)) == h
-    v = extreme_rays(ConeH(3, ((1, 0, 0), (0, 1, 0))))
-    assert parse_cone(format_cone(v)) == v
-
-
-def test_parse_cone_accepts_comments_and_rejects_garbage():
-    assert parse_cone("# cone\nH 2 1\n1 2\n") == ConeH(2, ((1, 2),))
-    with pytest.raises(ValueError):
-        parse_cone("")
-    with pytest.raises(ValueError):
-        parse_cone("H 2 2\n1 2\n")
-    with pytest.raises(ValueError):
-        parse_cone("H 2 1\n1 2 3\n")
-    with pytest.raises(ValueError):
-        parse_cone("V 2 1\n1 2\nL 3 1\n1 2 3\n")
 
 
 # ---------------------------------------------------------------------------

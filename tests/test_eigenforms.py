@@ -12,9 +12,10 @@ from fcone.eigenforms import (
     eigen_rank_degree_fcurve,
     h0_weight_3pt,
     h0_weight_4pt,
-    oracle_h0,
 )
 from fcone.moduli import SymFCurve, full_pairing, standard_full_fcurve
+
+from oracles import oracle_h0
 
 
 def total_genus(weights, p):

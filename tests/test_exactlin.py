@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -299,3 +301,17 @@ def test_rank_invariant_under_row_swap_and_scale(m):
     assert rank(m) == rank(list(reversed(m)))
     scaled = [[3 * x for x in row] for row in m]
     assert rank(m) == rank(scaled)
+
+
+def test_oracles_import_nothing_from_exactlin():
+    # the references must not share the elimination they check
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    assert "fcone.cones" in imported
+    assert not [m for m in imported if "exactlin" in m.split(".")]

@@ -17,7 +17,6 @@ from fcone.moduli import (
     SymFCurve,
     canonical_side,
     delta_range,
-    enumerate_full_fcurves,
     enumerate_sym_fcurves,
     fcurve_certificate,
     fcurve_class_vector,
@@ -35,7 +34,7 @@ from fcone.moduli import (
 )
 from fcone.tables import _t3_curve_blocks, fcone_rays, triple_cover_divisor
 
-from oracles import reference_rank
+from oracles import enumerate_full_fcurves, reference_rank
 
 # the n=10 coordinate table, D2..D5 per curve type
 N10_TABLE = {
