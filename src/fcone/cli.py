@@ -61,6 +61,14 @@ def _parse_parts(text: str) -> tuple[int, int, int, int]:
     return parts
 
 
+def _rational(text: str) -> Fraction:
+    """parse_rational as an argparse type: its message, not its name, reaches the user."""
+    try:
+        return parse_rational(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+
+
 def _cover_weights(args) -> WeightData:
     """Weight data of a connected cover: p and the weights have gcd 1."""
     w = WeightData(_parse_weights(args.weights), args.p)
@@ -245,9 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_class.add_argument("--p", type=int, help="cover degree")
     p_class.add_argument("--j", type=int, help="character index")
     p_class.add_argument("--weights", help="comma-separated marking weights")
-    p_class.add_argument("--lambda", dest="c_lambda", type=parse_rational)
-    p_class.add_argument("--irr", dest="c_irr", type=parse_rational)
-    p_class.add_argument("--red", dest="c_red", type=parse_rational)
+    p_class.add_argument("--lambda", dest="c_lambda", type=_rational)
+    p_class.add_argument("--irr", dest="c_irr", type=_rational)
+    p_class.add_argument("--red", dest="c_red", type=_rational)
     p_class.add_argument("--part", choices=["irr", "red"],
                          help="which boundary pullback to print")
     p_class.add_argument("--part-w", choices=["lambda", "irr", "red"],

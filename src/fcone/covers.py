@@ -13,16 +13,16 @@ they need to.  genus, exceptional_genus and residue return ints.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb, gcd, lcm
+from functools import cache, cached_property
+from math import gcd
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .exactlin import _lowest_terms, _over_lcm, primitive
-from .moduli import FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, delta_range
+from .moduli import (FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, _mean_scales,
+                     delta_range)
 
 
 def residue(a: int, p: int) -> int:
@@ -57,11 +57,11 @@ class WeightData:
         return len(self.d)
 
     @cached_property
-    def _profiles(self) -> tuple[_Layout, itemgetter, list[int]]:
-        """The layout of the markings 1..n−1 by weight, a getter of each side
-        profile's weight sum mod p, and each profile's ramification
-        Σ(p − gcd(d_i, p)), filled once per weight datum.  Profiles of no
-        side get weight sum p, which every builder reads as a zero."""
+    def _profiles(self) -> tuple[_Layout, itemgetter, itemgetter]:
+        """The layout of the markings 1..n−1 by weight, and getters of each
+        side profile's weight sum mod p, for every side and for the sides
+        that split the cover (δ_red), filled once per weight datum.  Other
+        profiles get weight sum p, which every _base_table reads as a zero."""
         _check_n(self.n)
         p = self.p
         blocks: dict[int, list[int]] = {}
@@ -77,7 +77,11 @@ class WeightData:
             ram = [x + c * ei for c in steps for x in ram]
         for i in layout.empty:
             weight[i] = p
-        return layout, itemgetter(*weight), ram
+        # a half with ramification r carries a cover with χ = p + 1 − r when q = 1
+        # (its attaching point ramifies fully), positive genus when χ ≤ 1
+        total_ram = ram[-1] + p - gcd(self.d[-1], p)  # ram[-1]: all markings but n
+        split = [s if p <= r <= total_ram - p else p for s, r in zip(weight, ram)]
+        return layout, itemgetter(*weight), itemgetter(*split)
 
 
 def _genus_value(weights: Sequence[int], p: int) -> int:
@@ -132,6 +136,32 @@ def pullback_combo(n: int, p: int, c_lambda, c_irr, c_red) -> SymDivisor:
     return _symmetric_classes(_unit_weights(n, p), (row,))[0]
 
 
+@cache
+def _base_table(b, p: int) -> tuple[tuple[int, ...], int]:
+    """Base b's Δ numerators t(s) on a side of weight sum s mod p, s < p,
+    then a 0, and their denominator, in lowest terms.  For b = "lambda",
+    "irr", "red" and j (det E_j), t over 12p² is p(q² − p²), 12p·q² if q > 1,
+    12p if q = 1 (δ_red reads only split sides) and −6r(p − r), with
+    q = gcd(s, p) and r = j·s mod p.  ψ_i reads −t(d_i) for λ and det E_j."""
+    qs = [gcd(s, p) for s in range(p)]
+    t, den = (([q * q - p * p for q in qs], 12 * p) if b == "lambda" else
+              ([q * q if q > 1 else 0 for q in qs], p) if b == "irr" else
+              ([1 if q == 1 else 0 for q in qs], p) if b == "red" else
+              ([-(b * s % p) * (p - b * s % p) for s in range(p)], 2 * p * p))
+    t, den = _lowest_terms(t, den)
+    return (*t, 0), den
+
+
+def _base_class(w: WeightData, b) -> tuple[Sequence[int], Sequence[int], int]:
+    """Base b of w: ψ by marking and Δ by side profile, over one denominator."""
+    p = w.p
+    t, den = _base_table(b, p)
+    _, by_weight, by_split = w._profiles
+    if b == "red":
+        return (0,) * w.n, by_split(t), den
+    return ((0,) * w.n if b == "irr" else [-t[di % p] for di in w.d]), by_weight(t), den
+
+
 def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDivisor]:
     """Hodge and boundary pullbacks of a weighted cover, per marking.
 
@@ -141,25 +171,9 @@ def weighted_pullbacks(w: WeightData) -> tuple[FullDivisor, FullDivisor, FullDiv
     have positive genus; a genus-0 half is contracted on stabilization
     and the image family leaves the boundary.
     """
-    p, n = w.p, w.n
-    layout, by_weight, ram = w._profiles
-    # numerators indexed by the side weight s mod p, through q = gcd(s, p),
-    # and a last 0; ψ_i of λ is the negated λ entry of d_i mod p
-    gcds = [gcd(s, p) for s in range(p)]
-    lam_of, lam_den = _lowest_terms([q * q - p * p for q in gcds], 12 * p)
-    irr_of, irr_den = _lowest_terms([q * q if q > 1 else 0 for q in gcds], p)
-    # a half with ramification r carries a cover with χ = p + 1 − r when q = 1
-    # (its attaching point ramifies fully), positive genus when χ ≤ 1
-    total_ram = sum(p - gcd(di, p) for di in w.d)
-    unit = [1 if q == 1 else 0 for q in gcds] + [0]
-    split = [1 if p <= r <= total_ram - p else 0 for r in range(total_ram + 1)]
-    red = list(map(mul, by_weight(unit), itemgetter(*ram)(split)))
-    zero = (0,) * n
-    return tuple(FullDivisor(n, _cleared=cleared, _layout=layout) for cleared in (
-        ([-lam_of[di % p] for di in w.d], by_weight([*lam_of, 0]), lam_den),
-        (zero, by_weight([*irr_of, 0]), irr_den),
-        (zero, red, p),
-    ))
+    layout = w._profiles[0]
+    return tuple(FullDivisor(w.n, _cleared=_base_class(w, b), _layout=layout)
+                 for b in ("lambda", "irr", "red"))
 
 
 def _check_character(w: WeightData, j: int) -> None:
@@ -174,29 +188,19 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     It reads j only through ⟨j·d⟩(p − ⟨j·d⟩), so det E_{p−j} = det E_j.
     """
     _check_character(w, j)
-    p = w.p
-    # r(p − r) for the residue r of j·d, over 2p²
-    value, den = _lowest_terms([r * (p - r) for r in (j * t % p for t in range(p))], 2 * p * p)
-    # the Δ coefficient of a side depends only on its weight sum mod p
-    layout, by_weight, _ = w._profiles
-    delta = by_weight([-v for v in value] + [0])
-    return FullDivisor(w.n, _cleared=([value[di % p] for di in w.d], delta, den), _layout=layout)
+    return FullDivisor(w.n, _cleared=_base_class(w, j), _layout=w._profiles[0])
 
 
 def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
                      ) -> tuple[list[tuple[tuple, tuple]], dict, dict, int]:
-    """The profile walk of the symmetric read-outs.
+    """The base columns of the symmetric read-outs.
 
     A row maps bases to rational coefficients: "lambda", "irr", "red" for
-    λ, δ_irr, δ_red and j for det E_j.  Over 12p², λ and det E_j put t(s)
-    on a side I of Δ_{I,J} of weight sum s mod p and −t(d) on ψ_i of a
-    marking of weight d, with t(s) = p(q² − p²), q = gcd(s, p), for λ and
-    −6r(p − r), r = j·s mod p, for det E_j.  δ_irr puts 12p·q² on a side
-    with q > 1, δ_red 12p on a side with q = 1 that splits the cover as in
-    weighted_pullbacks.  So the Δ_k coefficient of the average, a mean over
-    the C(n, k) sets I of size k, is a sum over the profiles of I (how many
-    markings of each weight it takes), equal to that of symmetrize().  As p
-    divides the total weight, I and its complement agree at k = n/2.
+    λ, δ_irr, δ_red and j for det E_j.  Each base a row uses comes from
+    _base_class and is folded as symmetrize() folds a class: the per-k
+    shares of the C(n, k) sets come from the layout's profile counts
+    (``_Layout.sums``), not from a walk of their own.  An integer factor
+    lifts each base to the common denominator 12p²·l, l = _mean_scales(n)[0].
 
     Returns (terms, psis, columns, den): per row, its bases with a nonzero
     coefficient and those coefficients, as two tuples; one ψ numerator and
@@ -206,45 +210,14 @@ def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
     n, p = w.n, w.p
     terms = [(tuple([min(b, p - b) if type(b) is int else b for b, c in row.items() if c]),
               tuple([c for c in row.values() if c])) for row in rows]
-    groups = Counter(w.d).items()
-    # profiles agreeing on (|I|, s, ramification of I) are merged
-    total_ram = 0
-    profiles = {(0, 0, 0): 1}
-    for d, m in groups:
-        e = p - gcd(d, p)
-        total_ram += m * e
-        grown = {}
-        for (k, s, ram), times in profiles.items():
-            for c in range(min(m, n // 2 - k) + 1):
-                key = (k + c, (s + c * d) % p, ram + c * e)
-                grown[key] = grown.get(key, 0) + times * comb(m, c)
-        profiles = grown
-    # per k: the shares of the C(n, k) sets of size k by s, and of the
-    # split ones; these and 1/n are numerators over l
-    sets = [{} for _ in delta_range(n)]
-    split = [0] * len(sets)
-    for (k, s, ram), times in profiles.items():
-        if k >= 2:
-            sets[k - 2][s] = sets[k - 2].get(s, 0) + times
-            if p <= ram <= total_ram - p and gcd(s, p) == 1:
-                split[k - 2] += times
-    sizes = [comb(n, k) for k in delta_range(n)]
-    l = lcm(n, *(size // gcd(size, times) for size, at_k, c in zip(sizes, sets, split)
-                 for times in (c, *at_k.values())))
-    sets = [[(s, times * l // size) for s, times in at_k.items()]
-            for size, at_k in zip(sizes, sets)]
-    # base b reads t[j·s mod p], j = 1 but for det E_j
-    gcds = [gcd(s, p) for s in range(p)]
-    tables = {"lambda": [p * (q * q - p * p) for q in gcds],
-              "irr": [12 * p * q * q if q > 1 else 0 for q in gcds]}
-    eigen = [-6 * r * (p - r) for r in range(p)]
-    psis = {"red": 0}
-    columns = {"red": [12 * p * c * l // size for size, c in zip(sizes, split)]}
-    for b in {b for bs, _ in terms for b in bs} - {"red"}:
-        t, j = (tables[b], 1) if b in tables else (eigen, b)
-        psis[b] = 0 if b == "irr" else -sum([m * t[j * d % p] for d, m in groups]) * (l // n)
-        columns[b] = [sum([c * t[j * s % p] for s, c in at_k]) for at_k in sets]
-    return terms, psis, columns, 12 * p * p * l
+    layout, scale = w._profiles[0], _mean_scales(n)[0]
+    psis, columns = {}, {}
+    for b in {b for bs, _ in terms for b in bs}:
+        psi, delta, den = _base_class(w, b)
+        lift = 12 * p * p // den
+        psis[b] = sum(psi) * (scale // n) * lift
+        columns[b] = [c * lift for c in layout.sums(delta)]
+    return terms, psis, columns, 12 * p * p * scale
 
 
 def _combine(cs: Sequence[int], bs: Sequence, columns: Mapping) -> list[int]:
@@ -256,9 +229,9 @@ def _combine(cs: Sequence[int], bs: Sequence, columns: Mapping) -> list[int]:
 
 def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDivisor]:
     """S_n-averages of combinations of the classes of the cover w, one
-    SymDivisor per row, from one walk over weight profiles (see
-    _symmetric_bases).  Rows with the same terms, as det E_j and det E_{p−j}
-    are, get the same SymDivisor."""
+    SymDivisor per row, from the base columns of _symmetric_bases.  Rows
+    with the same terms, as det E_j and det E_{p−j} are, get the same
+    SymDivisor."""
     n = w.n
     terms, psis, columns, den = _symmetric_bases(w, rows)
     zero = [0] * len(delta_range(n))

@@ -397,6 +397,8 @@ CLASS_FLAG_VALUES = {
          "no test curve T_k exists below n = 6, got n=4"),
         (("class", "cb", "--weights", "2,2,2,2", "--p", "2"),
          "weights 2,2,2,2 and degree 2 share the factor 2, so the cover is disconnected"),
+        (("class", "combo", "--n", "6", "--p", "3", "--lambda", "1/0"),
+         "argument --lambda: malformed rational literal '1/0'"),
     ],
 )
 def test_usage_errors(capsys, argv, message):

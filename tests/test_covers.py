@@ -217,11 +217,11 @@ def test_profile_classes_equal_symmetrized_full_classes(w):
     assert all(same_raw(a, b) for a, b in zip(sym_weighted_pullbacks(w), full))
     for j in range(1, w.p):
         assert same_raw(sym_eigen_det_class(w, j), symmetrize(eigen_det_class(w, j)))
-        # det E_{p−j} = det E_j, which the profile walk computes once per pair
+        # det E_{p−j} = det E_j, which the symmetric read-out folds once per pair
         assert eigen_det_class(w, j) == eigen_det_class(w, w.p - j)
         a, b = sym_eigen_det_class(w, j), sym_eigen_det_class(w, w.p - j)
         assert (a._psi, a._delta, a._den) == (b._psi, b._delta, b._den)
-    # combination rows, one with a rational coefficient, from one walk against
+    # combination rows, one with a rational coefficient, from one read-out against
     # SymDivisor arithmetic on the symmetrized per-marking classes
     lam, irr, red = full
     coeffs = [*COMBO_COEFFS, (10, -1, Fraction(-2, 3))]
@@ -315,6 +315,23 @@ def test_full_classes_read_side_by_side_match_the_oracle(w):
         assert d.psi == psi
         for side in canonical_sides(n):
             assert d.delta(side) == d.delta(everything - side) == delta.get(side, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=weight_data().filter(lambda w: w.n <= 9))
+@pinned_weights
+def test_symmetric_classes_match_the_symmetrized_per_side_oracles(w):
+    # the read-out and the per-marking builders share one base table, so the
+    # reference is the closed formulas side by side, averaged side by side
+    n = w.n
+    lam, irr, red = (symmetrize_by_side(n, *c) for c in weighted_pullbacks_by_side(w))
+    eigen = [symmetrize_by_side(n, *eigen_det_class_by_side(w, j)) for j in range(1, w.p)]
+    cl, ci, cr = COMBO_COEFFS[2]
+    rows = [{"lambda": 1}, {"irr": 1}, {"red": 1}, *({j: 1} for j in range(1, w.p)),
+            {"lambda": cl, "irr": ci, "red": cr}]
+    expected = [lam, irr, red, *eigen, cl * lam + ci * irr + cr * red]
+    got = _symmetric_classes(w, rows)
+    assert len(got) == len(expected) and all(map(same_raw, got, expected))
 
 
 @st.composite
