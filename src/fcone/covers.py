@@ -13,16 +13,16 @@ they need to.  genus, exceptional_genus and residue return ints.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd
+from math import comb, gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .exactlin import _lowest_terms, _over_lcm, primitive
-from .moduli import (FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, _mean_scales,
-                     delta_range)
+from .moduli import FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, delta_range
 
 
 def residue(a: int, p: int) -> int:
@@ -77,11 +77,17 @@ class WeightData:
             ram = [x + c * ei for c in steps for x in ram]
         for i in layout.empty:
             weight[i] = p
-        # a half with ramification r carries a cover with χ = p + 1 − r when q = 1
-        # (its attaching point ramifies fully), positive genus when χ ≤ 1
-        total_ram = ram[-1] + p - gcd(self.d[-1], p)  # ram[-1]: all markings but n
-        split = [s if p <= r <= total_ram - p else p for s, r in zip(weight, ram)]
+        splits = _split_ram(p, ram[-1] + p - gcd(self.d[-1], p))  # ram[-1]: markings 1..n−1
+        split = [s if r in splits else p for s, r in zip(weight, ram)]
         return layout, itemgetter(*weight), itemgetter(*split)
+
+
+def _split_ram(p: int, total_ram: int) -> range:
+    """The ramifications Σ(p − gcd(d_i, p)) of the sides that split a cover of
+    total ramification total_ram when their weight sum is coprime to p: a
+    half with ramification r then carries a cover with χ = p + 1 − r (its
+    attaching point ramifies fully), of positive genus when χ ≤ 1."""
+    return range(p, total_ram - p + 1)
 
 
 def _genus_value(weights: Sequence[int], p: int) -> int:
@@ -193,14 +199,17 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
 
 def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
                      ) -> tuple[list[tuple[tuple, tuple]], dict, dict, int]:
-    """The base columns of the symmetric read-outs.
+    """The profile walk of the symmetric read-outs.
 
     A row maps bases to rational coefficients: "lambda", "irr", "red" for
-    λ, δ_irr, δ_red and j for det E_j.  Each base a row uses comes from
-    _base_class and is folded as symmetrize() folds a class: the per-k
-    shares of the C(n, k) sets come from the layout's profile counts
-    (``_Layout.sums``), not from a walk of their own.  An integer factor
-    lifts each base to the common denominator 12p²·l, l = _mean_scales(n)[0].
+    λ, δ_irr, δ_red and j for det E_j.  Each base reads _base_table as
+    _base_class does, so the Δ_k coefficient of the average, a mean over
+    the C(n, k) sets I of size k, is a sum over the profiles of I (how many
+    markings of each weight it takes), equal to that of symmetrize().
+    Profiles agreeing on (|I|, s, ramification of I) are merged, so the walk
+    stays polynomial in n where the layout of WeightData._profiles has
+    2^(n−1) profiles, as for distinct weights.  As p divides the total
+    weight, I and its complement agree at k = n/2.
 
     Returns (terms, psis, columns, den): per row, its bases with a nonzero
     coefficient and those coefficients, as two tuples; one ψ numerator and
@@ -210,14 +219,42 @@ def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
     n, p = w.n, w.p
     terms = [(tuple([min(b, p - b) if type(b) is int else b for b, c in row.items() if c]),
               tuple([c for c in row.values() if c])) for row in rows]
-    layout, scale = w._profiles[0], _mean_scales(n)[0]
+    groups = Counter(w.d).items()
+    total_ram = 0
+    profiles = {(0, 0, 0): 1}
+    for d, m in groups:
+        e = p - gcd(d, p)
+        total_ram += m * e
+        grown = {}
+        for (k, s, ram), times in profiles.items():
+            for c in range(min(m, n // 2 - k) + 1):
+                key = (k + c, (s + c * d) % p, ram + c * e)
+                grown[key] = grown.get(key, 0) + times * comb(m, c)
+        profiles = grown
+    # per k: how many of the C(n, k) sets of size k have weight sum s, over
+    # every side and over the split ones; these shares and 1/n are
+    # numerators over l
+    every, split = [{} for _ in delta_range(n)], [{} for _ in delta_range(n)]
+    splits = _split_ram(p, total_ram)
+    for (k, s, ram), times in profiles.items():
+        if k >= 2:
+            every[k - 2][s] = every[k - 2].get(s, 0) + times
+            if ram in splits:
+                split[k - 2][s] = split[k - 2].get(s, 0) + times
+    sizes = [comb(n, k) for k in delta_range(n)]
+    l = lcm(n, *(size // gcd(size, times) for sides in (every, split)
+                 for size, at_k in zip(sizes, sides) for times in at_k.values()))
+    every, split = ([[(s, times * l // size) for s, times in at_k.items()]
+                     for size, at_k in zip(sizes, sides)] for sides in (every, split))
     psis, columns = {}, {}
     for b in {b for bs, _ in terms for b in bs}:
-        psi, delta, den = _base_class(w, b)
+        t, den = _base_table(b, p)
         lift = 12 * p * p // den
-        psis[b] = sum(psi) * (scale // n) * lift
-        columns[b] = [c * lift for c in layout.sums(delta)]
-    return terms, psis, columns, 12 * p * p * scale
+        psi = 0 if b in ("irr", "red") else -sum([m * t[d % p] for d, m in groups])
+        psis[b] = psi * (l // n) * lift
+        columns[b] = [sum([c * t[s] for s, c in at_k]) * lift
+                      for at_k in (split if b == "red" else every)]
+    return terms, psis, columns, 12 * p * p * l
 
 
 def _combine(cs: Sequence[int], bs: Sequence, columns: Mapping) -> list[int]:
@@ -229,9 +266,9 @@ def _combine(cs: Sequence[int], bs: Sequence, columns: Mapping) -> list[int]:
 
 def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDivisor]:
     """S_n-averages of combinations of the classes of the cover w, one
-    SymDivisor per row, from the base columns of _symmetric_bases.  Rows
-    with the same terms, as det E_j and det E_{p−j} are, get the same
-    SymDivisor."""
+    SymDivisor per row, from one walk over weight profiles (see
+    _symmetric_bases).  Rows with the same terms, as det E_j and det E_{p−j}
+    are, get the same SymDivisor."""
     n = w.n
     terms, psis, columns, den = _symmetric_bases(w, rows)
     zero = [0] * len(delta_range(n))

@@ -63,7 +63,7 @@ def _candidate_rows(n: int
     p5: list[tuple[str, int, int]] = []
 
     def cover(w: WeightData, key: str, eigen_key: str, names: tuple[str, str, str], extra=()):
-        # one read-out for every class of w; the extra rows go to p5
+        # one walk for every class of w; the extra rows go to p5
         hodge, combo, eigen = names
         rows = {f"{hodge}({key})": {"lambda": 1}}
         for cl, ci, cr in COMBO_COEFFS:
