@@ -22,7 +22,7 @@ from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .exactlin import _lowest_terms, _over_lcm, primitive
-from .moduli import FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, delta_range
+from .moduli import FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, _walk, delta_range
 
 
 def residue(a: int, p: int) -> int:
@@ -58,23 +58,19 @@ class WeightData:
 
     @cached_property
     def _profiles(self) -> tuple[_Layout, itemgetter, itemgetter]:
-        """The layout of the markings 1..n−1 by weight, and getters of each
-        side profile's weight sum mod p, for every side and for the sides
+        """The layout of the markings 1..n−1 by weight mod p, and getters of
+        each side profile's weight sum mod p, for every side and for the sides
         that split the cover (δ_red), filled once per weight datum.  Other
         profiles get weight sum p, which every _base_table reads as a zero."""
         _check_n(self.n)
         p = self.p
         blocks: dict[int, list[int]] = {}
         for i, di in enumerate(self.d[:-1], 1):
-            blocks.setdefault(di, []).append(i)
+            blocks.setdefault(di % p, []).append(i)
         layout = _layout_of(blocks.values())
-        weight, ram = [0], [0]
-        for block in layout.blocks:
-            di = self.d[block[0] - 1]
-            ei = p - gcd(di, p)
-            steps = range(len(block) + 1)
-            weight = [(x + c * di) % p for c in steps for x in weight]
-            ram = [x + c * ei for c in steps for x in ram]
+        steps = [(range(len(b) + 1), self.d[b[0] - 1] % p) for b in layout.blocks]
+        weight = [s % p for s in _walk([c * r for c in cs] for cs, r in steps)]
+        ram = _walk([c * (p - gcd(r, p)) for c in cs] for cs, r in steps)
         for i in layout.empty:
             weight[i] = p
         splits = _split_ram(p, ram[-1] + p - gcd(self.d[-1], p))  # ram[-1]: markings 1..n−1
@@ -205,7 +201,7 @@ def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
     λ, δ_irr, δ_red and j for det E_j.  Each base reads _base_table as
     _base_class does, so the Δ_k coefficient of the average, a mean over
     the C(n, k) sets I of size k, is a sum over the profiles of I (how many
-    markings of each weight it takes), equal to that of symmetrize().
+    markings of each weight mod p it takes), equal to that of symmetrize().
     Profiles agreeing on (|I|, s, ramification of I) are merged, so the walk
     stays polynomial in n where the layout of WeightData._profiles has
     2^(n−1) profiles, as for distinct weights.  As p divides the total
@@ -219,7 +215,7 @@ def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
     n, p = w.n, w.p
     terms = [(tuple([min(b, p - b) if type(b) is int else b for b, c in row.items() if c]),
               tuple([c for c in row.values() if c])) for row in rows]
-    groups = Counter(w.d).items()
+    groups = Counter(x % p for x in w.d).items()
     total_ram = 0
     profiles = {(0, 0, 0): 1}
     for d, m in groups:

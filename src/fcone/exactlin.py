@@ -32,6 +32,7 @@ from one big-int product, for the F-curves of ``moduli`` and the normals of
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -48,12 +49,13 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` with q > 0 after normalization."""
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational literal {text!r}") from exc
-    return value
+    """Parse ``"p"`` or ``"p/q"`` in ASCII digits, q > 0; no decimal or
+    exponent, from which ``Fraction`` would build 10^e for any e."""
+    m = re.fullmatch(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", text)
+    try:  # int() refuses digit strings past its conversion limit
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except (TypeError, ValueError, ZeroDivisionError):  # TypeError: no match
+        raise ValueError(f"malformed rational literal {text!r}") from None
 
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)

@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import (QVector, _Packed, _field_width, _kernel, _lowest_terms, _over_lcm,
-                       _pack, _scan, _signs, format_rational, parse_rational, primitive)
+                       _pack, _reduce, _scan, _signs, format_rational, parse_rational,
+                       primitive)
 
 
 def _check_n(n: int) -> None:
@@ -326,10 +327,11 @@ def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
     result of that length certifies the class as extremal in the symmetric
     F-cone when it is F-nef.  An empty list gives ``[]``.
 
-    The scan runs to one row short of that rank, and the last row is the
+    The scan runs to one row short of that rank.  The next curve is reduced
+    against the kept rows; on the triple-cover class in enumeration order it
+    is always the last row.  If it lies in their span, the last row is the
     first later curve with a nonzero dot against one of the two vectors of
-    the kernel of the kept rows.  A curve lies in their span iff it is
-    orthogonal to both, and each dot reads at most seven terms.
+    their kernel: each dot reads at most seven terms.
     """
     if not curves:
         return []
@@ -339,13 +341,17 @@ def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
         return []
     # each row built only when the scan pulls it
     basis, kept = _scan((_fcurve_row(f.parts, ncols) for f in curves), False, target - 1)
-    if len(kept) == target - 1:
-        u, v = _kernel(basis, ncols)
-        for j in range(kept[-1] + 1 if kept else 0, len(curves)):
-            terms = _fcurve_terms(curves[j].parts)
-            if sum([u[k] * c for k, c in terms]) or sum([v[k] * c for k, c in terms]):
-                kept.append(j)
-                break
+    start = kept[-1] + 1 if kept else 0
+    if len(kept) == target - 1 and start < len(curves):
+        if any(_reduce(_fcurve_row(curves[start].parts, ncols), basis)):
+            kept.append(start)
+        else:
+            u, v = _kernel(basis, ncols)
+            for j in range(start + 1, len(curves)):
+                terms = _fcurve_terms(curves[j].parts)
+                if sum([u[k] * c for k, c in terms]) or sum([v[k] * c for k, c in terms]):
+                    kept.append(j)
+                    break
     return [curves[j] for j in kept]
 
 
@@ -405,42 +411,47 @@ def _side_mask(side: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in side)
 
 
-@cache
-def _side_masks(n: int) -> tuple[int, ...]:
-    """Bitmasks of the canonical sides for n markings: sizes 2..n−2, the sets
-    of one size in lexicographic order; the order of ``delta_map``."""
-    return tuple(
-        _side_mask(side)
-        for size in range(2, n - 1)
-        for side in itertools.combinations(range(1, n), size)
-    )
+def _markings(mask: int) -> frozenset[int]:
+    """The set of markings of a bitmask, the inverse of ``_side_mask``."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-class _SideSets(dict):
-    """Bitmask → frozenset of its markings, each built on first lookup.
-
-    A mask names the same set for every n, so one table serves all n.
-    """
-
-    def __missing__(self, mask: int) -> frozenset[int]:
-        side = self[mask] = frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-        return side
+# LRU bounds: layouts and radix tables (149 in a `classes` pass), side tables
+_LAYOUTS, _SIDE_TABLES = 256, 2
 
 
-_SIDE_SETS = _SideSets()
+@lru_cache(maxsize=_SIDE_TABLES)
+def _sides(n: int) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
+    """The canonical sides for n markings: their bitmasks in the order of
+    ``delta_map`` (sizes 2..n−2, each size in lexicographic order), and their
+    sets of markings, made on first read, so that a sparse class makes few."""
+    return tuple(_side_mask(side) for size in range(2, n - 1)
+                 for side in itertools.combinations(range(1, n), size)), {}
+
+
+def _walk(tables: Iterable[Sequence[int]], op=add, start: int = 0) -> list[int]:
+    """The mixed-radix profile walk: per profile, c_b ≤ m_b markings from each
+    block b (block 1 fastest), ``start`` folded by ``op`` with each t_b[c_b]."""
+    out = [start]
+    for t in tables:
+        # sums inline: a call of op per entry made WeightData._profiles 10–30% slower
+        out = [x + y for y in t for x in out] if op is add else [op(x, y) for y in t for x in out]
+    return out
 
 
 class _Layout:
     """A partition of the markings 1..n−1 into blocks, sorted by size, then
     least marking.  A side's profile is how many markings it takes from each
     block, in mixed radix: block b has stride Π_{b'<b} (m_{b'} + 1).  With
-    singleton blocks a side's profile is its mask."""
+    singleton blocks a side's profile is its mask.  ``slots`` holds, per
+    F-curve ``_terms``, the profiles that ``full_pairing`` reads."""
 
     def __init__(self, blocks: tuple[tuple[int, ...], ...]):
         self.blocks = blocks
         self.n = sum(map(len, blocks)) + 1
         self.masks = [_side_mask(b) for b in blocks]
         self.strides, self.empty, self.means = _radix(tuple(map(len, blocks)))
+        self.slots: dict[tuple, tuple[int, ...]] = {}
 
     def index(self, mask: int) -> int:
         """The profile of a canonical side mask."""
@@ -452,11 +463,8 @@ class _Layout:
 
     def profiles(self, blocks: Sequence[Sequence[int]]) -> list[int]:
         """Per profile over ``blocks``, a refinement, the profile here."""
-        out = [0]
-        for block in blocks:
-            s = self.index(1 << (block[0] - 1))
-            out = [x + c * s for c in range(len(block) + 1) for x in out]
-        return out
+        steps = [self.index(1 << (block[0] - 1)) for block in blocks]
+        return _walk(range(0, len(b) * s + 1, s) for b, s in zip(blocks, steps))
 
     def meet(self, other: "_Layout") -> "_Layout":
         """The common refinement of two layouts of one n."""
@@ -468,26 +476,25 @@ class _Layout:
         return _layout_of(groups.values())
 
 
-_interned = cache(_Layout)
+_interned = lru_cache(maxsize=_LAYOUTS)(_Layout)
 
 
 def _layout_of(blocks: Iterable[Sequence[int]]) -> _Layout:
     """The one layout of a partition; its blocks come in least-marking
-    order, and are sorted by size to share ``_radix`` tables."""
+    order, and are sorted by size to share ``_radix`` tables.  An evicted
+    layout is built again, a new object equal in every table."""
     return _interned(tuple(sorted(map(tuple, blocks), key=len)))
 
 
-@cache
+@lru_cache(maxsize=_LAYOUTS)
 def _radix(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
     """Strides, the profiles of no side (sizes 0, 1, n−1), and per Δ_k a
     getter of profile 0 (always zero) and those with min side k, their side
     counts, and the factor of their mean over l = _mean_scales(n)[0]."""
     n = sum(sizes) + 1
-    strides, size, mult = [], [0], [1]
-    for m in sizes:
-        strides.append(len(size))
-        size = [k + c for c in range(m + 1) for k in size]
-        mult = [x * comb(m, c) for c in range(m + 1) for x in mult]
+    *strides, total = itertools.accumulate((m + 1 for m in sizes), mul, initial=1)
+    size = _walk(range(m + 1) for m in sizes)
+    mult = _walk(([comb(m, c) for c in range(m + 1)] for m in sizes), mul, 1)
     groups = [[0] for _ in delta_range(n)]
     for i, s in enumerate(size):
         if 2 <= s <= n - 2:
@@ -496,7 +503,7 @@ def _radix(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tu
     means = tuple((get, get(mult), scale * (2 if 2 * k == n else 1))
                   for k, scale, get in zip(delta_range(n), _mean_scales(n)[1],
                                            (itemgetter(*g) for g in groups)))
-    return tuple(strides), (0, *strides, len(size) - 1), means
+    return tuple(strides), (0, *strides, total - 1), means
 
 
 class FullDivisor(_Numerators):
@@ -555,7 +562,9 @@ class FullDivisor(_Numerators):
         n, den, delta = self.n, self._den, self._delta
         values = {c: Fraction(c, den) for c in set(delta)}
         slot = self._layout.profiles([(i,) for i in range(1, n)])
-        return {_SIDE_SETS[m]: values[c] for m in _side_masks(n) if (c := delta[slot[m]])}
+        masks, sets = _sides(n)
+        return {sets.get(m) or sets.setdefault(m, _markings(m)): values[c]
+                for m in masks if (c := delta[slot[m]])}
 
     def __eq__(self, other):
         if not isinstance(other, FullDivisor):
@@ -619,7 +628,6 @@ def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], 
     return nums[:n], delta, den
 
 
-
 @dataclass(frozen=True)
 class FullFCurve:
     """F-curve as a set partition of the markings into four blocks."""
@@ -631,9 +639,6 @@ class FullFCurve:
     _terms: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
     n: int = field(init=False, repr=False, compare=False)
-    # per layout, the profiles of the three unions of two blocks, then of
-    # the larger blocks: what full_pairing reads
-    _slots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
@@ -647,19 +652,15 @@ class FullFCurve:
         object.__setattr__(self, "blocks", blocks)
         n = len(union)
         object.__setattr__(self, "n", n)
-        everything, top = (1 << n) - 1, 1 << (n - 1)
-        masks = [_side_mask(b) for b in blocks]
-
-        def side(mask: int) -> int:
-            return mask ^ everything if mask & top else mask
-
-        a, b, c, e = masks
+        # the canonical side of a mask: of it and its complement, the one
+        # without marking n, so the smaller
+        everything = (1 << n) - 1
+        a, b, c, e = masks = [_side_mask(b) for b in blocks]
         object.__setattr__(self, "_terms", (
             tuple(min(block) - 1 for block in blocks if len(block) == 1),
-            tuple(side(m) for m, block in zip(masks, blocks) if len(block) > 1),
-            (side(a | b), side(a | c), side(a | e)),
+            tuple(min(m, m ^ everything) for m, block in zip(masks, blocks) if len(block) > 1),
+            tuple(min(m, m ^ everything) for m in (a | b, a | c, a | e)),
         ))
-        object.__setattr__(self, "_slots", {})
 
     def sym_type(self) -> SymFCurve:
         return SymFCurve(tuple(len(b) for b in self.blocks))
@@ -670,12 +671,8 @@ def standard_full_fcurve(f: SymFCurve) -> FullFCurve:
     """The realization of an F-curve type on consecutive marking blocks.
 
     Built once per type; the curve is frozen, so callers share it."""
-    bounds = [0]
-    for v in f.parts:
-        bounds.append(bounds[-1] + v)
-    return FullFCurve(tuple(
-        frozenset(range(bounds[i] + 1, bounds[i + 1] + 1)) for i in range(4)
-    ))
+    bounds = [0, *itertools.accumulate(f.parts)]
+    return FullFCurve(tuple(frozenset(range(a + 1, b + 1)) for a, b in zip(bounds, bounds[1:])))
 
 
 def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:
@@ -691,10 +688,10 @@ def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:
     """
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
-    layout = d._layout
-    slots = f._slots.get(layout)
+    layout, terms = d._layout, f._terms
+    slots = layout.slots.get(terms)
     if slots is None:
-        slots = f._slots[layout] = tuple(map(layout.index, (*f._terms[2], *f._terms[1])))
+        slots = layout.slots[terms] = tuple(map(layout.index, (*terms[2], *terms[1])))
     psi, delta = d._psi, d._delta
     # plain loops: three list comprehensions, or map gathers, took twice as long
     total = delta[slots[0]] + delta[slots[1]] + delta[slots[2]]
@@ -758,12 +755,15 @@ def parse_divisor(text: str, n: int) -> SymDivisor:
         m = _TERM.match(tok)
         if m:
             num, den, k = m.group("num", "den", "k")
-            if den and not int(den):
+            try:
+                a, d, slot = int(num or 1), int(den or 1), int(k or 1) - 1  # slot 0 for ψ
+            except ValueError:  # a digit string past int()'s conversion limit
+                raise ValueError(f"malformed divisor term {tok!r}") from None
+            if not d:
                 raise ValueError(f"malformed rational literal '{num}/{den}'")
-            slot = int(k or 1) - 1  # 0 for ψ, k − 1 for Δ_k
             if k and not 0 < slot < n // 2:
                 raise ValueError(f"D{slot + 1} is not a basis class for n={n}")
-            terms.append((slot, sign * int(num or 1), int(den or 1)))
+            terms.append((slot, sign * a, d))
         elif parse_rational(tok) != 0:
             raise ValueError(f"constant term {tok!r} is not a divisor")
         sign = None

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -8,8 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fcone.cli import _build_parser, main
+from fcone.cli import CLASS_KINDS, _build_parser, main
 from fcone.covers import hodge_class
 from fcone.moduli import SymFCurve, fcurve_class_vector, format_divisor
 from fcone.tables import triple_cover_divisor
@@ -399,6 +402,13 @@ CLASS_FLAG_VALUES = {
          "weights 2,2,2,2 and degree 2 share the factor 2, so the cover is disconnected"),
         (("class", "combo", "--n", "6", "--p", "3", "--lambda", "1/0"),
          "argument --lambda: malformed rational literal '1/0'"),
+        # an exponent is no rational literal; it was read as 10^5000, and
+        # printing that class reached Python's limit on int digits
+        (("class", "combo", "--n", "6", "--p", "3", "--lambda", "1e5000"),
+         "argument --lambda: malformed rational literal '1e5000'"),
+        # a term's digits past that limit gave int()'s own message
+        pytest.param(("fnef", "D" + "9" * 5000, "--n", "6"),
+                     "malformed divisor term 'D" + "9" * 5000 + "'", id="D-index-of-5000-digits"),
     ],
 )
 def test_usage_errors(capsys, argv, message):
@@ -428,6 +438,93 @@ def test_argparse_errors_are_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# literals no subcommand accepts, and a few it reads in unusual ways: digit
+# strings past int()'s limit, an exponent, empty, a zero denominator, bare
+# signs, a D index past every n, non-ASCII letters and digits, a NUL.
+# Hypothesis draws the first entries most often.
+HOSTILE = ("D" + "9" * 5000, "9" * 5000, "1e5000", "", " ", "1/0", "+", "-", "+ -",
+           "psi psi", "*D2", "D0", "D1", "D" + "9" * 40, "1.5", "é", "ψ", "٣", "D٣",
+           "\x00", ",", "1,,1")
+
+
+def ints(low: int, high: int) -> st.SearchStrategy[str]:
+    return st.integers(low, high).map(str)
+
+
+def int_lists(low: int, high: int, size: int) -> st.SearchStrategy[str]:
+    return st.lists(st.integers(low, high), max_size=size).map(lambda xs: ",".join(map(str, xs)))
+
+
+RATIONALS = st.sampled_from(["0", "1", "-1", "9", "1/2", "-3/4"])
+LITERALS = st.lists(
+    st.tuples(st.sampled_from(["+", "-"]), RATIONALS,
+              st.sampled_from(["psi", "D2", "D3", "D4", "D5", "D6"])),
+    min_size=1, max_size=3,
+).map(lambda terms: " ".join(f"{sign} {c}*{sym}" for sign, c, sym in terms))
+# values of each flag, as the subcommand grammar reads them; --n stays at
+# most 13 (16 for rays) so that every run is fast
+FLAG_VALUES = {
+    "--n": ints(-1, 13), "--p": ints(-1, 7), "--j": ints(-1, 7),
+    "--weights": int_lists(0, 7, 9), "--lambda": RATIONALS, "--irr": RATIONALS,
+    "--red": RATIONALS, "--part": st.sampled_from(["irr", "red"]),
+    "--part-w": st.sampled_from(["lambda", "irr", "red"]),
+    "--curve": int_lists(0, 8, 5), "--tk": ints(-1, 8),
+}
+SWITCHES = ("--expand", "--json", "--annotate")
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """An argv of the subcommand grammar: a subcommand with its positional
+    and the flags it reads, each dropped at times, and at times a flag it
+    does not read.  In half of the draws one token is replaced by a hostile
+    literal, a value more often than not."""
+    command = draw(st.sampled_from(["class", "pair", "fnef", "extremal", "rays", "table",
+                                    "eigenrank"]))
+    flags: list[str] = []
+    if command == "class":
+        kind = draw(st.sampled_from(sorted(CLASS_KINDS)))
+        argv, flags = [command, kind], [f"--{flag}" for flag in CLASS_KINDS[kind][0]]
+    elif command in ("pair", "fnef", "extremal"):
+        argv, flags = [command, draw(LITERALS)], ["--n"]
+        if command == "pair":
+            flags.append(draw(st.sampled_from(["--curve", "--tk", "--n"])))
+    elif command == "rays":
+        argv = [command, "--n", draw(ints(-1, 16))]
+    elif command == "table":
+        argv = [command, draw(st.sampled_from(["n6", "n7", "n9", "n10", "n10-fcurves",
+                                               "t3-certificates"]))]
+        if draw(st.booleans()):
+            argv += ["--n", draw(st.sampled_from(["12", "15", "9", "0", "-3"]))]
+    else:
+        argv, flags = [command, draw(int_lists(0, 9, 5))], ["--p", "--j"]
+    flags += draw(st.lists(st.sampled_from([*FLAG_VALUES, *SWITCHES]), max_size=1))
+    for flag in flags:
+        if draw(st.integers(0, 5)):
+            argv += [flag] if flag in SWITCHES else [flag, draw(FLAG_VALUES[flag])]
+    if draw(st.booleans()):
+        values = [i for i, token in enumerate(argv) if i and not token.startswith("--")]
+        i = draw(st.sampled_from(values or [0]) if draw(st.integers(0, 3)) else
+                 st.integers(0, len(argv) - 1))
+        argv[i] = draw(st.sampled_from(HOSTILE))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_main_is_total(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and len(errors) <= 1
+    # a usage error is its one line, and names no Python internals
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue() == errors[0] + "\n"
+        assert "int_max_str_digits" not in errors[0]
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,8 @@
+import gc
+import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, gcd
 
@@ -323,6 +326,22 @@ def test_classes_on_one_weight_datum_match_fresh_builds(w):
     assert reused == fresh and hash(reused) == hash(fresh) and repr(reused) == repr(fresh)
 
 
+@settings(max_examples=50, deadline=None)
+@given(w=st.one_of(st.sampled_from(PINNED_WEIGHTS), weight_data()),
+       shifts=st.lists(st.integers(0, 3), min_size=11, max_size=11))
+def test_weights_shifted_by_multiples_of_p_give_the_same_classes(w, shifts):
+    # the layout groups markings by weight mod p, so a weight of p or more
+    # splits no block
+    shifted = WeightData(tuple(x + w.p * k for x, k in zip(w.d, shifts)), w.p)
+    for j in range(1, w.p):
+        assert eigen_det_class(shifted, j) == eigen_det_class(w, j)
+        assert sym_eigen_det_class(shifted, j) == sym_eigen_det_class(w, j)
+    assert weighted_pullbacks(shifted) == weighted_pullbacks(w)
+    assert sym_weighted_pullbacks(shifted) == sym_weighted_pullbacks(w)
+    assert shifted._profiles[0] is w._profiles[0]
+    assert len(eigen_det_class(shifted, 1)._delta) == len(eigen_det_class(w, 1)._delta)
+
+
 @settings(max_examples=100, deadline=None)
 @given(w=weight_data().filter(lambda w: w.n <= 9))
 @pinned_weights
@@ -347,9 +366,9 @@ def layout_cases(draw):
     layout is another partition, and a rational scalar."""
     w = draw(st.one_of(st.sampled_from(PINNED_WEIGHTS), weight_data()))
     n, p = w.n, w.p
-    picked = draw(st.lists(st.sampled_from(moduli._side_masks(n)), max_size=6))
+    picked = draw(st.lists(st.sampled_from(moduli._sides(n)[0]), max_size=6))
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(picked), max_size=len(picked)))
-    given_class = FullDivisor(n, (), {moduli._SIDE_SETS[m]: c for m, c in zip(picked, coeffs)})
+    given_class = FullDivisor(n, (), {moduli._markings(m): c for m, c in zip(picked, coeffs)})
     head = draw(st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1))
     other = eigen_det_class(WeightData(tuple(head) + (-sum(head) % p,), p), 1)
     scalar = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
@@ -390,7 +409,7 @@ def test_large_n_classes_build_no_per_n_side_table(w, monkeypatch):
     def no_table(n):
         raise AssertionError(f"a per-n side table was built for n={n}")
 
-    monkeypatch.setattr(moduli, "_side_masks", no_table)
+    monkeypatch.setattr(moduli, "_sides", no_table)
     for j in range(1, w.p):
         assert symmetrize(eigen_det_class(w, j)) == sym_eigen_det_class(w, j)
     for full, sym in zip(weighted_pullbacks(w), sym_weighted_pullbacks(w)):
@@ -401,6 +420,45 @@ def test_large_n_classes_build_no_per_n_side_table(w, monkeypatch):
         tails = [sum(w.d[i - 1] for i in block) for block in curve.blocks]
         for j, e in enumerate(eigen, 1):
             assert full_pairing(e, curve) == eigen_rank_degree_fcurve(*tails, w.p, j)[1]
+
+
+def test_layout_tables_stay_at_their_bound():
+    # 0 on marking 1, and each pattern of 0s and 1s on markings 2..10: one
+    # distinct partition, so one layout, per weight datum
+    for i in range(moduli._LAYOUTS + 20):
+        head = (0, *(i >> b & 1 for b in range(9)))
+        WeightData(head + (sum(head) % 2,), 2)._profiles
+    info = moduli._interned.cache_info()
+    assert info.currsize == info.maxsize == moduli._LAYOUTS
+    assert moduli._radix.cache_info().currsize <= moduli._LAYOUTS
+
+
+def test_side_tables_are_dropped_two_n_later():
+    # delta_map at n = 16 builds the side table of n = 16, its 2^15 − 17
+    # masks and the sets of the 21,829 nonzero sides (16 MiB); two
+    # delta_maps at other n evict it
+    big = eigen_det_class(WeightData((1,) * 14 + (2, 2), 3), 1)
+    small = [eigen_det_class(WeightData((1,) * 6, 3), 1),
+             eigen_det_class(WeightData((1,) * 5 + (2, 2), 3), 1)]
+    moduli._sides.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert len(big.delta_map()) == 21829  # the sides of weight sum prime to 3
+        for d in small:
+            d.delta_map()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 8 * 2 ** 20 and retained < 2 ** 20
+
+
+def test_a_sparse_class_makes_only_its_side_sets():
+    d = FullDivisor(14, (), {frozenset({1, 2}): 1, frozenset({3, 4, 14}): 2})
+    moduli._sides.cache_clear()
+    assert d.delta_map() == {frozenset({1, 2}): 1, frozenset(range(5, 14)) | {1, 2}: 2}
+    assert list(moduli._sides(14)[1].values()) == list(d.delta_map())
 
 
 def test_weighted_pullbacks_single_heavy_marking():

@@ -296,7 +296,7 @@ def test_full_fcurves_build_no_per_n_side_table(monkeypatch):
     def no_table(n):
         raise AssertionError(f"a per-n side table was built for n={n}")
 
-    for name in ("_side_masks",):
+    for name in ("_sides",):
         monkeypatch.setattr(moduli, name, no_table)
     blocks = (frozenset(range(1, 38)), frozenset({38}), frozenset({39}), frozenset({40}))
     curve = FullFCurve(blocks)
@@ -873,9 +873,9 @@ def test_fcurve_certificate_at_rank_one_and_below(n):
             assert fcurve_certificate(zero) == plain_certificate(zero)
 
 
-def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
-    # t3 order at n = 48: rows 0..21 reach rank 21, and rows 22..101 are
-    # dotted until row 101 raises the rank to 22
+def counted_certificate(curves: list, monkeypatch) -> tuple[list, dict]:
+    """fcurve_certificate(curves), with the rows it builds and the curves
+    whose terms it reads counted."""
     counts = {"rows": 0, "terms": 0}
     row, terms = moduli._fcurve_row, moduli._fcurve_terms
 
@@ -887,14 +887,36 @@ def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
         counts["terms"] += 1
         return terms(parts)
 
-    zero, _ = zero_and_negative_fcurves(triple_cover_divisor(48))
-    curves = t3_order(48, zero)
     monkeypatch.setattr(moduli, "_fcurve_row", counted_row)
     monkeypatch.setattr(moduli, "_fcurve_terms", counted_terms)
-    certificate = fcurve_certificate(curves)
+    return fcurve_certificate(curves), counts
+
+
+def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
+    # t3 order at n = 48: rows 0..21 reach rank 21, row 22 is reduced and
+    # lies in their span, and rows 23..101 are dotted until row 101 raises
+    # the rank to 22
+    zero, _ = zero_and_negative_fcurves(triple_cover_divisor(48))
+    curves = t3_order(48, zero)
+    certificate, counts = counted_certificate(curves, monkeypatch)
     assert len(certificate) == 22 and curves.index(certificate[-1]) == 101
-    assert counts["rows"] == 22
-    assert counts["terms"] - counts["rows"] == 80
+    assert counts["rows"] == 23
+    assert counts["terms"] - counts["rows"] == 79
+
+
+@pytest.mark.parametrize("n", [36, 48, 96])
+def test_fcurve_certificate_in_enumeration_order_builds_no_kernel(n, monkeypatch):
+    # in enumeration order the curve after the scan's stop raises the rank,
+    # so its reduction closes the certificate and no curve is dotted
+    def no_kernel(basis, ncols):
+        raise AssertionError("the kernel of the kept rows was built")
+
+    zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
+    monkeypatch.setattr(moduli, "_kernel", no_kernel)
+    certificate, counts = counted_certificate(zero, monkeypatch)
+    assert len(certificate) == n // 2 - 2
+    assert zero.index(certificate[-1]) == zero.index(certificate[-2]) + 1
+    assert counts["terms"] == counts["rows"] == zero.index(certificate[-1]) + 1
 
 
 # ---------------------------------------------------------------------------
