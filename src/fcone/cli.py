@@ -12,6 +12,7 @@ closes the output pipe.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -47,11 +48,19 @@ from .moduli import (
 from .tables import ray_annotations, fcone_rays, table_csv, TABLE_NAMES
 
 
+def _int(text: str) -> int:
+    """int() in ASCII as an argparse type: int() alone reads any Unicode digit."""
+    with contextlib.suppress(ValueError):
+        if text.isascii():
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"weights must be a comma-separated integer list, got {text!r}")
+        return tuple(map(_int, text.split(",")))
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"weights must be a comma-separated integer list, got {text!r}") from None
 
 
 def _parse_parts(text: str) -> tuple[int, int, int, int]:
@@ -249,9 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_class = sub.add_parser("class", help="build a cover class and print it")
     p_class.add_argument("kind", choices=list(CLASS_KINDS))
-    p_class.add_argument("--n", type=int, help="number of markings")
-    p_class.add_argument("--p", type=int, help="cover degree")
-    p_class.add_argument("--j", type=int, help="character index")
+    p_class.add_argument("--n", type=_int, help="number of markings")
+    p_class.add_argument("--p", type=_int, help="cover degree")
+    p_class.add_argument("--j", type=_int, help="character index")
     p_class.add_argument("--weights", help="comma-separated marking weights")
     p_class.add_argument("--lambda", dest="c_lambda", type=_rational)
     p_class.add_argument("--irr", dest="c_irr", type=_rational)
@@ -260,29 +269,30 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="which boundary pullback to print")
     p_class.add_argument("--part-w", choices=["lambda", "irr", "red"],
                          help="which weighted pullback to print")
-    p_class.add_argument("--expand", action="store_true", help="print in the pure-D basis")
-    p_class.add_argument("--json", action="store_true")
+    form = p_class.add_mutually_exclusive_group()
+    form.add_argument("--expand", action="store_true", help="print in the pure-D basis")
+    form.add_argument("--json", action="store_true")
     p_class.set_defaults(func=cmd_class)
 
     p_pair = sub.add_parser("pair", help="pair a divisor against curves")
     p_pair.add_argument("divisor")
-    p_pair.add_argument("--n", type=int, required=True)
+    p_pair.add_argument("--n", type=_int, required=True)
     p_pair.add_argument("--curve", help="four comma-separated parts")
-    p_pair.add_argument("--tk", type=int, help="index of a boundary test curve")
+    p_pair.add_argument("--tk", type=_int, help="index of a boundary test curve")
     p_pair.set_defaults(func=cmd_pair)
 
     p_fnef = sub.add_parser("fnef", help="check nonnegativity on all F-curves")
     p_fnef.add_argument("divisor")
-    p_fnef.add_argument("--n", type=int, required=True)
+    p_fnef.add_argument("--n", type=_int, required=True)
     p_fnef.set_defaults(func=cmd_fnef)
 
     p_ext = sub.add_parser("extremal", help="certify a divisor as an extremal ray")
     p_ext.add_argument("divisor")
-    p_ext.add_argument("--n", type=int, required=True)
+    p_ext.add_argument("--n", type=_int, required=True)
     p_ext.set_defaults(func=cmd_extremal)
 
     p_rays = sub.add_parser("rays", help="enumerate extreme rays of the F-cone")
-    p_rays.add_argument("--n", type=int, required=True)
+    p_rays.add_argument("--n", type=_int, required=True)
     p_rays.add_argument("--annotate", action="store_true",
                         help="label rays by matching cover classes")
     p_rays.add_argument("--json", action="store_true")
@@ -290,13 +300,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print a canonical CSV table")
     p_table.add_argument("name", choices=sorted(TABLE_NAMES))
-    p_table.add_argument("--n", type=int, help="markings for parameterized tables")
+    p_table.add_argument("--n", type=_int, help="markings for parameterized tables")
     p_table.set_defaults(func=cmd_table)
 
     p_eig = sub.add_parser("eigenrank", help="eigenbundle ranks and degrees on a curve")
     p_eig.add_argument("parts", help="four comma-separated tail weights")
-    p_eig.add_argument("--p", type=int, required=True)
-    p_eig.add_argument("--j", type=int, help="single character instead of the full table")
+    p_eig.add_argument("--p", type=_int, required=True)
+    p_eig.add_argument("--j", type=_int, help="single character instead of the full table")
     p_eig.set_defaults(func=cmd_eigenrank)
 
     return parser

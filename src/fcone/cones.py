@@ -28,8 +28,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import (_Packed, _dense, _field_width, _pack, _reduce, _rref, _scan, _signs,
-                       independent_rows, primitive)
+from .exactlin import _SignTable, _dense, _reduce, _rref, _scan, independent_rows, primitive
 
 
 def _unit(i: int, dim: int) -> tuple[int, ...]:
@@ -69,9 +68,10 @@ class ConeH:
         return len(independent_rows(self.normals, self.dim)) == self.dim
 
     @cached_property
-    def _packs(self) -> tuple[int, dict[int, _Packed]]:
-        """The largest L1 norm of a normal, and the packed normals by width."""
-        return max((sum(map(abs, a)) for a in self.normals), default=0), {}
+    def _sign_table(self) -> _SignTable:
+        """The normals as sparse rows, bounded by the largest L1 norm of a normal."""
+        return _SignTable([[(i, x) for i, x in enumerate(a) if x] for a in self.normals],
+                          self.dim, max((sum(map(abs, a)) for a in self.normals), default=0))
 
 
 @dataclass(frozen=True)
@@ -109,28 +109,21 @@ class Certificate:
 
 
 def _cleared_signs(c: ConeH, v: Sequence) -> tuple[tuple[int, ...], bytes, bytes]:
-    """w, v with its denominators cleared (a positive multiple in integers,
-    so every sign against a normal is kept), and ``exactlin._signs`` of w
-    on the normals, packed on first use of a width."""
+    """w, v with its denominators cleared (a positive multiple in integers, so
+    every sign against a normal is kept), and the signs of w on the normals."""
     if len(v) != c.dim:
         raise ValueError(f"vector of dimension {len(v)} against cone of dimension {c.dim}")
     w = primitive(v, flip_sign=False)
-    bound, packs = c._packs
-    width = _field_width(w, bound)
-    packed = packs.get(width)
-    if packed is None:
-        rows = [[(i, x) for i, x in enumerate(a) if x] for a in c.normals]
-        packed = packs[width] = _pack(rows, c.dim, width)
-    return (w, *_signs(w, packed))
+    return (w, *c._sign_table.signs(w))
 
 
 def contains(c: ConeH, v: Sequence) -> bool:
     """Whether v satisfies every inequality of the cone.
 
     v may have rational entries; ``primitive`` clears them once.  The signs
-    of all normals then come from one big-int product, ``exactlin._signs``
-    as in ``moduli.zero_and_negative_fcurves``, in fields wide enough for
-    max|v| and the largest normal L1 norm; the cone keeps each packing.
+    of all normals then come from one big-int product, the cone's
+    ``exactlin._SignTable`` as in ``moduli.zero_and_negative_fcurves``, in
+    fields wide enough for max|v| and the largest normal L1 norm.
     """
     return not any(_cleared_signs(c, v)[2])
 

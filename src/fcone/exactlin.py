@@ -25,9 +25,9 @@ leaves its free columns without a pivot.  ``_kernel`` solves a scan's basis
 by back-substitution: ``kernel_basis`` and the F-curve certificate of
 ``moduli`` read their kernel vectors from it.
 
-``_pack`` and ``_signs`` give the signs of many integer rows on one vector
-from one big-int product, for the F-curves of ``moduli`` and the normals of
-``cones.ConeH``.
+``_SignTable`` gives the signs of many sparse integer rows on one vector
+from one big-int product: the F-curves of ``moduli`` and the normals of
+``cones.ConeH`` are one table each.
 """
 
 from __future__ import annotations
@@ -106,19 +106,17 @@ def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
     return tuple(ints)
 
 
-# columns, top (each field's top bit), low (its other bits), field width
-_Packed = tuple[tuple[int, ...], int, int, int]
-
-
 def _field_width(v: Sequence[int], bound: int) -> int:
     """Field bytes that keep |row·v| < 2^(8·width−1) for rows of L1 norm at
     most ``bound``."""
     return (max(map(abs, v)).bit_length() + bound.bit_length() + 8) // 8
 
 
-def _pack(rows: Sequence[Iterable[tuple[int, int]]], ncols: int, width: int) -> _Packed:
+def _pack(rows: Sequence[Iterable[tuple[int, int]]], ncols: int, width: int
+          ) -> tuple[tuple[int, ...], int, int]:
     """(column, coefficient) rows as one int per column, row k in field k from
-    the top, each coefficient in its field's trailing bytes."""
+    the top, each coefficient in its field's trailing bytes; then top, each
+    field's top bit, and low, its other bits."""
     size = len(rows) * width
     positive = [bytearray(size) for _ in range(ncols)]
     negative = [bytearray(size) for _ in range(ncols)]
@@ -135,25 +133,34 @@ def _pack(rows: Sequence[Iterable[tuple[int, int]]], ncols: int, width: int) -> 
                     for pos, neg in zip(positive, negative))
     top = int.from_bytes(b"\x80".ljust(width, b"\0") * len(rows), "big")
     low = int.from_bytes(b"\x7f".ljust(width, b"\xff") * len(rows), "big")
-    return columns, top, low, width
+    return columns, top, low
 
 
-def _signs(v: Sequence[int], packed: _Packed) -> tuple[bytes, bytes]:
-    """One byte per row, nonzero where row·v is zero, then where it is negative.
+class _SignTable:
+    """Sparse (column, coefficient) rows of L1 norm at most ``bound``, packed
+    by ``_pack`` once per field width, on first use of that width."""
 
-    Each field of ``top + Σ v[i]·column[i]`` holds row·v + 2^(8·width−1):
-    negative iff its top bit is clear, zero iff it equals that bias.
-    """
-    columns, top, low, width = packed
-    total = top
-    for a, column in zip(v, columns):
-        if a:
-            total += a * column
-    z = total ^ top
-    # (z & low) + low carries into a field's top bit iff its low bits are nonzero
-    zero = top & ~(((z & low) + low) | z)
-    size = (top.bit_length() + 7) // 8
-    return zero.to_bytes(size, "big")[::width], (top & ~total).to_bytes(size, "big")[::width]
+    def __init__(self, rows: Sequence[Sequence[tuple[int, int]]], ncols: int, bound: int):
+        self.rows, self.ncols, self.bound = rows, ncols, bound
+        self._packed: dict[int, tuple[tuple[int, ...], int, int]] = {}
+
+    def signs(self, v: Sequence[int]) -> tuple[bytes, bytes]:
+        """One byte per row, nonzero where row·v is zero, then where it is negative:
+        each field of ``top + Σ v[i]·column[i]`` holds row·v + 2^(8·width−1),
+        negative iff its top bit is clear, zero iff it equals that bias."""
+        width = _field_width(v, self.bound)
+        if width not in self._packed:
+            self._packed[width] = _pack(self.rows, self.ncols, width)
+        columns, top, low = self._packed[width]
+        total = top
+        for a, column in zip(v, columns):
+            if a:
+                total += a * column
+        z = total ^ top
+        # (z & low) + low carries into a field's top bit iff its low bits are nonzero
+        zero = top & ~(((z & low) + low) | z)
+        size = (top.bit_length() + 7) // 8
+        return zero.to_bytes(size, "big")[::width], (top & ~total).to_bytes(size, "big")[::width]
 
 
 def _rows(m: Sequence[Sequence]) -> list[list]:

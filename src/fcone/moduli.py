@@ -23,15 +23,14 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import (QVector, _Packed, _field_width, _kernel, _lowest_terms, _over_lcm,
-                       _pack, _reduce, _scan, _signs, format_rational, parse_rational,
-                       primitive)
+from .exactlin import (QVector, _SignTable, _kernel, _lowest_terms, _over_lcm, _reduce, _scan,
+                       format_rational, parse_rational, primitive)
 
 
 def _check_n(n: int) -> None:
@@ -218,20 +217,51 @@ class SymFCurve:
     def __str__(self):
         return "F_{%d,%d,%d,%d}" % self.parts
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero coordinates of the class as (index, coefficient)
+        pairs, index i standing for Δ_{i+2}; at most seven of them.
+
+        Each of the three ways to split the four parts into pairs contributes
+        +1 on Δ_{min(x+y, n−x−y)}; each part v ≥ 2 contributes −1 on
+        Δ_{min(v, n−v)}.
+        """
+        n, (a, b, c, d) = self.n, self.parts
+        coeffs: dict[int, int] = {}
+        for x in (a + b, a + c, a + d):
+            k = min(x, n - x)
+            coeffs[k] = coeffs.get(k, 0) + 1
+        for v in self.parts:
+            if v >= 2:
+                k = min(v, n - v)
+                coeffs[k] = coeffs.get(k, 0) - 1
+        return tuple(sorted((k - 2, c) for k, c in coeffs.items() if c))
+
+    @cached_property
+    def _standard_full(self) -> FullFCurve:
+        bounds = [0, *itertools.accumulate(self.parts)]
+        return FullFCurve(tuple(frozenset(range(a + 1, b + 1))
+                                for a, b in zip(bounds, bounds[1:])))
+
 
 def enumerate_sym_fcurves(n: int) -> list[SymFCurve]:
     """All F-curve types on n markings, in descending lexicographic order.
 
     This ordering puts the curve with the largest spine part first; it is
     the order used for every table and report in the package.  The list is
-    fresh on every call; the curves are built once per n.
+    fresh on every call; the curves are kept for the last ``_FCURVE_TABLES`` n.
     """
     _check_n(n)
-    return list(_sym_fcurves(n))
+    return list(_sym_fcurves(n)[0])
 
 
-@cache
-def _sym_fcurves(n: int) -> tuple[SymFCurve, ...]:
+# LRU bound on per-n F-curve tables: a benchmark workload cycles 2 or 3 n
+_FCURVE_TABLES = 4
+
+
+@lru_cache(maxsize=_FCURVE_TABLES)
+def _sym_fcurves(n: int) -> tuple[tuple[SymFCurve, ...], _SignTable]:
+    """The F-curve types on n markings, and their terms as a sign table of L1 bound 7."""
     found = set()
     for b in range(1, n):
         for c in range(1, b + 1):
@@ -239,44 +269,17 @@ def _sym_fcurves(n: int) -> tuple[SymFCurve, ...]:
                 a = n - b - c - d
                 if a >= b:
                     found.add((a, b, c, d))
-    return tuple(SymFCurve(parts) for parts in sorted(found, reverse=True))
-
-
-@cache
-def _fcurve_terms(parts: tuple[int, int, int, int]) -> tuple[tuple[int, int], ...]:
-    """The nonzero coordinates of an F-curve class as (index, coefficient)
-    pairs, index i standing for Δ_{i+2}; at most seven of them.
-
-    Each of the three ways to split the four parts into pairs contributes
-    +1 on Δ_{min(x+y, n−x−y)}; each part v ≥ 2 contributes −1 on
-    Δ_{min(v, n−v)}.
-    """
-    n = sum(parts)
-    coeffs: dict[int, int] = {}
-    a, b, c, d = parts
-    for x, y in ((a + b, c + d), (a + c, b + d), (a + d, b + c)):
-        k = min(x, y)
-        coeffs[k] = coeffs.get(k, 0) + 1
-    for v in parts:
-        if v >= 2:
-            k = min(v, n - v)
-            coeffs[k] = coeffs.get(k, 0) - 1
-    return tuple(sorted((k - 2, c) for k, c in coeffs.items() if c))
-
-
-def _fcurve_row(parts: tuple[int, int, int, int], ncols: int) -> list[int]:
-    """The sparse terms of ``_fcurve_terms`` spread over a fresh list of
-    ``ncols`` ints."""
-    row = [0] * ncols
-    for i, c in _fcurve_terms(parts):
-        row[i] = c
-    return row
+    curves = tuple(SymFCurve(parts) for parts in sorted(found, reverse=True))
+    return curves, _SignTable([f._terms for f in curves], n // 2 - 1, 7)
 
 
 def fcurve_class_vector(f: SymFCurve) -> tuple[int, ...]:
     """Coordinates of the F-curve class in the dual pure-Δ basis, as ints:
-    the sparse terms of ``_fcurve_terms`` spread over Δ_2..Δ_{⌊n/2⌋}."""
-    return tuple(_fcurve_row(f.parts, f.n // 2 - 1))
+    the curve's sparse terms spread over Δ_2..Δ_{⌊n/2⌋}."""
+    row = [0] * (sum(f.parts) // 2 - 1)
+    for i, c in f._terms:
+        row[i] = c
+    return tuple(row)
 
 
 def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
@@ -289,13 +292,7 @@ def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
     num, den = d._expanded
-    return Fraction(sum([num[i] * c for i, c in _fcurve_terms(f.parts)]), den)
-
-
-@lru_cache(maxsize=32)
-def _packed_fcurves(n: int, width: int) -> _Packed:
-    """The F-curves of ``zero_and_negative_fcurves`` packed at ``width``."""
-    return _pack([_fcurve_terms(f.parts) for f in _sym_fcurves(n)], n // 2 - 1, width)
+    return Fraction(sum([num[i] * c for i, c in f._terms]), den)
 
 
 def zero_and_negative_fcurves(
@@ -304,15 +301,13 @@ def zero_and_negative_fcurves(
     negative together with the degree, both in ``enumerate_sym_fcurves``
     order.
 
-    Every degree comes out of one big-int product, ``exactlin._signs`` on
-    the F-curves packed per field width, the kernel ``cones.contains`` runs.
-    An F-curve has at most seven ±1 terms, so the row bound is 7 and a field
+    Every degree comes out of one big-int product of the F-curves' sign
+    table, as in ``cones.contains``; with the row bound 7 a field is
     ``(max|num|.bit_length() + 11) // 8`` bytes.  Only a negative degree is
     made a ``Fraction``, by ``sym_pairing``.
     """
-    num = d._expanded[0]
-    zero, negative = _signs(num, _packed_fcurves(d.n, _field_width(num, 7)))
-    curves = _sym_fcurves(d.n)
+    curves, table = _sym_fcurves(d.n)
+    zero, negative = table.signs(d._expanded[0])
     return (list(itertools.compress(curves, zero)),
             [(f, sym_pairing(d, f)) for f in itertools.compress(curves, negative)])
 
@@ -340,15 +335,15 @@ def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
     if target < 1:
         return []
     # each row built only when the scan pulls it
-    basis, kept = _scan((_fcurve_row(f.parts, ncols) for f in curves), False, target - 1)
+    basis, kept = _scan((list(fcurve_class_vector(f)) for f in curves), False, target - 1)
     start = kept[-1] + 1 if kept else 0
     if len(kept) == target - 1 and start < len(curves):
-        if any(_reduce(_fcurve_row(curves[start].parts, ncols), basis)):
+        if any(_reduce(list(fcurve_class_vector(curves[start])), basis)):
             kept.append(start)
         else:
             u, v = _kernel(basis, ncols)
             for j in range(start + 1, len(curves)):
-                terms = _fcurve_terms(curves[j].parts)
+                terms = curves[j]._terms
                 if sum([u[k] * c for k, c in terms]) or sum([v[k] * c for k, c in terms]):
                     kept.append(j)
                     break
@@ -666,13 +661,9 @@ class FullFCurve:
         return SymFCurve(tuple(len(b) for b in self.blocks))
 
 
-@cache
 def standard_full_fcurve(f: SymFCurve) -> FullFCurve:
-    """The realization of an F-curve type on consecutive marking blocks.
-
-    Built once per type; the curve is frozen, so callers share it."""
-    bounds = [0, *itertools.accumulate(f.parts)]
-    return FullFCurve(tuple(frozenset(range(a + 1, b + 1)) for a, b in zip(bounds, bounds[1:])))
+    """The realization of an F-curve type on consecutive marking blocks, kept on the curve."""
+    return f._standard_full
 
 
 def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:

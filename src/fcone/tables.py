@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
-from functools import cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cones import ConeH, ConeV, extreme_rays
 from .covers import WeightData, _symmetric_classes, _symmetric_rays, pullback_combo
 from .moduli import (
+    _FCURVE_TABLES,
     SymDivisor,
     SymFCurve,
-    _fcurve_row,
     enumerate_sym_fcurves,
     fcurve_certificate,
     fcurve_class_vector,
@@ -30,11 +30,11 @@ COMBO_COEFFS = ((9, -1, 0), (12, -1, 0), (10, -1, -2))
 TABLE_NAMES = ("n6", "n7", "n9", "n10", "n10-fcurves", "t3-certificates")
 
 
-@cache
+@lru_cache(maxsize=_FCURVE_TABLES)
 def fcurve_cone(n: int) -> ConeH:
     """The symmetric F-cone on Δ_2..Δ_{⌊n/2⌋} coordinates, one inequality
-    per F-curve type.  Built once per n: a ``ConeH`` is immutable, and it
-    keeps its pointedness once computed."""
+    per F-curve type, kept for the last ``_FCURVE_TABLES`` n: a ``ConeH`` is
+    immutable, and it keeps its pointedness and sign table once computed."""
     dim = n // 2 - 1
     return ConeH(dim, [fcurve_class_vector(f) for f in enumerate_sym_fcurves(n)])
 
@@ -245,15 +245,14 @@ def t3_certificate_blocks(n: int) -> list[tuple[str, SymFCurve]]:
     if n % 3 or n < 12:
         raise ValueError(f"certificate blocks need a multiple of 3 at least 12, got {n}")
     zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
-    # curves are keyed by their parts: a tuple hashes faster than a SymFCurve
-    zero_parts = {f.parts for f in zero}
+    zero_curves = {f.parts: f for f in zero}
     # each block curve with its label, from the first block that names it
     rows: dict[tuple[int, ...], tuple[str, SymFCurve]] = {}
     for label, curves in _t3_curve_blocks(n):
         for f in curves:
-            if f.parts not in zero_parts:
+            if f.parts not in zero_curves:
                 raise RuntimeError(f"certificate curve {f} has nonzero degree")
-            rows.setdefault(f.parts, (label, f))
+            rows.setdefault(f.parts, (label, zero_curves[f.parts]))
     certificate = fcurve_certificate([*(f for _, f in rows.values()),
                                       *(f for f in zero if f.parts not in rows)])
     target = n // 2 - 2
@@ -266,7 +265,7 @@ def render_t3_certificates_csv(n: int) -> str:
     header = ["block", "curve"] + [f"D{k}" for k in range(2, n // 2 + 1)]
     rows = []
     for label, f in t3_certificate_blocks(n):
-        rows.append([label, str(f)] + [str(x) for x in _fcurve_row(f.parts, n // 2 - 1)])
+        rows.append([label, str(f)] + [str(x) for x in fcurve_class_vector(f)])
     return _csv(header, rows)
 
 

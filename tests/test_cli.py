@@ -406,6 +406,13 @@ CLASS_FLAG_VALUES = {
         # printing that class reached Python's limit on int digits
         (("class", "combo", "--n", "6", "--p", "3", "--lambda", "1e5000"),
          "argument --lambda: malformed rational literal '1e5000'"),
+        # non-ASCII digits, which int() alone reads, in a list and in a flag
+        (("eigenrank", "1,1,1,\u0661", "--p", "2"),
+         "weights must be a comma-separated integer list, got '1,1,1,\u0661'"),
+        (("rays", "--n", "\u0666"), "argument --n: invalid int value: '\u0666'"),
+        # --json prints no expansion, so it takes no --expand
+        (("class", "hodge", "--n", "6", "--p", "3", "--json", "--expand"),
+         "argument --expand: not allowed with argument --json"),
         # a term's digits past that limit gave int()'s own message
         pytest.param(("fnef", "D" + "9" * 5000, "--n", "6"),
                      "malformed divisor term 'D" + "9" * 5000 + "'", id="D-index-of-5000-digits"),

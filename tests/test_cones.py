@@ -434,7 +434,7 @@ def test_coneh_with_filled_packs_equals_and_hashes_like_a_fresh_one():
     cone = ConeH(4, fcurve_cone(11).normals)
     for v in [(1, 0, 0, 0), (2 ** 70, 1, 0, -3), (-5, 2 ** 20, 7, 1)]:
         contains(cone, v)
-    assert len(cone._packs[1]) == 3
+    assert len(cone._sign_table._packed) == 3
     fresh = ConeH(4, fcurve_cone(11).normals)
     assert fresh == cone and hash(fresh) == hash(cone)
     assert {cone: 1}[fresh] == 1

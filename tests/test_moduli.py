@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
@@ -874,22 +876,21 @@ def test_fcurve_certificate_at_rank_one_and_below(n):
 
 
 def counted_certificate(curves: list, monkeypatch) -> tuple[list, dict]:
-    """fcurve_certificate(curves), with the rows it builds and the curves
-    whose terms it reads counted."""
-    counts = {"rows": 0, "terms": 0}
-    row, terms = moduli._fcurve_row, moduli._fcurve_terms
+    """fcurve_certificate on fresh copies of curves, equal to them, with the
+    rows it builds counted, and the copies whose terms it reads: a fresh
+    copy holds no terms until they are read."""
+    copies = [SymFCurve(f.parts) for f in curves]
+    counts = {"rows": 0}
+    vector = moduli.fcurve_class_vector
 
-    def counted_row(parts, ncols):
+    def counted_vector(f):
         counts["rows"] += 1
-        return row(parts, ncols)
+        return vector(f)
 
-    def counted_terms(parts):
-        counts["terms"] += 1
-        return terms(parts)
-
-    monkeypatch.setattr(moduli, "_fcurve_row", counted_row)
-    monkeypatch.setattr(moduli, "_fcurve_terms", counted_terms)
-    return fcurve_certificate(curves), counts
+    monkeypatch.setattr(moduli, "fcurve_class_vector", counted_vector)
+    certificate = fcurve_certificate(copies)
+    counts["terms"] = sum("_terms" in vars(f) for f in copies)
+    return certificate, counts
 
 
 def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
@@ -902,6 +903,27 @@ def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
     assert len(certificate) == 22 and curves.index(certificate[-1]) == 101
     assert counts["rows"] == 23
     assert counts["terms"] - counts["rows"] == 79
+
+
+def test_fcurve_tables_stay_at_their_bound_and_go_with_the_clear():
+    # the t3 verdict at n = 12..60: the last four n keep their curves, terms
+    # and packed tables, and clearing the LRU drops all of them
+    moduli._sym_fcurves.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in range(12, 61, 3):
+            zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
+            fcurve_certificate(zero)
+        del zero
+        info = moduli._sym_fcurves.cache_info()
+        moduli._sym_fcurves.cache_clear()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.currsize == info.maxsize == moduli._FCURVE_TABLES
+    assert retained < 2 ** 20
 
 
 @pytest.mark.parametrize("n", [36, 48, 96])
