@@ -110,11 +110,21 @@ class Certificate:
 
 def _cleared_signs(c: ConeH, v: Sequence) -> tuple[tuple[int, ...], bytes, bytes]:
     """w, v with its denominators cleared (a positive multiple in integers, so
-    every sign against a normal is kept), and the signs of w on the normals."""
+    every sign against a normal is kept), and the signs of w on the normals.
+
+    The cone keeps the last tuple it signed, by reference so that its id is
+    not reused, with the result: the same tuple object again reads that
+    result.  Lists and other types are signed afresh."""
+    last = c.__dict__.get("_signed")
+    if last is not None and last[0] is v:
+        return last[1]
     if len(v) != c.dim:
         raise ValueError(f"vector of dimension {len(v)} against cone of dimension {c.dim}")
     w = primitive(v, flip_sign=False)
-    return (w, *c._sign_table.signs(w))
+    signed = (w, *c._sign_table.signs(w))
+    if type(v) is tuple:
+        object.__setattr__(c, "_signed", (v, signed))
+    return signed
 
 
 def contains(c: ConeH, v: Sequence) -> bool:
@@ -123,7 +133,8 @@ def contains(c: ConeH, v: Sequence) -> bool:
     v may have rational entries; ``primitive`` clears them once.  The signs
     of all normals then come from one big-int product, the cone's
     ``exactlin._SignTable`` as in ``moduli.zero_and_negative_fcurves``, in
-    fields wide enough for max|v| and the largest normal L1 norm.
+    fields wide enough for max|v| and the largest normal L1 norm.  When v is
+    a tuple, the cone keeps it and its signs until it signs another tuple.
     """
     return not any(_cleared_signs(c, v)[2])
 
@@ -137,9 +148,10 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
     cone with lineality, a rank-(dim−1) tight set can span a line, which is
     no ray.
 
-    The tight set comes from the product of ``contains``; its normals go
-    lazily to ``exactlin._scan``, which keeps the rows ``independent_rows``
-    would.
+    The tight set comes from the product of ``contains``; after
+    ``contains(c, v)`` on the same tuple object it is read from what the
+    cone kept, not computed again.  Its normals go lazily to
+    ``exactlin._scan``, which keeps the rows ``independent_rows`` would.
     """
     w, zero, negative = _cleared_signs(c, v)
     if not c.pointed:

@@ -77,6 +77,12 @@ class WeightData:
         split = [s if r in splits else p for s, r in zip(weight, ram)]
         return layout, itemgetter(*weight), itemgetter(*split)
 
+    @cached_property
+    def _eigen(self) -> dict[int, FullDivisor]:
+        """det E_j by min(j, p − j), filled by eigen_det_class: at most ⌊p/2⌋
+        classes, dropped with the weight datum."""
+        return {}
+
 
 def _split_ram(p: int, total_ram: int) -> range:
     """The ramifications Σ(p − gcd(d_i, p)) of the sides that split a cover of
@@ -187,10 +193,16 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     """Determinant of the weight-j eigenbundle of the Hodge bundle.
 
     Closed formula: (1/2p²)[Σ⟨j·d_i⟩(p−⟨j·d_i⟩)ψ_i − Σ⟨j·d(I)⟩(p−⟨j·d(I)⟩)Δ_{I,J}].
-    It reads j only through ⟨j·d⟩(p − ⟨j·d⟩), so det E_{p−j} = det E_j.
+    It reads j only through ⟨j·d⟩(p − ⟨j·d⟩), so det E_{p−j} = det E_j: both
+    return the one class of min(j, p − j), built on the first call and kept
+    on w for as long as w lives.
     """
     _check_character(w, j)
-    return FullDivisor(w.n, _cleared=_base_class(w, j), _layout=w._profiles[0])
+    j = min(j, w.p - j)
+    built = w._eigen
+    if j not in built:
+        built[j] = FullDivisor(w.n, _cleared=_base_class(w, j), _layout=w._profiles[0])
+    return built[j]
 
 
 def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]

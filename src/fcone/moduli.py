@@ -113,7 +113,7 @@ class SymDivisor(_Numerators):
     equality and the ray of the class are read from those integers.
     """
 
-    __slots__ = ("_expanded",)
+    __slots__ = ("_expanded", "_vector")
 
     def __init__(self, n: int, psi=0, delta: Optional[Mapping[int, object]] = None, *,
                  _cleared: Optional[tuple[Sequence[int], Sequence[int], int]] = None):
@@ -156,9 +156,15 @@ class SymDivisor(_Numerators):
         return tuple(Fraction(c, den) for c in self._delta)
 
     def class_vector(self) -> QVector:
-        """Coordinates in the pure-Δ basis (ψ eliminated)."""
-        num, den = self._expanded
-        return tuple(Fraction(a, den) for a in num)
+        """Coordinates in the pure-Δ basis (ψ eliminated).  The tuple is made
+        on the first call and kept on the class for as long as it lives, so
+        every call returns the same object."""
+        vector = getattr(self, "_vector", None)
+        if vector is None:
+            num, den = self._expanded
+            vector = tuple(Fraction(a, den) for a in num)
+            object.__setattr__(self, "_vector", vector)
+        return vector
 
     def ray(self) -> tuple[int, ...]:
         """The primitive integer vector on the ray of the class, sign kept;
@@ -273,13 +279,17 @@ def _sym_fcurves(n: int) -> tuple[tuple[SymFCurve, ...], _SignTable]:
     return curves, _SignTable([f._terms for f in curves], n // 2 - 1, 7)
 
 
-def fcurve_class_vector(f: SymFCurve) -> tuple[int, ...]:
-    """Coordinates of the F-curve class in the dual pure-Δ basis, as ints:
-    the curve's sparse terms spread over Δ_2..Δ_{⌊n/2⌋}."""
+def _fcurve_row(f: SymFCurve) -> list[int]:
+    """The curve's sparse terms spread over Δ_2..Δ_{⌊n/2⌋}, as a fresh list."""
     row = [0] * (sum(f.parts) // 2 - 1)
     for i, c in f._terms:
         row[i] = c
-    return tuple(row)
+    return row
+
+
+def fcurve_class_vector(f: SymFCurve) -> tuple[int, ...]:
+    """Coordinates of the F-curve class in the dual pure-Δ basis, as ints."""
+    return tuple(_fcurve_row(f))
 
 
 def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
@@ -335,10 +345,10 @@ def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
     if target < 1:
         return []
     # each row built only when the scan pulls it
-    basis, kept = _scan((list(fcurve_class_vector(f)) for f in curves), False, target - 1)
+    basis, kept = _scan(map(_fcurve_row, curves), False, target - 1)
     start = kept[-1] + 1 if kept else 0
     if len(kept) == target - 1 and start < len(curves):
-        if any(_reduce(list(fcurve_class_vector(curves[start])), basis)):
+        if any(_reduce(_fcurve_row(curves[start]), basis)):
             kept.append(start)
         else:
             u, v = _kernel(basis, ncols)
@@ -513,7 +523,7 @@ class FullDivisor(_Numerators):
     their common refinement.
     """
 
-    __slots__ = ("_layout",)
+    __slots__ = ("_layout", "_sym")
 
     def __init__(self, n: int, psi: Sequence = (), delta: Optional[Mapping] = None, *,
                  _cleared: Optional[tuple[Sequence[int], Sequence[int], int]] = None,
@@ -699,11 +709,17 @@ def symmetrize(d: FullDivisor) -> SymDivisor:
     In closed form the ψ-coefficient is (Σψ_i)/n and the Δ_k coefficient is
     the sum of the coefficients on boundary classes with min side k divided
     by the number of such classes, summed per side profile as integers.
+    The average is made on the first call and kept on d for as long as d
+    lives, so every call on d returns the same SymDivisor.
     """
-    n = d.n
-    scale = _mean_scales(n)[0]
-    return SymDivisor(n, _cleared=((sum(d._psi) * (scale // n),), d._layout.sums(d._delta),
-                                   scale * d._den))
+    sym = getattr(d, "_sym", None)
+    if sym is None:
+        n = d.n
+        scale = _mean_scales(n)[0]
+        sym = SymDivisor(n, _cleared=((sum(d._psi) * (scale // n),), d._layout.sums(d._delta),
+                                      scale * d._den))
+        object.__setattr__(d, "_sym", sym)
+    return sym
 
 
 @cache

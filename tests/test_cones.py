@@ -14,7 +14,7 @@ from fcone.cones import (
     extremality_certificate,
     extreme_rays,
 )
-from fcone.exactlin import _field_width, dot, rank
+from fcone.exactlin import _SignTable, _field_width, dot, rank
 from fcone.tables import fcone_rays, fcurve_cone
 
 from oracles import extreme_rays_by_enumeration, reference_rank
@@ -438,6 +438,68 @@ def test_coneh_with_filled_packs_equals_and_hashes_like_a_fresh_one():
     fresh = ConeH(4, fcurve_cone(11).normals)
     assert fresh == cone and hash(fresh) == hash(cone)
     assert {cone: 1}[fresh] == 1
+
+
+def counted_signs(monkeypatch) -> list:
+    """Each vector _SignTable.signs is called on, in order."""
+    calls = []
+    signs = _SignTable.signs
+
+    def counted(table, v):
+        calls.append(v)
+        return signs(table, v)
+
+    monkeypatch.setattr(_SignTable, "signs", counted)
+    return calls
+
+
+def test_certificate_after_contains_reads_the_kept_signs(monkeypatch):
+    cone = ConeH(4, fcurve_cone(11).normals)
+    ray = tuple(Fraction(x, 3) for x in extreme_rays(cone).rays[0])
+    calls = counted_signs(monkeypatch)
+    assert contains(cone, ray)
+    cert = extremality_certificate(cone, ray)
+    assert len(calls) == 1
+    assert cert == extremality_certificate(ConeH(4, cone.normals), ray) and cert is not None
+
+
+def test_the_kept_signs_are_read_only_for_the_same_tuple_on_the_same_cone(monkeypatch):
+    cone = ConeH(4, fcurve_cone(11).normals)
+    ray, other = extreme_rays(cone).rays[:2]
+    outside = tuple(-x for x in ray)
+    calls = counted_signs(monkeypatch)
+    # a tuple of equal values that is another object is signed again
+    assert contains(cone, ray)
+    assert contains(cone, tuple(x for x in ray))
+    assert len(calls) == 2
+    # so is every other tuple, and the kept one is then dropped
+    assert not contains(cone, outside)
+    with pytest.raises(ValueError, match="not in the cone"):
+        extremality_certificate(cone, outside)
+    assert extremality_certificate(cone, other) is not None
+    assert contains(cone, ray) and extremality_certificate(cone, ray) is not None
+    assert len(calls) == 5 and cone._signed[0] is ray
+    # a list is signed on every call, so a change between calls is seen
+    v = list(ray)
+    assert contains(cone, v)
+    v[:] = outside
+    assert not contains(cone, v)
+    with pytest.raises(ValueError, match="not in the cone"):
+        extremality_certificate(cone, v)
+    assert len(calls) == 8 and cone._signed[0] is ray
+    # the same tuple on another cone is signed against that cone
+    flipped = ConeH(4, [tuple(-x for x in a) for a in cone.normals])
+    assert not contains(flipped, ray)
+    assert contains(flipped, outside)
+    assert len(calls) == 10
+    # a vector of another dimension gets the same error as ever
+    short = ray[:3]
+    orthant = ConeH(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert contains(orthant, short) == all(x >= 0 for x in short)
+    with pytest.raises(ValueError, match="^vector of dimension 3 against cone of dimension 4$"):
+        contains(cone, short)
+    with pytest.raises(ValueError, match="^vector of dimension 3 against cone of dimension 4$"):
+        extremality_certificate(cone, short)
 
 
 def greedy_certificate(cone: ConeH, v) -> tuple:

@@ -326,6 +326,33 @@ def test_classes_on_one_weight_datum_match_fresh_builds(w):
     assert reused == fresh and hash(reused) == hash(fresh) and repr(reused) == repr(fresh)
 
 
+@settings(max_examples=100, deadline=None)
+@given(w=weight_data().filter(lambda w: gcd(w.p, *w.d) == 1))
+@pinned_weights
+def test_each_eigen_pair_is_one_class_kept_on_its_weight_datum(w):
+    # det E_j and det E_{p−j} are one object, symmetrized and read out once,
+    # and equal to fresh builds on a new weight datum in every read-out
+    p = w.p
+    for j in range(1, p):
+        d = eigen_det_class(w, j)
+        assert d is eigen_det_class(w, p - j)
+        for fresh in (eigen_det_class(WeightData(w.d, p), j),
+                      eigen_det_class(WeightData(w.d, p), p - j)):
+            assert fresh is not d
+            assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+            assert d.to_json() == fresh.to_json()
+        s = symmetrize(d)
+        assert s is symmetrize(d)
+        again = symmetrize(fresh)
+        assert again is not s and same_raw(s, again) and s == again
+        v = s.class_vector()
+        assert v is s.class_vector() and v == again.class_vector()
+    assert sorted(w._eigen) == list(range(1, p // 2 + 1))
+    for j in (0, p):
+        with pytest.raises(ValueError, match=rf"^character {j} out of range 1\.\.{p - 1}$"):
+            eigen_det_class(w, j)
+
+
 @settings(max_examples=50, deadline=None)
 @given(w=st.one_of(st.sampled_from(PINNED_WEIGHTS), weight_data()),
        shifts=st.lists(st.integers(0, 3), min_size=11, max_size=11))

@@ -881,13 +881,13 @@ def counted_certificate(curves: list, monkeypatch) -> tuple[list, dict]:
     copy holds no terms until they are read."""
     copies = [SymFCurve(f.parts) for f in curves]
     counts = {"rows": 0}
-    vector = moduli.fcurve_class_vector
+    row = moduli._fcurve_row
 
-    def counted_vector(f):
+    def counted_row(f):
         counts["rows"] += 1
-        return vector(f)
+        return row(f)
 
-    monkeypatch.setattr(moduli, "fcurve_class_vector", counted_vector)
+    monkeypatch.setattr(moduli, "_fcurve_row", counted_row)
     certificate = fcurve_certificate(copies)
     counts["terms"] = sum("_terms" in vars(f) for f in copies)
     return certificate, counts
