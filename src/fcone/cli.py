@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence
 
 from .covers import (
     WeightData,
@@ -34,6 +35,7 @@ from .covers import (
 from .eigenforms import eigen_rank_degree_fcurve
 from .exactlin import parse_rational
 from .moduli import (
+    FCURVE_FORMAT,
     SymFCurve,
     enumerate_sym_fcurves,
     fcurve_certificate,
@@ -142,6 +144,11 @@ def cmd_class(args) -> int:
     return 0
 
 
+def _curve_lines(tag: str, curves: Sequence[SymFCurve]) -> Iterator[str]:
+    # a str() per curve took half of a 22,140-line listing
+    return map((tag + FCURVE_FORMAT).__mod__, map(attrgetter("parts"), curves))
+
+
 def cmd_pair(args) -> int:
     div = parse_divisor(args.divisor, args.n)
     if args.curve is not None:
@@ -153,8 +160,7 @@ def cmd_pair(args) -> int:
     if args.tk is not None:
         print(tk_pairing(div, args.tk))
         return 0
-    for f in enumerate_sym_fcurves(args.n):
-        print(f"{f} {sym_pairing(div, f)}")
+    print("\n".join([f"{f} {sym_pairing(div, f)}" for f in enumerate_sym_fcurves(args.n)]))
     return 0
 
 
@@ -163,7 +169,7 @@ def cmd_fnef(args) -> int:
     # one write for the whole listing: a print per curve took about half of
     # an fnef run at n = 48
     print("\n".join(["F-nef" if not negative else "not F-nef",
-                     *(f"zero: {f}" for f in zero),
+                     *_curve_lines("zero: ", zero),
                      *(f"negative: {f} = {deg}" for f, deg in negative)]))
     return 0 if not negative else 1
 
@@ -183,9 +189,9 @@ def cmd_extremal(args) -> int:
     span = len(certificate)
     target = args.n // 2 - 2
     lines = ["extremal" if span == target else "not extremal", f"rank {span} of {target}",
-             *(f"orthogonal: {f}" for f in orthogonal)]
+             *_curve_lines("orthogonal: ", orthogonal)]
     if certificate:
-        lines.append("certificate: " + " ".join(str(f) for f in certificate))
+        lines.append("certificate: " + " ".join(_curve_lines("", certificate)))
     print("\n".join(lines))
     return 0 if span == target else 1
 
@@ -208,11 +214,8 @@ def cmd_rays(args) -> int:
         }
         print(json.dumps(payload))
         return 0
-    for ray, labels in rows:
-        line = " ".join(str(x) for x in ray)
-        if labels:
-            line += "  " + "; ".join(labels)
-        print(line)
+    print("\n".join([" ".join(map(str, ray)) + ("  " + "; ".join(labels) if labels else "")
+                     for ray, labels in rows]))
     return 0
 
 

@@ -191,7 +191,10 @@ def _reduce(row: list, basis: Sequence[_BasisRow]) -> list:
     return row
 
 
-def _basis_row(row: list[int], pivot: int) -> _BasisRow:
+def _basis_row(row: list[int], leftmost: bool) -> _BasisRow:
+    """A nonzero remainder, primitive, pivoted by the caller's rule."""
+    nonzero = [(abs(x), c) for c, x in enumerate(row) if x]
+    pivot = nonzero[0][1] if leftmost else min(nonzero)[1]
     # not primitive(): the sign follows the pivot, not the first entry
     g = gcd(*row) if row[pivot] > 0 else -gcd(*row)
     return pivot, {c: x // g for c, x in enumerate(row) if x}
@@ -206,16 +209,16 @@ def _scan(
 ) -> tuple[list[_BasisRow], list[int]]:
     """The echelon basis of ``rows`` and the indices of the rows it kept,
     stopping once ``target`` rows are kept.  Rows are fresh int lists, which
-    the scan may change; none is pulled after the stop."""
+    the scan may change; none is pulled after the stop.  A zero remainder
+    is dropped after one ``any``, before any pivot search."""
     basis: list[_BasisRow] = []
     kept: list[int] = []
     if target == 0:
         return basis, kept
     for i, row in enumerate(rows):
         row = _reduce(row, basis)
-        nonzero = [(abs(x), c) for c, x in enumerate(row) if x]
-        if nonzero:
-            basis.append(_basis_row(row, nonzero[0][1] if leftmost else min(nonzero)[1]))
+        if any(row):
+            basis.append(_basis_row(row, leftmost))
             kept.append(i)
             if len(kept) == target:
                 break
@@ -277,8 +280,9 @@ def _rref(m: Sequence[Sequence]) -> list[_BasisRow]:
     """
     rows = _rows(m)
     reduced: list[_BasisRow] = []
-    for c, b in reversed(_scan(map(_integer_row, rows), True)[0]):
-        reduced.append(_basis_row(_reduce(_dense(b, len(rows[0])), reduced), c))
+    for _, b in reversed(_scan(map(_integer_row, rows), True)[0]):
+        # its pivot stays its leftmost nonzero
+        reduced.append(_basis_row(_reduce(_dense(b, len(rows[0])), reduced), True))
     return sorted(reduced)
 
 

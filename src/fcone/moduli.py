@@ -23,7 +23,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
@@ -68,6 +68,10 @@ class _Numerators:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # rebuilt, as __setattr__ refuses copied slots; ``_sym``, ``_vector`` start empty
+        return partial(type(self), self.n, _cleared=(self._psi, self._delta, self._den)), ()
 
     def _binop(self, other, sign: int):
         if not isinstance(other, type(self)):
@@ -204,6 +208,10 @@ def psi_expand(d: SymDivisor) -> SymDivisor:
     return SymDivisor(d.n, _cleared=((0,), *d._expanded))
 
 
+# also the format of the cli's curve listings
+FCURVE_FORMAT = "F_{%d,%d,%d,%d}"
+
+
 @dataclass(frozen=True)
 class SymFCurve:
     """F-curve type: partition of n into four parts, stored descending."""
@@ -221,7 +229,7 @@ class SymFCurve:
         return sum(self.parts)
 
     def __str__(self):
-        return "F_{%d,%d,%d,%d}" % self.parts
+        return FCURVE_FORMAT % self.parts
 
     @cached_property
     def _terms(self) -> tuple[tuple[int, int], ...]:
@@ -539,6 +547,10 @@ class FullDivisor(_Numerators):
 
     def _like(self, psi, delta, den):
         return FullDivisor(self.n, _cleared=(psi, delta, den), _layout=self._layout)
+
+    def __reduce__(self):
+        return partial(FullDivisor, self.n, _cleared=(self._psi, self._delta, self._den),
+                       _layout=self._layout), ()
 
     def _on(self, layout: _Layout) -> "FullDivisor":
         """The class laid out over a refinement of its layout."""

@@ -10,11 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fcone.cli import CLASS_KINDS, _build_parser, main
 from fcone.covers import hodge_class
-from fcone.moduli import SymFCurve, fcurve_class_vector, format_divisor
+from fcone.moduli import (SymFCurve, enumerate_sym_fcurves, fcurve_certificate,
+                          fcurve_class_vector, format_divisor, parse_divisor,
+                          sym_divisor_from_vector, sym_pairing)
 from fcone.tables import triple_cover_divisor
 
 from oracles import reference_rank
@@ -217,6 +219,76 @@ def test_extremal_triple_cover_at_48(capsys):
         for f in lines[-1].removeprefix("certificate: ").split()
     ]
     assert reference_rank([fcurve_class_vector(f) for f in certificate]) == len(certificate) == 22
+
+
+def curve_text(f: SymFCurve) -> str:
+    return "F_{" + ",".join(str(v) for v in f.parts) + "}"
+
+
+def reference_listings(d) -> dict[str, tuple[int, str]]:
+    """The exit code and stdout of pair, fnef and extremal on d, rendered
+    one curve at a time from per-curve degrees."""
+    n, curves = d.n, enumerate_sym_fcurves(d.n)
+    degrees = [sym_pairing(d, f) for f in curves]
+    zero = [f for f, deg in zip(curves, degrees) if deg == 0]
+    negative = [f"negative: {curve_text(f)} = {deg}" for f, deg in zip(curves, degrees) if deg < 0]
+    pair = "".join(f"{curve_text(f)} {deg}\n" for f, deg in zip(curves, degrees))
+    fnef = ["F-nef" if not negative else "not F-nef"]
+    fnef += [f"zero: {curve_text(f)}" for f in zero] + negative
+    if d.is_zero():
+        extremal = (1, ["not extremal", "zero class: orthogonal to every F-curve, spans no ray"])
+    elif negative:
+        extremal = (1, ["not F-nef", *negative])
+    else:
+        certificate = fcurve_certificate(zero)
+        span = len(certificate)
+        lines = ["extremal" if span == n // 2 - 2 else "not extremal",
+                 f"rank {span} of {n // 2 - 2}"]
+        lines += [f"orthogonal: {curve_text(f)}" for f in zero]
+        if certificate:
+            lines.append("certificate:" + "".join(" " + curve_text(f) for f in certificate))
+        extremal = (0 if span == n // 2 - 2 else 1, lines)
+    return {"pair": (0, pair),
+            "fnef": (1 if negative else 0, "".join(line + "\n" for line in fnef)),
+            "extremal": (extremal[0], "".join(line + "\n" for line in extremal[1]))}
+
+
+@st.composite
+def listing_classes(draw):
+    """A positive integer sum of hodge_class(n, p) for p | n and, for 3 | n,
+    the triple-cover class, n = 6..60: F-nef, often interior, so with no
+    zero curve; in half of the draws a small sparse vector is subtracted,
+    which leaves some classes F-nef and makes most not."""
+    n = draw(st.integers(6, 60))
+    bases = [hodge_class(n, p) for p in range(2, n + 1) if n % p == 0]
+    if n % 3 == 0:
+        bases.append(triple_cover_divisor(n))
+    picked = draw(st.lists(st.sampled_from(bases), min_size=1, max_size=3))
+    d = sum((f * draw(st.integers(1, 5)) for f in picked[1:]), picked[0])
+    if draw(st.booleans()):
+        vector = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=n // 2 - 1,
+                               max_size=n // 2 - 1))
+        d = d - sym_divisor_from_vector(n, vector)
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(listing_classes())
+# at n = 6: an interior class (no zero curve), a ray (one zero curve, which
+# certifies it), a class negative on one curve, and the zero class
+@example(parse_divisor("3*D2 + 4*D3", 6))
+@example(parse_divisor("1*D2 + 3*D3", 6))
+@example(parse_divisor("1*D2 - 1*D3", 6))
+@example(parse_divisor("0", 6))
+@example(triple_cover_divisor(48))
+def test_curve_listings_match_a_per_curve_rendering(d):
+    expected = reference_listings(d)
+    literal = format_divisor(d)
+    for command in ("pair", "fnef", "extremal"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, literal, "--n", str(d.n)])
+        assert (code, out.getvalue()) == expected[command]
 
 
 # each sequence runs on one parser, and each call must match a fresh parser:

@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,8 +11,8 @@ from math import comb, gcd, lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fcone import moduli
-from fcone.covers import hodge_class
+from fcone import exactlin, moduli
+from fcone.covers import WeightData, eigen_det_class, hodge_class
 from fcone.exactlin import _scan, primitive
 from fcone.moduli import (
     FullDivisor,
@@ -259,6 +261,34 @@ def test_full_divisor_rejects_bad_frozenset_sides(side):
 def test_full_divisor_json_roundtrip():
     d = FullDivisor(6, (1, 0, "1/2", 0, 0, 0), {frozenset({1, 2}): "2/3"})
     assert FullDivisor.from_json(d.to_json()) == d
+
+
+def copied_classes() -> list:
+    """Classes of both kinds: on singleton blocks and on a cover's weight
+    blocks, each with its average and class vector kept, and a ψ-class."""
+    w = eigen_det_class(WeightData((1, 1, 2, 2, 3, 3), 4), 1)
+    full = FullDivisor(6, (1, 0, "1/2", 0, 0, 0), {frozenset({1, 2}): "2/3"})
+    for d in (w, full):
+        symmetrize(d).class_vector()
+    return [w, full, symmetrize(w), symmetrize(full), hodge_class(12, 3)]
+
+
+@pytest.mark.parametrize("i", range(5), ids=["eigen", "public", "eigen-sym", "public-sym", "hodge"])
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda d: pickle.loads(pickle.dumps(d))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_rebuild_an_equal_class(i, copier):
+    d = copied_classes()[i]
+    c = copier(d)
+    assert type(c) is type(d)
+    assert (c == d, hash(c), repr(c)) == (True, hash(d), repr(d))
+    # what a class keeps is made again on first use
+    assert getattr(c, "_sym", None) is None and getattr(c, "_vector", None) is None
+    if isinstance(d, FullDivisor):
+        assert c._layout.blocks == d._layout.blocks and c.to_json() == d.to_json()
+        assert symmetrize(c) == symmetrize(d)
+    else:
+        assert c.class_vector() == d.class_vector() and format_divisor(c) == format_divisor(d)
 
 
 def test_enumerate_full_fcurves_counts():
@@ -939,6 +969,24 @@ def test_fcurve_certificate_in_enumeration_order_builds_no_kernel(n, monkeypatch
     assert len(certificate) == n // 2 - 2
     assert zero.index(certificate[-1]) == zero.index(certificate[-2]) + 1
     assert counts["terms"] == counts["rows"] == zero.index(certificate[-1]) + 1
+
+
+def test_only_kept_rows_reach_the_pivot_search(monkeypatch):
+    # in enumeration order at n = 48 the scan reduces 101 rows and keeps 21,
+    # and the close reduces row 102; the 80 zero remainders are dropped
+    # before the pivot search of _basis_row
+    zero, _ = zero_and_negative_fcurves(triple_cover_divisor(48))
+    searched = []
+    basis_row = exactlin._basis_row
+
+    def counted_basis_row(row, leftmost):
+        searched.append(any(row))
+        return basis_row(row, leftmost)
+
+    monkeypatch.setattr(exactlin, "_basis_row", counted_basis_row)
+    certificate, counts = counted_certificate(zero, monkeypatch)
+    assert len(certificate) == 22 and counts["rows"] == 102
+    assert searched == [True] * 21
 
 
 # ---------------------------------------------------------------------------
