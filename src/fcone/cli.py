@@ -36,6 +36,7 @@ from .eigenforms import eigen_rank_degree_fcurve
 from .exactlin import parse_rational
 from .moduli import (
     FCURVE_FORMAT,
+    _fcurve_terms,
     SymFCurve,
     enumerate_sym_fcurves,
     fcurve_certificate,
@@ -160,7 +161,13 @@ def cmd_pair(args) -> int:
     if args.tk is not None:
         print(tk_pairing(div, args.tk))
         return 0
-    print("\n".join([f"{f} {sym_pairing(div, f)}" for f in enumerate_sym_fcurves(args.n)]))
+    curves = enumerate_sym_fcurves(args.n)
+    # integer degrees over the class's one denominator, one Fraction per value
+    num, den = div._expanded
+    degrees = [sum([num[i] * c for i, c in _fcurve_terms(args.n, f.parts)]) for f in curves]
+    values = {a: str(Fraction(a, den)) for a in set(degrees)}
+    line = FCURVE_FORMAT + " %s"
+    print("\n".join([line % (*f.parts, values[a]) for f, a in zip(curves, degrees)]))
     return 0
 
 

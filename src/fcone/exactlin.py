@@ -26,8 +26,8 @@ by back-substitution: ``kernel_basis`` and the F-curve certificate of
 ``moduli`` read their kernel vectors from it.
 
 ``_SignTable`` gives the signs of many sparse integer rows on one vector
-from one big-int product: the F-curves of ``moduli`` and the normals of
-``cones.ConeH`` are one table each.
+from one big-int product per chunk of rows: the F-curves of ``moduli`` and
+the normals of ``cones.ConeH`` are one table each.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 QVector = tuple[Fraction, ...]
 
@@ -112,55 +112,83 @@ def _field_width(v: Sequence[int], bound: int) -> int:
     return (max(map(abs, v)).bit_length() + bound.bit_length() + 8) // 8
 
 
-def _pack(rows: Sequence[Iterable[tuple[int, int]]], ncols: int, width: int
+def _pack(rows: Iterable[Iterable[tuple[int, int]]], count: int, ncols: int, width: int
           ) -> tuple[tuple[int, ...], int, int]:
-    """(column, coefficient) rows as one int per column, row k in field k from
-    the top, each coefficient in its field's trailing bytes; then top, each
-    field's top bit, and low, its other bits."""
-    size = len(rows) * width
+    """``count`` (column, coefficient) rows as one int per column, row k in
+    field k from the top, each coefficient in its field's trailing bytes (a
+    column repeated in a row adds up, while the sum of one sign stays under
+    256); then top, each field's top bit, and low, its other bits."""
+    size = count * width
     positive = [bytearray(size) for _ in range(ncols)]
     negative = [bytearray(size) for _ in range(ncols)]
-    for k, row in enumerate(rows, 1):
-        end = k * width
+    last = width - 1
+    for k, row in enumerate(rows):
+        end = k * width + last
         for i, c in row:
-            field = positive[i] if c > 0 else negative[i]
-            c = abs(c)
-            if c < 256:  # three times faster than to_bytes on F-curves
-                field[end - 1] = c
+            if c > 0:
+                field = positive[i]
             else:
-                field[end - width:end] = c.to_bytes(width, "big")
+                field, c = negative[i], -c
+            if c < 256:  # three times faster than to_bytes on F-curves
+                field[end] += c
+            else:
+                field[end - last:end + 1] = c.to_bytes(width, "big")
     columns = tuple(int.from_bytes(pos, "big") - int.from_bytes(neg, "big")
                     for pos, neg in zip(positive, negative))
-    top = int.from_bytes(b"\x80".ljust(width, b"\0") * len(rows), "big")
-    low = int.from_bytes(b"\x7f".ljust(width, b"\xff") * len(rows), "big")
+    top = int.from_bytes(b"\x80".ljust(width, b"\0") * count, "big")
+    low = int.from_bytes(b"\x7f".ljust(width, b"\xff") * count, "big")
     return columns, top, low
 
 
-class _SignTable:
-    """Sparse (column, coefficient) rows of L1 norm at most ``bound``, packed
-    by ``_pack`` once per field width, on first use of that width."""
+# rows per packed chunk: an F-curve table up to n = 82 is one chunk
+_CHUNK = 4096
 
-    def __init__(self, rows: Sequence[Sequence[tuple[int, int]]], ncols: int, bound: int):
-        self.rows, self.ncols, self.bound = rows, ncols, bound
-        self._packed: dict[int, tuple[tuple[int, ...], int, int]] = {}
+
+class _SignTable:
+    """Sparse (column, coefficient) rows of L1 norm at most ``bound``, by
+    ``terms`` of each item of ``rows`` if given, packed by ``_pack`` in
+    chunks of ``_CHUNK`` rows.  The chunks of a field width are packed on
+    its first use and kept if their bytes are at most ``limit`` (if any);
+    else each call packs them anew and drops each chunk after its product."""
+
+    def __init__(self, rows: Sequence, ncols: int, bound: int,
+                 terms: Optional[Callable] = None, limit: Optional[int] = None):
+        self.rows, self.ncols, self.bound, self.terms, self.limit = rows, ncols, bound, terms, limit
+        self._packed: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+
+    def nbytes(self, width: Optional[int] = None) -> int:
+        """The bytes of a packing at ``width``, or of all those kept: a field
+        per row and column, and per row top and low."""
+        return len(self.rows) * (self.ncols + 2) * (width or sum(self._packed))
+
+    def _chunks(self, width: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        rows, terms = self.rows, self.terms
+        for start in range(0, len(rows), _CHUNK):
+            chunk = rows[start:start + _CHUNK]
+            yield _pack(map(terms, chunk) if terms else chunk, len(chunk), self.ncols, width)
 
     def signs(self, v: Sequence[int]) -> tuple[bytes, bytes]:
         """One byte per row, nonzero where row·v is zero, then where it is negative:
         each field of ``top + Σ v[i]·column[i]`` holds row·v + 2^(8·width−1),
         negative iff its top bit is clear, zero iff it equals that bias."""
         width = _field_width(v, self.bound)
-        if width not in self._packed:
-            self._packed[width] = _pack(self.rows, self.ncols, width)
-        columns, top, low = self._packed[width]
-        total = top
-        for a, column in zip(v, columns):
-            if a:
-                total += a * column
-        z = total ^ top
-        # (z & low) + low carries into a field's top bit iff its low bits are nonzero
-        zero = top & ~(((z & low) + low) | z)
-        size = (top.bit_length() + 7) // 8
-        return zero.to_bytes(size, "big")[::width], (top & ~total).to_bytes(size, "big")[::width]
+        chunks = self._packed.get(width)
+        if chunks is None:
+            chunks = self._chunks(width)
+            if self.limit is None or self.nbytes(width) <= self.limit:
+                chunks = self._packed[width] = list(chunks)
+        zero, negative = [], []
+        for columns, top, low in chunks:
+            total = top
+            for a, column in zip(v, columns):
+                if a:
+                    total += a * column
+            z = total ^ top
+            size = (top.bit_length() + 7) // 8
+            # (z & low) + low carries into a field's top bit iff its low bits are nonzero
+            zero.append((top & ~(((z & low) + low) | z)).to_bytes(size, "big")[::width])
+            negative.append((top & ~total).to_bytes(size, "big")[::width])
+        return b"".join(zero), b"".join(negative)
 
 
 def _rows(m: Sequence[Sequence]) -> list[list]:

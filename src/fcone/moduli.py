@@ -23,7 +23,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
@@ -212,17 +212,45 @@ def psi_expand(d: SymDivisor) -> SymDivisor:
 FCURVE_FORMAT = "F_{%d,%d,%d,%d}"
 
 
-@dataclass(frozen=True)
+def _fcurve_terms(n: int, parts: Sequence[int]) -> list[tuple[int, int]]:
+    """The terms of an F-curve class as (index, coefficient) pairs, index i
+    standing for Δ_{i+2}: +1 on Δ_{min(x+y, n−x−y)} for each of the three
+    ways to split the four parts into pairs, −1 on Δ_{min(v, n−v)} for each
+    part v ≥ 2.  An index can come more than once; there are at most seven.
+    The parts are descending: a + b, a + c ≥ n/2 > b, c, d."""
+    a, b, c, d = parts
+    terms = [(c + d - 2, 1), (b + d - 2, 1), (min(a + d, b + c) - 2, 1)]
+    terms += [(v - 2, -1) for v in (min(a, n - a), b, c, d) if v > 1]
+    return terms
+
+
+@dataclass(frozen=True, slots=True)
 class SymFCurve:
-    """F-curve type: partition of n into four parts, stored descending."""
+    """F-curve type: partition of n into four parts, stored descending.
+    Its terms and its standard full curve are made on first read and kept."""
 
     parts: tuple[int, int, int, int]
+    _terms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _standard_full: FullFCurve = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = tuple(sorted(self.parts, reverse=True))
         if len(parts) != 4 or any(not isinstance(v, int) or v < 1 for v in parts):
             raise ValueError(f"F-curve needs 4 positive parts, got {self.parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __getattr__(self, name):
+        # reached when lookup fails: an empty slot is filled, any other name raises
+        if name == "_terms":
+            value = tuple(_fcurve_terms(self.n, self.parts))
+        elif name == "_standard_full":
+            bounds = [0, *itertools.accumulate(self.parts)]
+            value = FullFCurve(tuple(frozenset(range(a + 1, b + 1))
+                                     for a, b in zip(bounds, bounds[1:])))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def n(self) -> int:
@@ -231,67 +259,60 @@ class SymFCurve:
     def __str__(self):
         return FCURVE_FORMAT % self.parts
 
-    @cached_property
-    def _terms(self) -> tuple[tuple[int, int], ...]:
-        """The nonzero coordinates of the class as (index, coefficient)
-        pairs, index i standing for Δ_{i+2}; at most seven of them.
-
-        Each of the three ways to split the four parts into pairs contributes
-        +1 on Δ_{min(x+y, n−x−y)}; each part v ≥ 2 contributes −1 on
-        Δ_{min(v, n−v)}.
-        """
-        n, (a, b, c, d) = self.n, self.parts
-        coeffs: dict[int, int] = {}
-        for x in (a + b, a + c, a + d):
-            k = min(x, n - x)
-            coeffs[k] = coeffs.get(k, 0) + 1
-        for v in self.parts:
-            if v >= 2:
-                k = min(v, n - v)
-                coeffs[k] = coeffs.get(k, 0) - 1
-        return tuple(sorted((k - 2, c) for k, c in coeffs.items() if c))
-
-    @cached_property
-    def _standard_full(self) -> FullFCurve:
-        bounds = [0, *itertools.accumulate(self.parts)]
-        return FullFCurve(tuple(frozenset(range(a + 1, b + 1))
-                                for a, b in zip(bounds, bounds[1:])))
-
 
 def enumerate_sym_fcurves(n: int) -> list[SymFCurve]:
     """All F-curve types on n markings, in descending lexicographic order.
 
     This ordering puts the curve with the largest spine part first; it is
     the order used for every table and report in the package.  The list is
-    fresh on every call; the curves are kept for the last ``_FCURVE_TABLES`` n.
+    fresh on every call; its curves are kept with the table of n.
     """
     _check_n(n)
-    return list(_sym_fcurves(n)[0])
+    table, made = _fcurves(n)
+    return _made(table, made, b"\1" * len(made))
 
 
-# LRU bound on per-n F-curve tables: a benchmark workload cycles 2 or 3 n
-_FCURVE_TABLES = 4
+# Bytes of F-curve sign tables kept over all n.  A table is kept while it
+# packs within them at two bytes a field (numerators below 2^12), up to
+# n = 185, and so is each packing that fits; n = 240 and the packings past
+# the budget are packed chunk by chunk on every call instead.
+_FCURVE_BYTES = 8 << 20
+_fcurve_tables: dict = {}
 
 
-@lru_cache(maxsize=_FCURVE_TABLES)
-def _sym_fcurves(n: int) -> tuple[tuple[SymFCurve, ...], _SignTable]:
-    """The F-curve types on n markings, and their terms as a sign table of L1 bound 7."""
-    found = set()
-    for b in range(1, n):
-        for c in range(1, b + 1):
-            for d in range(1, c + 1):
-                a = n - b - c - d
-                if a >= b:
-                    found.add((a, b, c, d))
-    curves = tuple(SymFCurve(parts) for parts in sorted(found, reverse=True))
-    return curves, _SignTable([f._terms for f in curves], n // 2 - 1, 7)
+def _fcurves(n: int) -> tuple:
+    """The F-curve types on n markings as a sign table of L1 bound 7 whose
+    rows are their parts, in descending lexicographic order, packed from the
+    parts; and the curves made so far, by row.  The tables kept go in order
+    of use, the most recent last."""
+    kept = _fcurve_tables.pop(n, None)
+    if kept is None:
+        # a ≥ b ≥ c ≥ d = n − a − b − c ≥ 1, each part from its largest value down
+        parts = [(a, b, c, n - a - b - c) for a in range(n - 3, (n - 1) // 4, -1)
+                 for b in range(min(a, n - a - 2), (n - a - 1) // 3, -1)
+                 for c in range(min(b, n - a - b - 1), (n - a - b - 1) // 2, -1)]
+        kept = (_SignTable(parts, n // 2 - 1, 7, partial(_fcurve_terms, n), _FCURVE_BYTES),
+                [None] * len(parts))
+    if kept[0].nbytes(2) <= _FCURVE_BYTES:
+        _fcurve_tables[n] = kept
+    return kept
+
+
+def _made(table: _SignTable, made: list, mask: bytes) -> list[SymFCurve]:
+    """The curves of the rows that ``mask`` selects, each made on its first request."""
+    curves = list(itertools.compress(made, mask))
+    if not all(curves):
+        for i in itertools.compress(range(len(made)), mask):
+            made[i] = made[i] or SymFCurve(table.rows[i])
+        curves = list(itertools.compress(made, mask))
+    return curves
 
 
 def _fcurve_row(f: SymFCurve) -> list[int]:
     """The curve's sparse terms spread over Δ_2..Δ_{⌊n/2⌋}, as a fresh list."""
     row = [0] * (sum(f.parts) // 2 - 1)
     for i, c in f._terms:
-        row[i] = c
+        row[i] += c
     return row
 
 
@@ -319,15 +340,18 @@ def zero_and_negative_fcurves(
     negative together with the degree, both in ``enumerate_sym_fcurves``
     order.
 
-    Every degree comes out of one big-int product of the F-curves' sign
+    Every degree comes out of the big-int products of the F-curves' sign
     table, as in ``cones.contains``; with the row bound 7 a field is
     ``(max|num|.bit_length() + 11) // 8`` bytes.  Only a negative degree is
-    made a ``Fraction``, by ``sym_pairing``.
+    made a ``Fraction``, by ``sym_pairing``.  Then the oldest tables go
+    until the packings kept fit ``_FCURVE_BYTES``.
     """
-    curves, table = _sym_fcurves(d.n)
+    table, made = _fcurves(d.n)
     zero, negative = table.signs(d._expanded[0])
-    return (list(itertools.compress(curves, zero)),
-            [(f, sym_pairing(d, f)) for f in itertools.compress(curves, negative)])
+    while sum(t.nbytes() for t, _ in _fcurve_tables.values()) > _FCURVE_BYTES:
+        del _fcurve_tables[next(iter(_fcurve_tables))]
+    return (_made(table, made, zero),
+            [(f, sym_pairing(d, f)) for f in _made(table, made, negative)])
 
 
 def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:

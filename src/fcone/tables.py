@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .cones import ConeH, ConeV, extreme_rays
 from .covers import WeightData, _symmetric_classes, _symmetric_rays, pullback_combo
 from .moduli import (
-    _FCURVE_TABLES,
     SymDivisor,
     SymFCurve,
     enumerate_sym_fcurves,
@@ -30,10 +29,10 @@ COMBO_COEFFS = ((9, -1, 0), (12, -1, 0), (10, -1, -2))
 TABLE_NAMES = ("n6", "n7", "n9", "n10", "n10-fcurves", "t3-certificates")
 
 
-@lru_cache(maxsize=_FCURVE_TABLES)
+@lru_cache(maxsize=4)
 def fcurve_cone(n: int) -> ConeH:
     """The symmetric F-cone on Δ_2..Δ_{⌊n/2⌋} coordinates, one inequality
-    per F-curve type, kept for the last ``_FCURVE_TABLES`` n: a ``ConeH`` is
+    per F-curve type, kept for the last four n: a ``ConeH`` is
     immutable, and it keeps its pointedness and sign table once computed."""
     dim = n // 2 - 1
     return ConeH(dim, [fcurve_class_vector(f) for f in enumerate_sym_fcurves(n)])

@@ -1,11 +1,16 @@
-"""Acceptance suite: ten end-to-end checks, one test per criterion.
+"""Acceptance suite: ten end-to-end checks, one test per criterion, and a
+memory gate on a cold CLI verdict.
 
 Each test is self-contained, asserts exact rational equalities, and where a
 runtime budget applies it is enforced with a wall-clock assertion.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -25,6 +30,7 @@ from fcone.exactlin import rank
 from fcone.moduli import (
     enumerate_sym_fcurves,
     fcurve_class_vector,
+    format_divisor,
     full_pairing,
     parse_divisor,
     proportional,
@@ -257,3 +263,31 @@ def test_criterion_10_ray_enumeration_oracle():
         rng.shuffle(shuffled)
         assert extreme_rays(ConeH(dim, shuffled)) == expected
     assert time.monotonic() - start < 30.0
+
+
+# runs fcone's __main__ as ``python -m fcone`` does, then writes the peak RSS
+# of this process alone, in KiB on Linux, to stderr
+MEASURED_MAIN = """
+import resource, runpy, sys
+sys.argv[0] = "fcone"
+try:
+    runpy.run_module("fcone", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    code = stop.code
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_cold_extremal_at_n240_stays_under_128_mib():
+    # one cold process: the F-curve table of n = 240 is packed chunk by chunk
+    # and dropped, so no 97,200 curve objects or full packing are ever held
+    literal = format_divisor(triple_cover_divisor(240))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURED_MAIN, "extremal", literal, "--n", "240"],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["extremal", "rank 118 of 118"]
+    assert int(proc.stderr) < 128 * 1024

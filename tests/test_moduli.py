@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import operator
 import pickle
 import random
 import tracemalloc
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fcone import exactlin, moduli
+from fcone.cones import ConeH, _cleared_signs, contains
 from fcone.covers import WeightData, eigen_det_class, hodge_class
-from fcone.exactlin import _scan, primitive
+from fcone.exactlin import _scan, dot, primitive
 from fcone.moduli import (
     FullDivisor,
     FullFCurve,
@@ -142,6 +144,40 @@ def test_enumerate_sym_fcurves_counts_and_order():
     assert [len(enumerate_sym_fcurves(n)) for n in range(5, 11)] == [1, 2, 3, 5, 6, 9]
     tens = [f.parts for f in enumerate_sym_fcurves(10)]
     assert tens == sorted(N10_TABLE, reverse=True)
+
+
+def four_part_partitions(n: int) -> list[tuple[int, ...]]:
+    """Every partition of n into four parts, descending, by brute force: each
+    multiset of three parts with the rest as the fourth, then one sort."""
+    return sorted({tuple(sorted((n - sum(p), *p), reverse=True))
+                   for p in itertools.combinations_with_replacement(range(1, n), 3)
+                   if sum(p) < n}, reverse=True)
+
+
+@pytest.mark.parametrize("n", range(4, 81))
+def test_generated_parts_are_the_sorted_four_part_partitions(n):
+    assert moduli._fcurves(n)[0].rows == four_part_partitions(n)
+    assert [f.parts for f in enumerate_sym_fcurves(n)] == four_part_partitions(n)
+
+
+def test_table_curves_are_made_once_and_kept():
+    d = triple_cover_divisor(24)
+    zero, _ = zero_and_negative_fcurves(d)
+    again, _ = zero_and_negative_fcurves(d)
+    assert all(map(operator.is_, zero, again))
+    by_parts = {f.parts: f for f in enumerate_sym_fcurves(24)}
+    assert all(by_parts[f.parts] is f for f in zero)
+
+
+def test_sym_fcurve_is_immutable_and_rebuilt_equal():
+    f = enumerate_sym_fcurves(12)[3]
+    with pytest.raises(AttributeError):
+        f.parts = (9, 1, 1, 1)
+    with pytest.raises(AttributeError):
+        f.missing
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and hash(copied) == hash(f) and str(copied) == str(f)
+    assert repr(f) == f"SymFCurve(parts={f.parts!r})" and f != f.parts
 
 
 def test_fcurve_class_vectors_n10():
@@ -789,6 +825,65 @@ def test_zero_and_negative_fcurves_match_a_per_curve_oracle(d):
     assert all(type(deg) is Fraction for _, deg in negative)
 
 
+# rows per packed chunk in the chunk tests below
+CHUNK = 5
+
+
+def straddling_class(n: int) -> SymDivisor:
+    """The first class with coordinates in {-1, 0, 1}, drawn from seeds
+    0, 1, ..., whose F-curves have zero and negative degrees in both chunks
+    at some chunk edge."""
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        d = sym_divisor_from_vector(n, [rng.choice([-1, 0, 0, 1]) for _ in delta_range(n)])
+        degrees = [sym_pairing(d, f) for f in enumerate_sym_fcurves(n)]
+        sides = [(degrees[e - CHUNK:e], degrees[e:e + CHUNK])
+                 for e in range(CHUNK, len(degrees), CHUNK)]
+        if any(all(0 in side and min(side) < 0 for side in pair) for pair in sides):
+            return d
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Sign tables packed CHUNK rows a chunk, from an empty F-curve cache."""
+    monkeypatch.setattr(exactlin, "_CHUNK", CHUNK)
+    monkeypatch.setattr(moduli, "_fcurve_tables", {})
+
+
+@pytest.mark.parametrize("budget", [moduli._FCURVE_BYTES, 0], ids=["kept", "per-call"])
+@pytest.mark.parametrize("n", range(12, 41))
+def test_chunked_signs_match_per_curve_oracles(n, budget, small_chunks, monkeypatch):
+    monkeypatch.setattr(moduli, "_FCURVE_BYTES", budget)
+    d = straddling_class(n)
+    # the second call reads the chunks kept, or packs them again
+    for _ in range(2):
+        assert zero_and_negative_fcurves(d) == zero_and_negative_by_pairing(d)
+    assert (n in moduli._fcurve_tables) == (budget > 0)
+    cone = ConeH(n // 2 - 1, [fcurve_class_vector(f) for f in enumerate_sym_fcurves(n)])
+    v = d.class_vector()
+    _, zero, negative = _cleared_signs(cone, v)
+    dots = [dot(a, v) for a in cone.normals]
+    assert list(map(bool, zero)) == [x == 0 for x in dots]
+    assert list(map(bool, negative)) == [x < 0 for x in dots]
+    assert not contains(cone, v)
+    assert contains(cone, SymDivisor(n, 1, {k: -1 for k in delta_range(n)}).class_vector())
+
+
+def test_the_chunk_oracle_sees_one_chunk_shifted_by_one_field(small_chunks, monkeypatch):
+    # packing each row of the second chunk one field down fails the oracle
+    pack, counts = exactlin._pack, []
+
+    def shifted(rows, count, ncols, width):
+        counts.append(count)
+        rows = list(rows)
+        return pack([[], *rows[:-1]] if len(counts) == 2 else rows, count, ncols, width)
+
+    monkeypatch.setattr(exactlin, "_pack", shifted)
+    d = straddling_class(24)
+    assert zero_and_negative_fcurves(d) != zero_and_negative_by_pairing(d)
+    assert counts == [CHUNK] * (len(enumerate_sym_fcurves(24)) // CHUNK) + [3]
+
+
 def test_width_boundary_classes_reach_seven_times_their_largest_numerator():
     for m in WIDTH_BOUNDARIES:
         d = aligned_with_a_curve(24, m)
@@ -905,6 +1000,16 @@ def test_fcurve_certificate_at_rank_one_and_below(n):
             assert fcurve_certificate(zero) == plain_certificate(zero)
 
 
+def holds_terms(f: SymFCurve) -> bool:
+    """Whether the curve's terms slot is filled, asked without filling it:
+    ``object.__getattribute__`` does not fall back to ``__getattr__``."""
+    try:
+        object.__getattribute__(f, "_terms")
+    except AttributeError:
+        return False
+    return True
+
+
 def counted_certificate(curves: list, monkeypatch) -> tuple[list, dict]:
     """fcurve_certificate on fresh copies of curves, equal to them, with the
     rows it builds counted, and the copies whose terms it reads: a fresh
@@ -919,7 +1024,7 @@ def counted_certificate(curves: list, monkeypatch) -> tuple[list, dict]:
 
     monkeypatch.setattr(moduli, "_fcurve_row", counted_row)
     certificate = fcurve_certificate(copies)
-    counts["terms"] = sum("_terms" in vars(f) for f in copies)
+    counts["terms"] = sum(map(holds_terms, copies))
     return certificate, counts
 
 
@@ -936,9 +1041,9 @@ def test_fcurve_certificate_reduces_rows_only_up_to_the_close(monkeypatch):
 
 
 def test_fcurve_tables_stay_at_their_bound_and_go_with_the_clear():
-    # the t3 verdict at n = 12..60: the last four n keep their curves, terms
-    # and packed tables, and clearing the LRU drops all of them
-    moduli._sym_fcurves.cache_clear()
+    # the t3 verdict at n = 12..60: the tables kept hold their parts, curves,
+    # terms and packings within the byte budget, and clearing them drops all
+    moduli._fcurve_tables.clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -946,14 +1051,44 @@ def test_fcurve_tables_stay_at_their_bound_and_go_with_the_clear():
             zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
             fcurve_certificate(zero)
         del zero
-        info = moduli._sym_fcurves.cache_info()
-        moduli._sym_fcurves.cache_clear()
+        kept = sum(t.nbytes() for t, _ in moduli._fcurve_tables.values())
+        moduli._fcurve_tables.clear()
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert info.currsize == info.maxsize == moduli._FCURVE_TABLES
+    assert 0 < kept <= moduli._FCURVE_BYTES
     assert retained < 2 ** 20
+
+
+def test_fcurve_tables_past_the_budget_go_least_recently_used_first(monkeypatch):
+    monkeypatch.setattr(moduli, "_fcurve_tables", {})
+    nbytes = {}
+    for n in (24, 27, 30):
+        zero_and_negative_fcurves(triple_cover_divisor(n))
+        nbytes[n] = moduli._fcurve_tables[n][0].nbytes()
+    # room for two of the three packings: each new one evicts the oldest
+    monkeypatch.setattr(moduli, "_FCURVE_BYTES", nbytes[27] + nbytes[30])
+    moduli._fcurve_tables.clear()
+    for n, kept in [(24, [24]), (27, [24, 27]), (30, [27, 30]), (24, [30, 24])]:
+        zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
+        assert list(moduli._fcurve_tables) == kept
+        assert sum(t.nbytes() for t, _ in moduli._fcurve_tables.values()) <= nbytes[27] + nbytes[30]
+        assert zero == zero_and_negative_by_pairing(triple_cover_divisor(n))[0]
+
+
+def test_a_kept_table_packs_a_wider_class_on_every_call(monkeypatch):
+    # the budget holds the table of n = 30 at two bytes a field, not at five
+    n = 30
+    monkeypatch.setattr(moduli, "_fcurve_tables", {})
+    monkeypatch.setattr(moduli, "_FCURVE_BYTES", len(four_part_partitions(n)) * (n // 2 + 1) * 2)
+    wide = triple_cover_divisor(n) * -(2 ** 20)
+    for d in (triple_cover_divisor(n), wide, wide):
+        zero, negative = zero_and_negative_fcurves(d)
+        assert (zero, negative) == zero_and_negative_by_pairing(d)
+    assert zero and negative
+    table, _ = moduli._fcurve_tables[n]
+    assert list(table._packed) == [2]
 
 
 @pytest.mark.parametrize("n", [36, 48, 96])
