@@ -13,7 +13,6 @@ they need to.  genus, exceptional_genus and residue return ints.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -21,7 +20,7 @@ from math import comb, gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
-from .exactlin import _lowest_terms, _over_lcm, primitive
+from .exactlin import _lowest_terms, _over_lcm
 from .moduli import FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, _walk, delta_range
 
 
@@ -140,7 +139,8 @@ def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
 
 def pullback_combo(n: int, p: int, c_lambda, c_irr, c_red) -> SymDivisor:
     """Linear combination c_λ·λ + c_irr·δ_irr + c_red·δ_red, pulled back."""
-    row = {"lambda": Fraction(c_lambda), "irr": Fraction(c_irr), "red": Fraction(c_red)}
+    terms = zip(("lambda", "irr", "red"), (c_lambda, c_irr, c_red))
+    row = tuple(zip(*[(b, Fraction(c)) for b, c in terms if c])) or ((), ())
     return _symmetric_classes(_unit_weights(n, p), (row,))[0]
 
 
@@ -205,39 +205,38 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     return built[j]
 
 
-def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
-                     ) -> tuple[list[tuple[tuple, tuple]], dict, dict, int]:
+def _symmetric_bases(w: WeightData, rows: Sequence[tuple]) -> tuple[dict, dict, int]:
     """The profile walk of the symmetric read-outs.
 
-    A row maps bases to rational coefficients: "lambda", "irr", "red" for
-    λ, δ_irr, δ_red and j for det E_j.  Each base reads _base_table as
-    _base_class does, so the Δ_k coefficient of the average, a mean over
-    the C(n, k) sets I of size k, is a sum over the profiles of I (how many
-    markings of each weight mod p it takes), equal to that of symmetrize().
+    A row is (bases, coefficients), two tuples, as the builders make it: a
+    base is "lambda", "irr", "red" for λ, δ_irr, δ_red or j for det E_j,
+    named by min(j, p − j) as det E_{p−j} = det E_j, with an int or Fraction
+    coefficient.  Each base reads _base_table as _base_class does, so the
+    Δ_k coefficient of the average, a mean over the C(n, k) sets I of size
+    k, is a sum over the profiles of I (how many markings of each weight mod
+    p it takes), equal to that of symmetrize().
     Profiles agreeing on (|I|, s, ramification of I) are merged, so the walk
     stays polynomial in n where the layout of WeightData._profiles has
     2^(n−1) profiles, as for distinct weights.  As p divides the total
     weight, I and its complement agree at k = n/2.
 
-    Returns (terms, psis, columns, den): per row, its bases with a nonzero
-    coefficient and those coefficients, as two tuples; one ψ numerator and
-    one Δ column by distinct base, over den.  As det E_{p−j} = det E_j, the
-    terms name it by the smaller of j and p − j.
+    Returns (psis, columns, den): one ψ numerator and one Δ column per base
+    of the rows, over den.
     """
     n, p = w.n, w.p
-    terms = [(tuple([min(b, p - b) if type(b) is int else b for b, c in row.items() if c]),
-              tuple([c for c in row.values() if c])) for row in rows]
-    groups = Counter(x % p for x in w.d).items()
+    residues = [x % p for x in w.d]
+    groups = [(d, residues.count(d)) for d in dict.fromkeys(residues)]
     total_ram = 0
     profiles = {(0, 0, 0): 1}
     for d, m in groups:
         e = p - gcd(d, p)
         total_ram += m * e
+        ways = [comb(m, c) for c in range(min(m, n // 2) + 1)]
         grown = {}
         for (k, s, ram), times in profiles.items():
             for c in range(min(m, n // 2 - k) + 1):
                 key = (k + c, (s + c * d) % p, ram + c * e)
-                grown[key] = grown.get(key, 0) + times * comb(m, c)
+                grown[key] = grown.get(key, 0) + times * ways[c]
         profiles = grown
     # per k: how many of the C(n, k) sets of size k have weight sum s, over
     # every side and over the split ones; these shares and 1/n are
@@ -255,14 +254,14 @@ def _symmetric_bases(w: WeightData, rows: Sequence[Mapping]
     every, split = ([[(s, times * l // size) for s, times in at_k.items()]
                      for size, at_k in zip(sizes, sides)] for sides in (every, split))
     psis, columns = {}, {}
-    for b in {b for bs, _ in terms for b in bs}:
+    for b in {b for bs, _ in rows for b in bs}:
         t, den = _base_table(b, p)
         lift = 12 * p * p // den
-        psi = 0 if b in ("irr", "red") else -sum([m * t[d % p] for d, m in groups])
+        psi = 0 if b in ("irr", "red") else -sum([m * t[d] for d, m in groups])
         psis[b] = psi * (l // n) * lift
         columns[b] = [sum([c * t[s] for s, c in at_k]) * lift
                       for at_k in (split if b == "red" else every)]
-    return terms, psis, columns, 12 * p * p * l
+    return psis, columns, 12 * p * p * l
 
 
 def _combine(cs: Sequence[int], bs: Sequence, columns: Mapping) -> list[int]:
@@ -272,51 +271,51 @@ def _combine(cs: Sequence[int], bs: Sequence, columns: Mapping) -> list[int]:
     return [sum(map(mul, cs, at_k)) for at_k in zip(*map(columns.get, bs))]
 
 
-def _symmetric_classes(w: WeightData, rows: Sequence[Mapping]) -> list[SymDivisor]:
+def _symmetric_classes(w: WeightData, rows: Sequence[tuple]) -> list[SymDivisor]:
     """S_n-averages of combinations of the classes of the cover w, one
     SymDivisor per row, from one walk over weight profiles (see
-    _symmetric_bases).  Rows with the same terms, as det E_j and det E_{p−j}
-    are, get the same SymDivisor."""
+    _symmetric_bases).  Equal rows, as det E_j and det E_{p−j} are, get the
+    same SymDivisor."""
     n = w.n
-    terms, psis, columns, den = _symmetric_bases(w, rows)
+    psis, columns, den = _symmetric_bases(w, rows)
     zero = [0] * len(delta_range(n))
     built = {}
-    for row in terms:
-        if row not in built:
-            bs, (cs, row_den) = row[0], _over_lcm(row[1])
-            built[row] = SymDivisor(n, _cleared=((sum(map(mul, cs, map(psis.get, bs))),),
-                                                 _combine(cs, bs, columns) or zero, den * row_den))
-    return [built[row] for row in terms]
+    for row in dict.fromkeys(rows):
+        bs, (cs, row_den) = row[0], _over_lcm(row[1])
+        built[row] = SymDivisor(n, _cleared=((sum(map(mul, cs, map(psis.get, bs))),),
+                                             _combine(cs, bs, columns) or zero, den * row_den))
+    return [built[row] for row in rows]
 
 
-def _symmetric_rays(w: WeightData, rows: Sequence[Mapping]) -> list[tuple[int, ...]]:
+def _symmetric_rays(w: WeightData, rows: Sequence[tuple]) -> list[tuple[int, ...]]:
     """``[d.ray() for d in _symmetric_classes(w, rows)]`` with no SymDivisor:
-    (n−1)ψ = Σ k(n−k)Δ_k is folded into each base column once, and a row's
-    ray is the primitive form of its combination of those columns."""
+    (n−1)ψ = Σ k(n−k)Δ_k is folded into each base column once.  A row's ray
+    is its column over its gcd: a row of one base at coefficient 1 reads
+    that base's column, any other row combines them."""
     n = w.n
-    terms, psis, columns, _ = _symmetric_bases(w, rows)
+    psis, columns, _ = _symmetric_bases(w, rows)
     weights = [k * (n - k) for k in delta_range(n)]
     expanded = {b: [c * (n - 1) + a * t for c, t in zip(columns[b], weights)]
                 for b, a in psis.items()}
     zero = [0] * len(weights)
     found = {}
-    for row in terms:
-        if row not in found:
-            found[row] = primitive(_combine(_over_lcm(row[1])[0], row[0], expanded) or zero,
-                                   flip_sign=False)
-    return [found[row] for row in terms]
+    for bs, cs in dict.fromkeys(rows):
+        column = expanded[bs[0]] if cs == (1,) else _combine(_over_lcm(cs)[0], bs, expanded) or zero
+        g = gcd(*column)
+        found[bs, cs] = tuple([a // g for a in column] if g > 1 else column)
+    return [found[row] for row in rows]
 
 
 def sym_weighted_pullbacks(w: WeightData) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
     """(λ, δ_irr, δ_red): symmetrize() of each of weighted_pullbacks(w), from
     weight profiles."""
-    return tuple(_symmetric_classes(w, ({"lambda": 1}, {"irr": 1}, {"red": 1})))
+    return tuple(_symmetric_classes(w, [((b,), (1,)) for b in ("lambda", "irr", "red")]))
 
 
 def sym_eigen_det_class(w: WeightData, j: int) -> SymDivisor:
     """symmetrize(eigen_det_class(w, j)), from weight profiles."""
     _check_character(w, j)
-    return _symmetric_classes(w, ({j: 1},))[0]
+    return _symmetric_classes(w, (((min(j, w.p - j),), (1,)),))[0]
 
 
 def conformal_blocks_class(p: int, d: Sequence[int]) -> FullDivisor:
@@ -328,7 +327,7 @@ def p5_class(n: int, j: int) -> SymDivisor:
     """The two nonnegative degree-5 eigenbundle combinations 50·det E_j − δ_irr."""
     if j not in (1, 2):
         raise ValueError("character must be 1 or 2")
-    return _symmetric_classes(_unit_weights(n, 5), ({j: 50, "irr": -1},))[0]
+    return _symmetric_classes(_unit_weights(n, 5), (((j, "irr"), (50, -1)),))[0]
 
 
 def log_canonical_class(n: int, p: int) -> SymDivisor:

@@ -79,7 +79,7 @@ def _lowest_terms(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
 def _integer_row(row: Sequence) -> Sequence[int]:
     """``row`` itself if it holds only ints, else a fresh positive multiple
     of it with its denominators cleared."""
-    if all(type(e) is int for e in row):
+    if [*map(type, row)].count(int) == len(row):  # at C speed
         return row
     # only other types become Fractions: copying a Fraction costs as much as clearing it
     return _over_lcm([e if type(e) is int or type(e) is Fraction else Fraction(e)

@@ -53,22 +53,22 @@ def _weight_label(weights: Sequence[int]) -> str:
 
 
 def _candidate_rows(n: int
-                    ) -> tuple[list[tuple[WeightData, list[dict]]], list[tuple[str, int, int]]]:
+                    ) -> tuple[list[tuple[WeightData, list[tuple]]], list[tuple[str, int, int]]]:
     """The candidates of annotation_candidates as (walks, labels): each
     cover's weight datum with its rows, and (label, walk index, row index) in
     candidate order.  The p5 rows join the p = 5 walk."""
-    walks: list[tuple[WeightData, list[dict]]] = []
+    walks: list[tuple[WeightData, list[tuple]]] = []
     labels: list[tuple[str, int, int]] = []
     p5: list[tuple[str, int, int]] = []
 
     def cover(w: WeightData, key: str, eigen_key: str, names: tuple[str, str, str], extra=()):
         # one walk for every class of w; the extra rows go to p5
         hodge, combo, eigen = names
-        rows = {f"{hodge}({key})": {"lambda": 1}}
+        rows = {f"{hodge}({key})": (("lambda",), (1,))}
         for cl, ci, cr in COMBO_COEFFS:
-            rows[f"{combo}({key},{cl},{ci},{cr})"] = {"lambda": cl, "irr": ci, "red": cr}
+            rows[f"{combo}({key},{cl},{ci},{cr})"] = ("lambda", "irr", "red"), (cl, ci, cr)
         for j in range(1, w.p):
-            rows[f"{eigen}({eigen_key},{j})"] = {j: 1}
+            rows[f"{eigen}({eigen_key},{j})"] = ((min(j, w.p - j),), (1,))
         rows.update(extra)
         for r, label in enumerate(rows):
             (p5 if label in extra else labels).append((label, len(walks), r))
@@ -76,7 +76,7 @@ def _candidate_rows(n: int
 
     for p in range(2, n + 1):
         if n % p == 0:
-            p5_rows = {f"p5({n},{j})": {j: 50, "irr": -1} for j in (1, 2)} if p == 5 else ()
+            p5_rows = {f"p5({n},{j})": ((j, "irr"), (50, -1)) for j in (1, 2)} if p == 5 else ()
             cover(WeightData((1,) * n, p), f"{n},{p}", f"1^{n},{p}", ("hodge", "combo", "eigen"),
                   p5_rows)
     labels += p5

@@ -9,7 +9,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fcone import moduli
+from fcone import covers, moduli, tables
 from fcone.covers import (
     WeightData,
     _symmetric_classes,
@@ -228,7 +228,7 @@ def test_profile_classes_equal_symmetrized_full_classes(w):
     # SymDivisor arithmetic on the symmetrized per-marking classes
     lam, irr, red = full
     coeffs = [*COMBO_COEFFS, (10, -1, Fraction(-2, 3))]
-    rows = [{"lambda": cl, "irr": ci, "red": cr} for cl, ci, cr in coeffs] + [{1: 50, "irr": -1}]
+    rows = [(("lambda", "irr", "red"), cs) for cs in coeffs] + [((1, "irr"), (50, -1))]
     expected = [cl * lam + ci * irr + cr * red for cl, ci, cr in coeffs]
     expected.append(50 * symmetrize(eigen_det_class(w, 1)) - irr)
     got = _symmetric_classes(w, rows)
@@ -294,8 +294,9 @@ def test_full_classes_match_the_per_side_oracles(w):
     # by side: λ, δ_irr, δ_red, each det E_j and one combination row
     lam, irr, red = averaged[:3]
     cl, ci, cr = COMBO_COEFFS[2]
-    rows = [{"lambda": 1}, {"irr": 1}, {"red": 1}, *({j: 1} for j in range(1, w.p)),
-            {"lambda": cl, "irr": ci, "red": cr}]
+    rows = [(("lambda",), (1,)), (("irr",), (1,)), (("red",), (1,)),
+            *(((min(j, w.p - j),), (1,)) for j in range(1, w.p)),
+            (("lambda", "irr", "red"), (cl, ci, cr))]
     sym_got = _symmetric_classes(w, rows)
     sym_expected = [*averaged, cl * lam + ci * irr + cr * red]
     assert len(sym_got) == len(sym_expected) and all(map(same_raw, sym_got, sym_expected))
@@ -310,6 +311,69 @@ def test_symmetric_readouts_of_distinct_weights_build_no_marking_layout():
     sym_weighted_pullbacks(w)
     assert sym_eigen_det_class(w, 1) == sym_eigen_det_class(w, 100)
     assert "_profiles" not in vars(w)
+
+
+@st.composite
+def few_weight_data(draw):
+    """Weight data of at most three distinct weights, n up to 60: two drawn
+    weights, up to 2p, on the first n − 1 markings and the one that makes
+    p divide the sum."""
+    n, p = draw(st.integers(4, 60)), draw(st.integers(2, 7))
+    a, b = draw(st.integers(0, 2 * p)), draw(st.integers(0, 2 * p))
+    count = draw(st.integers(0, n - 1))
+    head = draw(st.permutations((a,) * count + (b,) * (n - 1 - count)))
+    return WeightData(tuple(head) + (-sum(head) % p,), p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=few_weight_data(), data=st.data())
+@example(w=WeightData((1,) * 60, 5), data=None)
+@example(w=WeightData((1,) * 58 + (2, 3), 7), data=None)
+def test_ray_readout_matches_the_class_readout_up_to_n60(w, data):
+    # where the binomials C(n, k) and the lcm of the shares grow large; rows
+    # as the builders never pass them must still agree between the read-outs
+    p = w.p
+    j = data.draw(st.integers(1, p - 1)) if data else 1
+    rows = [
+        (("lambda", "irr", "red"), (10, -1, Fraction(-2, 3))),  # a Fraction coefficient
+        (("lambda", "red"), (9, 0)),  # a zero coefficient
+        ((j,), (1,)), ((p - j,), (1,)),  # det E_j next to det E_{p−j}
+        ((), ()),  # the empty row
+        (("irr",), (1,)), (("red",), (2,)), (("irr",), (1,)),  # a repeated row
+        ((min(j, p - j), "irr"), (50, -1)),
+    ]
+    classes = _symmetric_classes(w, rows)
+    rays = _symmetric_rays(w, rows)
+    assert rays == [d.ray() for d in classes]
+    assert rays[2] == rays[3] and classes[2] == classes[3]
+    assert rays[4] == (0,) * len(delta_range(w.n)) and classes[4] == SymDivisor(w.n)
+    assert classes[5] is classes[7]
+
+
+def test_ray_annotations_build_no_sym_divisor_and_combine_only_mixed_rows(monkeypatch):
+    # at n = 10 the covers are 1^10 at p = 2, 5, 10 and 1^9 0 at p = 3, 9:
+    # five walks, each with the three combo rows, and the two p5 rows at
+    # p = 5; every hodge and eigen row is one base at coefficient 1
+    calls = {"walk": 0, "combine": 0, "over_lcm": 0, "SymDivisor": 0}
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    for name, f in (("walk", "_symmetric_bases"), ("combine", "_combine"),
+                    ("over_lcm", "_over_lcm")):
+        monkeypatch.setattr(covers, f, counting(name, getattr(covers, f)))
+    monkeypatch.setattr(SymDivisor, "__init__", counting("SymDivisor", SymDivisor.__init__))
+    walks, _ = tables._candidate_rows(10)
+    mixed = sum(len({row for row in rows if row[1] != (1,)}) for _, rows in walks)
+    assert (len(walks), mixed) == (5, 17)
+    first = tables.ray_annotations(10)
+    assert calls == {"walk": 5, "combine": 17, "over_lcm": 17, "SymDivisor": 0}
+    # nothing is kept across calls: the second does the same work
+    assert tables.ray_annotations(10) == first
+    assert calls == {"walk": 10, "combine": 34, "over_lcm": 34, "SymDivisor": 0}
 
 
 @settings(max_examples=50, deadline=None)

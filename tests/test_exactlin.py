@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fcone.exactlin import (
+    _integer_row,
     _kernel,
     _lowest_terms,
     _over_lcm,
@@ -115,6 +116,26 @@ def test_primitive_of_ints_matches_the_fraction_path(v, flip_sign):
         assert primitive(t, flip_sign) is t
     bools = [x != 0 for x in v]
     assert primitive(bools, flip_sign) == primitive([int(b) for b in bools], flip_sign)
+
+
+class Integer(int):
+    pass
+
+
+@pytest.mark.parametrize("row", [[3, -6, 0], (3, -6, 0), []], ids=["list", "tuple", "empty"])
+def test_integer_row_returns_an_all_int_row_itself(row):
+    assert _integer_row(row) is row
+
+
+@pytest.mark.parametrize("row, cleared", [
+    ([2, True, False], [2, 1, 0]),  # bool
+    ([2, Integer(-3), 0], [2, -3, 0]),  # an int subclass
+    ([1, Fraction(-1, 6), Fraction(4)], [6, -1, 24]),  # Fraction
+    ([1, 0.5, -2.0], [2, 1, -4]),  # float
+], ids=["bool", "int-subclass", "Fraction", "float"])
+def test_integer_row_clears_every_entry_that_is_not_exactly_int(row, cleared):
+    got = _integer_row(row)
+    assert got is not row and got == cleared and all(type(a) is int for a in got)
 
 
 @example([])
