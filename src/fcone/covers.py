@@ -20,7 +20,7 @@ from math import comb, gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
-from .exactlin import _lowest_terms, _over_lcm
+from .exactlin import _lowest_terms, _over_lcm, primitive
 from .moduli import FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, _walk, delta_range
 
 
@@ -139,8 +139,7 @@ def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
 
 def pullback_combo(n: int, p: int, c_lambda, c_irr, c_red) -> SymDivisor:
     """Linear combination c_λ·λ + c_irr·δ_irr + c_red·δ_red, pulled back."""
-    terms = zip(("lambda", "irr", "red"), (c_lambda, c_irr, c_red))
-    row = tuple(zip(*[(b, Fraction(c)) for b, c in terms if c])) or ((), ())
+    row = _row(("lambda", "irr", "red"), [Fraction(c) for c in (c_lambda, c_irr, c_red)])
     return _symmetric_classes(_unit_weights(n, p), (row,))[0]
 
 
@@ -205,23 +204,27 @@ def eigen_det_class(w: WeightData, j: int) -> FullDivisor:
     return built[j]
 
 
+def _row(bases: Sequence, coeffs: Sequence, p: int | None = None) -> tuple[tuple, tuple]:
+    """A read-out row (bases, coefficients): no zero terms, det E_{p−j} as min(j, p − j)."""
+    if 0 in coeffs:
+        bases, coeffs = [b for b, c in zip(bases, coeffs) if c], [c for c in coeffs if c]
+    return tuple([b if type(b) is str else min(b, p - b) for b in bases]), tuple(coeffs)
+
+
 def _symmetric_bases(w: WeightData, rows: Sequence[tuple]) -> tuple[dict, dict, int]:
     """The profile walk of the symmetric read-outs.
 
-    A row is (bases, coefficients), two tuples, as the builders make it: a
-    base is "lambda", "irr", "red" for λ, δ_irr, δ_red or j for det E_j,
-    named by min(j, p − j) as det E_{p−j} = det E_j, with an int or Fraction
-    coefficient.  Each base reads _base_table as _base_class does, so the
-    Δ_k coefficient of the average, a mean over the C(n, k) sets I of size
-    k, is a sum over the profiles of I (how many markings of each weight mod
-    p it takes), equal to that of symmetrize().
+    Rows come from _row; bases are "lambda", "irr", "red" or j (det E_j).
+    Each base reads _base_table as _base_class does, so the Δ_k coefficient
+    of the average, a mean over the C(n, k) sets I of size k, is a sum over
+    the profiles of I (how many markings of each weight mod p it takes), as
+    in symmetrize().
     Profiles agreeing on (|I|, s, ramification of I) are merged, so the walk
     stays polynomial in n where the layout of WeightData._profiles has
     2^(n−1) profiles, as for distinct weights.  As p divides the total
     weight, I and its complement agree at k = n/2.
 
-    Returns (psis, columns, den): one ψ numerator and one Δ column per base
-    of the rows, over den.
+    Returns (psis, columns, den): ψ numerator and Δ column by base, over den.
     """
     n, p = w.n, w.p
     residues = [x % p for x in w.d]
@@ -272,10 +275,9 @@ def _combine(cs: Sequence[int], bs: Sequence, columns: Mapping) -> list[int]:
 
 
 def _symmetric_classes(w: WeightData, rows: Sequence[tuple]) -> list[SymDivisor]:
-    """S_n-averages of combinations of the classes of the cover w, one
-    SymDivisor per row, from one walk over weight profiles (see
-    _symmetric_bases).  Equal rows, as det E_j and det E_{p−j} are, get the
-    same SymDivisor."""
+    """S_n-averages of combinations of the classes of the cover w, one SymDivisor
+    per row, from one walk over weight profiles (see _symmetric_bases).  Equal
+    rows, as det E_j and det E_{p−j} are, get the same SymDivisor."""
     n = w.n
     psis, columns, den = _symmetric_bases(w, rows)
     zero = [0] * len(delta_range(n))
@@ -289,9 +291,8 @@ def _symmetric_classes(w: WeightData, rows: Sequence[tuple]) -> list[SymDivisor]
 
 def _symmetric_rays(w: WeightData, rows: Sequence[tuple]) -> list[tuple[int, ...]]:
     """``[d.ray() for d in _symmetric_classes(w, rows)]`` with no SymDivisor:
-    (n−1)ψ = Σ k(n−k)Δ_k is folded into each base column once.  A row's ray
-    is its column over its gcd: a row of one base at coefficient 1 reads
-    that base's column, any other row combines them."""
+    (n−1)ψ = Σ k(n−k)Δ_k is folded into each base column once, a row of one
+    base at coefficient 1 reads that column and other rows combine them."""
     n = w.n
     psis, columns, _ = _symmetric_bases(w, rows)
     weights = [k * (n - k) for k in delta_range(n)]
@@ -301,21 +302,20 @@ def _symmetric_rays(w: WeightData, rows: Sequence[tuple]) -> list[tuple[int, ...
     found = {}
     for bs, cs in dict.fromkeys(rows):
         column = expanded[bs[0]] if cs == (1,) else _combine(_over_lcm(cs)[0], bs, expanded) or zero
-        g = gcd(*column)
-        found[bs, cs] = tuple([a // g for a in column] if g > 1 else column)
+        found[bs, cs] = primitive(column, flip_sign=False)
     return [found[row] for row in rows]
 
 
 def sym_weighted_pullbacks(w: WeightData) -> tuple[SymDivisor, SymDivisor, SymDivisor]:
     """(λ, δ_irr, δ_red): symmetrize() of each of weighted_pullbacks(w), from
     weight profiles."""
-    return tuple(_symmetric_classes(w, [((b,), (1,)) for b in ("lambda", "irr", "red")]))
+    return tuple(_symmetric_classes(w, [_row((b,), (1,)) for b in ("lambda", "irr", "red")]))
 
 
 def sym_eigen_det_class(w: WeightData, j: int) -> SymDivisor:
     """symmetrize(eigen_det_class(w, j)), from weight profiles."""
     _check_character(w, j)
-    return _symmetric_classes(w, (((min(j, w.p - j),), (1,)),))[0]
+    return _symmetric_classes(w, (_row((j,), (1,), w.p),))[0]
 
 
 def conformal_blocks_class(p: int, d: Sequence[int]) -> FullDivisor:
@@ -327,7 +327,7 @@ def p5_class(n: int, j: int) -> SymDivisor:
     """The two nonnegative degree-5 eigenbundle combinations 50·det E_j − δ_irr."""
     if j not in (1, 2):
         raise ValueError("character must be 1 or 2")
-    return _symmetric_classes(_unit_weights(n, 5), (((j, "irr"), (50, -1)),))[0]
+    return _symmetric_classes(_unit_weights(n, 5), (_row((j, "irr"), (50, -1), 5),))[0]
 
 
 def log_canonical_class(n: int, p: int) -> SymDivisor:

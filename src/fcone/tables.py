@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cones import ConeH, ConeV, extreme_rays
-from .covers import WeightData, _symmetric_classes, _symmetric_rays, pullback_combo
+from .covers import WeightData, _row, _symmetric_classes, _symmetric_rays, pullback_combo
 from .moduli import (
     SymDivisor,
     SymFCurve,
@@ -57,18 +57,18 @@ def _candidate_rows(n: int
     """The candidates of annotation_candidates as (walks, labels): each
     cover's weight datum with its rows, and (label, walk index, row index) in
     candidate order.  The p5 rows join the p = 5 walk."""
-    walks: list[tuple[WeightData, list[tuple]]] = []
-    labels: list[tuple[str, int, int]] = []
-    p5: list[tuple[str, int, int]] = []
+    walks, labels, p5 = [], [], []
+    combos = {",".join(map(str, cs)): _row(("lambda", "irr", "red"), cs) for cs in COMBO_COEFFS}
+    p5_rows = {f"p5({n},{j})": _row((j, "irr"), (50, -1), 5) for j in (1, 2)}
 
     def cover(w: WeightData, key: str, eigen_key: str, names: tuple[str, str, str], extra=()):
         # one walk for every class of w; the extra rows go to p5
         hodge, combo, eigen = names
-        rows = {f"{hodge}({key})": (("lambda",), (1,))}
-        for cl, ci, cr in COMBO_COEFFS:
-            rows[f"{combo}({key},{cl},{ci},{cr})"] = ("lambda", "irr", "red"), (cl, ci, cr)
+        rows = {f"{hodge}({key})": _row(("lambda",), (1,))}
+        for coeffs, row in combos.items():
+            rows[f"{combo}({key},{coeffs})"] = row
         for j in range(1, w.p):
-            rows[f"{eigen}({eigen_key},{j})"] = ((min(j, w.p - j),), (1,))
+            rows[f"{eigen}({eigen_key},{j})"] = _row((j,), (1,), w.p)
         rows.update(extra)
         for r, label in enumerate(rows):
             (p5 if label in extra else labels).append((label, len(walks), r))
@@ -76,9 +76,8 @@ def _candidate_rows(n: int
 
     for p in range(2, n + 1):
         if n % p == 0:
-            p5_rows = {f"p5({n},{j})": ((j, "irr"), (50, -1)) for j in (1, 2)} if p == 5 else ()
             cover(WeightData((1,) * n, p), f"{n},{p}", f"1^{n},{p}", ("hodge", "combo", "eigen"),
-                  p5_rows)
+                  p5_rows if p == 5 else ())
     labels += p5
     for v in (0, 2):
         weights = (1,) * (n - 1) + (v,)

@@ -294,9 +294,8 @@ def test_full_classes_match_the_per_side_oracles(w):
     # by side: λ, δ_irr, δ_red, each det E_j and one combination row
     lam, irr, red = averaged[:3]
     cl, ci, cr = COMBO_COEFFS[2]
-    rows = [(("lambda",), (1,)), (("irr",), (1,)), (("red",), (1,)),
-            *(((min(j, w.p - j),), (1,)) for j in range(1, w.p)),
-            (("lambda", "irr", "red"), (cl, ci, cr))]
+    rows = [*(covers._row((b,), (1,), w.p) for b in ("lambda", "irr", "red", *range(1, w.p))),
+            covers._row(("lambda", "irr", "red"), (cl, ci, cr))]
     sym_got = _symmetric_classes(w, rows)
     sym_expected = [*averaged, cl * lam + ci * irr + cr * red]
     assert len(sym_got) == len(sym_expected) and all(map(same_raw, sym_got, sym_expected))
@@ -340,7 +339,7 @@ def test_ray_readout_matches_the_class_readout_up_to_n60(w, data):
         ((j,), (1,)), ((p - j,), (1,)),  # det E_j next to det E_{p−j}
         ((), ()),  # the empty row
         (("irr",), (1,)), (("red",), (2,)), (("irr",), (1,)),  # a repeated row
-        ((min(j, p - j), "irr"), (50, -1)),
+        covers._row((j, "irr"), (50, -1), p),
     ]
     classes = _symmetric_classes(w, rows)
     rays = _symmetric_rays(w, rows)
@@ -348,6 +347,16 @@ def test_ray_readout_matches_the_class_readout_up_to_n60(w, data):
     assert rays[2] == rays[3] and classes[2] == classes[3]
     assert rays[4] == (0,) * len(delta_range(w.n)) and classes[4] == SymDivisor(w.n)
     assert classes[5] is classes[7]
+
+
+def test_rows_name_the_smaller_character_and_drop_zero_terms():
+    # the one rule every builder of the symmetric read-outs goes through
+    assert covers._row((5, "irr", "red"), (1, 0, -1), 7) == ((2, "red"), (1, -1))
+    assert covers._row((2,), (1,), 7) == covers._row((5,), (1,), 7) == ((2,), (1,))
+    assert covers._row(("lambda", "irr"), (0, Fraction(0))) == ((), ())
+    assert covers._row(("lambda",), (Fraction(1, 2),)) == (("lambda",), (Fraction(1, 2),))
+    with pytest.raises(TypeError):  # a character needs its degree
+        covers._row((1,), (1,))
 
 
 def test_ray_annotations_build_no_sym_divisor_and_combine_only_mixed_rows(monkeypatch):
