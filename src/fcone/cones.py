@@ -28,7 +28,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import _SignTable, _dense, _reduce, _rref, _scan, independent_rows, primitive
+from .exactlin import _SignTable, _certificate, _dense, _reduce, _rref, independent_rows, primitive
 
 
 def _unit(i: int, dim: int) -> tuple[int, ...]:
@@ -96,7 +96,7 @@ class ConeV:
             reduced = primitive(_reduce(list(r), lin), flip_sign=False)
             if any(reduced):
                 rays.add(reduced)
-        object.__setattr__(self, "lineality", tuple(tuple(_dense(b, self.dim)) for _, b in lin))
+        object.__setattr__(self, "lineality", tuple(tuple(_dense(b.items(), self.dim)) for _, b in lin))
         object.__setattr__(self, "rays", tuple(sorted(rays)))
 
 
@@ -131,10 +131,10 @@ def contains(c: ConeH, v: Sequence) -> bool:
     """Whether v satisfies every inequality of the cone.
 
     v may have rational entries; ``primitive`` clears them once.  The signs
-    of all normals then come from one big-int product, the cone's
-    ``exactlin._SignTable`` as in ``moduli.zero_and_negative_fcurves``, in
-    fields wide enough for max|v| and the largest normal L1 norm.  When v is
-    a tuple, the cone keeps it and its signs until it signs another tuple.
+    of all normals then come from the big-int products of the cone's
+    ``exactlin._SignTable``, as in ``moduli.zero_and_negative_fcurves``.
+    When v is a tuple, the cone keeps it and its signs until it signs
+    another tuple.
     """
     return not any(_cleared_signs(c, v)[2])
 
@@ -148,25 +148,22 @@ def extremality_certificate(c: ConeH, v: Sequence) -> Optional[Certificate]:
     cone with lineality, a rank-(dim−1) tight set can span a line, which is
     no ray.
 
-    The tight set comes from the product of ``contains``; after
-    ``contains(c, v)`` on the same tuple object it is read from what the
-    cone kept, not computed again.  Its normals go lazily to
-    ``exactlin._scan``, which keeps the rows ``independent_rows`` would.
+    Its tight rows, from the signs that ``contains`` keeps for the same
+    tuple object, go as sparse terms to ``exactlin._certificate``, which
+    keeps the rows ``independent_rows`` would.
     """
     w, zero, negative = _cleared_signs(c, v)
     if not c.pointed:
         raise ValueError("extremality certificates need a pointed cone")
     if any(negative):
         raise ValueError("vector is not in the cone")
-    tight = list(compress(range(len(c.normals)), zero))
-    # the normals tight at a nonzero w are orthogonal to it, so their rank
-    # is at most dim−1; at w = 0 every normal is tight and the rank is dim
-    target = c.dim - 1 if any(w) else None
-    rows = (list(c.normals[i]) for i in tight)
-    chosen = [tight[i] for i in _scan(rows, False, target)[1]]
-    if len(chosen) != c.dim - 1:
+    if not any(w):
+        # every normal is tight at 0, and those of a pointed cone have rank dim
         return None
-    return Certificate(tuple(chosen), len(chosen))
+    tight = list(compress(range(len(zero)), zero))
+    # the normals tight at a nonzero w are orthogonal to it
+    chosen = tuple(tight[i] for i in _certificate(compress(c._sign_table.rows, zero), c.dim))
+    return Certificate(chosen, len(chosen)) if len(chosen) == c.dim - 1 else None
 
 
 # A ray during double description: the primitive vector, the bitmask of

@@ -123,7 +123,7 @@ def _unit_weights(n: int, p: int) -> WeightData:
 
 def hodge_class(n: int, p: int) -> SymDivisor:
     """Hodge-class pullback for the unit-weight cover, on the symmetric quotient."""
-    return sym_weighted_pullbacks(_unit_weights(n, p))[0]
+    return _symmetric_classes(_unit_weights(n, p), (_row(("lambda",), (1,)),))[0]
 
 
 def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
@@ -133,8 +133,7 @@ def pullback_boundary(n: int, p: int) -> tuple[SymDivisor, SymDivisor]:
     side size shares a factor with p stays irreducible upstairs and picks
     up multiplicity gcd²/p; coprime sides split the cover.
     """
-    _, irr, red = sym_weighted_pullbacks(_unit_weights(n, p))
-    return irr, red
+    return tuple(_symmetric_classes(_unit_weights(n, p), [_row((b,), (1,)) for b in ("irr", "red")]))
 
 
 def pullback_combo(n: int, p: int, c_lambda, c_irr, c_red) -> SymDivisor:

@@ -22,8 +22,8 @@ two to five times slower on extremality certificates); ``rref``,
 ``kernel_basis`` and the lineality of ``cones.ConeV`` take the leftmost
 nonzero entry, which makes the back-reduced basis the canonical RREF and
 leaves its free columns without a pivot.  ``_kernel`` solves a scan's basis
-by back-substitution: ``kernel_basis`` and the F-curve certificate of
-``moduli`` read their kernel vectors from it.
+by back-substitution for ``kernel_basis`` and ``_certificate``, the greedy
+certificate that ``cones`` and ``moduli`` read.
 
 ``_SignTable`` gives the signs of many sparse integer rows on one vector
 from one big-int product per chunk of rows: the F-curves of ``moduli`` and
@@ -228,8 +228,12 @@ def _basis_row(row: list[int], leftmost: bool) -> _BasisRow:
     return pivot, {c: x // g for c, x in enumerate(row) if x}
 
 
-def _dense(b: dict[int, int], ncols: int) -> list[int]:
-    return [b.get(c, 0) for c in range(ncols)]
+def _dense(terms: Iterable[tuple[int, int]], ncols: int) -> list[int]:
+    """Terms as a fresh dense row; a repeated column adds up."""
+    row = [0] * ncols
+    for c, x in terms:
+        row[c] += x
+    return row
 
 
 def _scan(
@@ -276,10 +280,35 @@ def _kernel(basis: Sequence[_BasisRow], ncols: int) -> list[list[int]]:
                 if p != g:
                     x = {k: a * (p // g) for k, a in x.items()}
                 x[c] = -s // g
-        v = _dense(x, ncols)
-        g = gcd(*v)
-        kernel.append([a // g for a in v])
+        g = gcd(*x.values())
+        kernel.append([x.get(k, 0) // g for k in range(ncols)])
     return kernel
+
+
+def _certificate(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[int]:
+    """Indices of the (column, coefficient) rows outside the span of the rows
+    before them.  The rows must be orthogonal to one nonzero vector, so their
+    rank is at most ncols − 1, where the result stops.
+
+    The scan stops one row short and reduces the next row.  If that lies in
+    the span of the kept rows, the last row is the first later one with a
+    nonzero dot, over its terms, against either vector of their kernel.
+    """
+    if ncols < 2:
+        return []
+    rows = iter(rows)
+    basis, kept = _scan((_dense(terms, ncols) for terms in rows), False, ncols - 2)
+    start = kept[-1] + 1 if kept else 0
+    terms = next(rows, None)  # the row after the stop; None if the scan ran out
+    if terms is None:
+        return kept
+    if any(_reduce(_dense(terms, ncols), basis)):
+        return [*kept, start]
+    u, v = _kernel(basis, ncols)
+    for j, terms in enumerate(rows, start + 1):
+        if sum([u[k] * c for k, c in terms]) or sum([v[k] * c for k, c in terms]):
+            return [*kept, j]
+    return kept
 
 
 def independent_rows(m: Sequence[Sequence], target: Optional[int] = None) -> list[int]:
@@ -310,14 +339,14 @@ def _rref(m: Sequence[Sequence]) -> list[_BasisRow]:
     reduced: list[_BasisRow] = []
     for _, b in reversed(_scan(map(_integer_row, rows), True)[0]):
         # its pivot stays its leftmost nonzero
-        reduced.append(_basis_row(_reduce(_dense(b, len(rows[0])), reduced), True))
+        reduced.append(_basis_row(_reduce(_dense(b.items(), len(rows[0])), reduced), True))
     return sorted(reduced)
 
 
 def rref(m: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the row space: the reduced row echelon rows, each
     scaled to a primitive integer vector with a positive pivot."""
-    return tuple(tuple(_dense(b, len(m[0]))) for _, b in _rref(m))
+    return tuple(tuple(_dense(b.items(), len(m[0]))) for _, b in _rref(m))
 
 
 def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:

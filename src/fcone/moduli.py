@@ -29,7 +29,7 @@ from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import (QVector, _SignTable, _kernel, _lowest_terms, _over_lcm, _reduce, _scan,
+from .exactlin import (QVector, _SignTable, _certificate, _dense, _lowest_terms, _over_lcm,
                        format_rational, parse_rational, primitive)
 
 
@@ -308,17 +308,9 @@ def _made(table: _SignTable, made: list, mask: bytes) -> list[SymFCurve]:
     return curves
 
 
-def _fcurve_row(f: SymFCurve) -> list[int]:
-    """The curve's sparse terms spread over Δ_2..Δ_{⌊n/2⌋}, as a fresh list."""
-    row = [0] * (sum(f.parts) // 2 - 1)
-    for i, c in f._terms:
-        row[i] += c
-    return row
-
-
 def fcurve_class_vector(f: SymFCurve) -> tuple[int, ...]:
     """Coordinates of the F-curve class in the dual pure-Δ basis, as ints."""
-    return tuple(_fcurve_row(f))
+    return tuple(_dense(f._terms, f.n // 2 - 1))
 
 
 def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
@@ -356,40 +348,17 @@ def zero_and_negative_fcurves(
 
 def fcurve_certificate(curves: Sequence[SymFCurve]) -> list[SymFCurve]:
     """The curves whose classes lie outside the span of the curves before
-    them.
+    them, by ``exactlin._certificate`` over their terms; ``[]`` for none.
 
     The curves must all have degree zero on one nonzero class on n
-    markings.  Their classes are then orthogonal to a nonzero vector, so
-    their rank is at most ⌊n/2⌋ − 2, and the scan stops at that rank: a
-    result of that length certifies the class as extremal in the symmetric
-    F-cone when it is F-nef.  An empty list gives ``[]``.
-
-    The scan runs to one row short of that rank.  The next curve is reduced
-    against the kept rows; on the triple-cover class in enumeration order it
-    is always the last row.  If it lies in their span, the last row is the
-    first later curve with a nonzero dot against one of the two vectors of
-    their kernel: each dot reads at most seven terms.
+    markings, so their rank is at most ⌊n/2⌋ − 2: a result of that length
+    certifies the class as extremal in the symmetric F-cone when it is
+    F-nef.  On the triple-cover class in enumeration order the curve after
+    the scan's stop is the last row, and no kernel is built.
     """
     if not curves:
         return []
-    ncols = curves[0].n // 2 - 1
-    target = ncols - 1
-    if target < 1:
-        return []
-    # each row built only when the scan pulls it
-    basis, kept = _scan(map(_fcurve_row, curves), False, target - 1)
-    start = kept[-1] + 1 if kept else 0
-    if len(kept) == target - 1 and start < len(curves):
-        if any(_reduce(_fcurve_row(curves[start]), basis)):
-            kept.append(start)
-        else:
-            u, v = _kernel(basis, ncols)
-            for j in range(start + 1, len(curves)):
-                terms = curves[j]._terms
-                if sum([u[k] * c for k, c in terms]) or sum([v[k] * c for k, c in terms]):
-                    kept.append(j)
-                    break
-    return [curves[j] for j in kept]
+    return [curves[j] for j in _certificate((f._terms for f in curves), curves[0].n // 2 - 1)]
 
 
 def tk_pairing(d: SymDivisor, k: int) -> Fraction:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,16 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fcone import exactlin
 from fcone.cones import (
     Certificate,
     ConeH,
     ConeV,
+    _cleared_signs,
     _containing,
     contains,
     extremality_certificate,
     extreme_rays,
 )
-from fcone.exactlin import _SignTable, _field_width, dot, rank
+from fcone.exactlin import _SignTable, _certificate, _field_width, dot, rank
+from fcone.moduli import (enumerate_sym_fcurves, fcurve_certificate, sym_divisor_from_vector,
+                          zero_and_negative_fcurves)
 from fcone.tables import fcone_rays, fcurve_cone
 
 from oracles import extreme_rays_by_enumeration, reference_rank
@@ -518,3 +523,57 @@ def test_certificate_of_every_fcone_ray_is_the_greedy_choice(n):
     cone = fcurve_cone(n)
     for ray in fcone_rays(n).rays:
         assert extremality_certificate(cone, ray).indices == greedy_certificate(cone, ray)
+
+
+def fcurve_positions(n: int, v) -> tuple:
+    """The enumeration positions of the curves fcurve_certificate keeps among
+    the zero curves of the class with pure-D coordinates v."""
+    zero, _ = zero_and_negative_fcurves(sym_divisor_from_vector(n, v))
+    curves = enumerate_sym_fcurves(n)
+    return tuple(curves.index(f) for f in fcurve_certificate(zero))
+
+
+@pytest.mark.parametrize("n", range(6, 19))
+def test_both_readers_of_the_certificate_scan_agree_on_every_fcone_ray(n):
+    # each F-curve type is a distinct normal of fcurve_cone(n), in enumeration order
+    cone = fcurve_cone(n)
+    assert len(cone.normals) == len(enumerate_sym_fcurves(n))
+    for ray in fcone_rays(n).rays:
+        assert extremality_certificate(cone, ray).indices == fcurve_positions(n, ray)
+
+
+@pytest.mark.parametrize("n", range(6, 19))
+def test_both_readers_of_the_certificate_scan_agree_on_sums_of_two_rays(n):
+    # a sum of two rays is no ray: both readers find the tight rows short of
+    # dim − 1, and the scan keeps the same rows for each
+    cone = fcurve_cone(n)
+    rays = fcone_rays(n).rays
+    pairs = list(itertools.combinations(range(len(rays)), 2))
+    for i, j in random.Random(n).sample(pairs, min(5, len(pairs))):
+        v = tuple(a + b for a, b in zip(rays[i], rays[j]))
+        _, zero, _ = _cleared_signs(cone, v)
+        tight = list(itertools.compress(range(len(cone.normals)), zero))
+        kept = _certificate(itertools.compress(cone._sign_table.rows, zero), cone.dim)
+        assert tuple(tight[k] for k in kept) == fcurve_positions(n, v)
+        assert len(kept) < cone.dim - 1
+        assert extremality_certificate(cone, v) is None
+
+
+def test_certificate_closes_on_a_dot_against_the_kernel(monkeypatch):
+    # at v = e4 the tight normals are e1, e2, e1 + e2 and e3: the scan stops
+    # at e1, e2, the row after the stop lies in their span, and e3 is the
+    # first later row with a nonzero dot against their kernel
+    kernels = []
+    kernel = exactlin._kernel
+
+    def counted_kernel(basis, ncols):
+        kernels.append(len(basis))
+        return kernel(basis, ncols)
+
+    monkeypatch.setattr(exactlin, "_kernel", counted_kernel)
+    cone = ConeH(4, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    v = (0, 0, 0, 1)
+    cert = extremality_certificate(cone, v)
+    assert kernels == [2]
+    assert cert.indices == greedy_certificate(cone, v) == (0, 1, 3)
+    assert cert.rank == 3

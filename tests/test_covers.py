@@ -187,6 +187,10 @@ def test_unit_weight_classes_match_closed_forms():
             }
             combo = pullback_combo(n, p, 10, -1, Fraction(-2, 3))
             assert same_raw(combo, 10 * lam - irr + Fraction(-2, 3) * red)
+            # λ alone and δ_irr, δ_red alone store the numerators of the three-row read-out
+            three = sym_weighted_pullbacks(WeightData((1,) * n, p))
+            assert [(d._psi, d._delta, d._den) for d in (lam, irr, red)] == \
+                [(d._psi, d._delta, d._den) for d in three]
 
 
 @st.composite

@@ -1016,13 +1016,14 @@ def counted_certificate(curves: list, monkeypatch) -> tuple[list, dict]:
     copy holds no terms until they are read."""
     copies = [SymFCurve(f.parts) for f in curves]
     counts = {"rows": 0}
-    row = moduli._fcurve_row
+    dense = exactlin._dense
 
-    def counted_row(f):
+    def counted_dense(terms, ncols):
         counts["rows"] += 1
-        return row(f)
+        return dense(terms, ncols)
 
-    monkeypatch.setattr(moduli, "_fcurve_row", counted_row)
+    # the certificate scan of exactlin builds each dense row from its terms
+    monkeypatch.setattr(exactlin, "_dense", counted_dense)
     certificate = fcurve_certificate(copies)
     counts["terms"] = sum(map(holds_terms, copies))
     return certificate, counts
@@ -1099,7 +1100,7 @@ def test_fcurve_certificate_in_enumeration_order_builds_no_kernel(n, monkeypatch
         raise AssertionError("the kernel of the kept rows was built")
 
     zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
-    monkeypatch.setattr(moduli, "_kernel", no_kernel)
+    monkeypatch.setattr(exactlin, "_kernel", no_kernel)
     certificate, counts = counted_certificate(zero, monkeypatch)
     assert len(certificate) == n // 2 - 2
     assert zero.index(certificate[-1]) == zero.index(certificate[-2]) + 1
