@@ -327,8 +327,6 @@ def _validate(args) -> None:
         raise ValueError(f"cover degree must be at least 2, got {args.p}")
     if args.command == "pair" and args.curve is not None and args.tk is not None:
         raise ValueError("pair takes --curve or --tk, not both")
-    if args.command == "table" and args.n is not None and args.name != "t3-certificates":
-        raise ValueError(f"table {args.name} takes no --n")
     if args.command == "class":
         reads, _ = CLASS_KINDS[args.kind]
         for flag, dest in CLASS_DESTS.items():

@@ -293,9 +293,19 @@ def _fcurves(n: int) -> tuple:
                  for c in range(min(b, n - a - b - 1), (n - a - b - 1) // 2, -1)]
         kept = (_SignTable(parts, n // 2 - 1, 7, partial(_fcurve_terms, n), _FCURVE_BYTES),
                 [None] * len(parts))
-    if kept[0].nbytes(2) <= _FCURVE_BYTES:
-        _fcurve_tables[n] = kept
+        if kept[0].nbytes(2) <= _FCURVE_BYTES:
+            _fcurve_tables[n] = kept
+            _evict_fcurve_tables()
+        return kept
+    _fcurve_tables[n] = kept  # moved last: its weight changes only where it packs
     return kept
+
+
+def _evict_fcurve_tables() -> None:
+    """Drop the oldest tables until those kept fit ``_FCURVE_BYTES``; a table
+    weighs its packings, or one at two bytes a field if none."""
+    while sum(t.nbytes() or t.nbytes(2) for t, _ in _fcurve_tables.values()) > _FCURVE_BYTES:
+        del _fcurve_tables[next(iter(_fcurve_tables))]
 
 
 def _made(table: _SignTable, made: list, mask: bytes) -> list[SymFCurve]:
@@ -335,13 +345,12 @@ def zero_and_negative_fcurves(
     Every degree comes out of the big-int products of the F-curves' sign
     table, as in ``cones.contains``; with the row bound 7 a field is
     ``(max|num|.bit_length() + 11) // 8`` bytes.  Only a negative degree is
-    made a ``Fraction``, by ``sym_pairing``.  Then the oldest tables go
-    until the packings kept fit ``_FCURVE_BYTES``.
+    made a ``Fraction``, by ``sym_pairing``.  Then, as after a new table,
+    the oldest tables go until those kept fit ``_FCURVE_BYTES``.
     """
     table, made = _fcurves(d.n)
     zero, negative = table.signs(d._expanded[0])
-    while sum(t.nbytes() for t, _ in _fcurve_tables.values()) > _FCURVE_BYTES:
-        del _fcurve_tables[next(iter(_fcurve_tables))]
+    _evict_fcurve_tables()
     return (_made(table, made, zero),
             [(f, sym_pairing(d, f)) for f in _made(table, made, negative)])
 
@@ -651,9 +660,10 @@ class FullFCurve:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
-        if len(blocks) != 4 or any(not b for b in blocks):
+        blocks = [frozenset(b) for b in self.blocks]
+        if len(blocks) != 4 or not all(blocks):
             raise ValueError("F-curve needs 4 nonempty blocks")
+        blocks = tuple(sorted(blocks, key=min))
         union = frozenset().union(*blocks)
         if len(union) != sum(len(b) for b in blocks):
             raise ValueError("F-curve blocks must be disjoint")
@@ -747,23 +757,21 @@ def parse_divisor(text: str, n: int) -> SymDivisor:
     numerators are summed per slot as integers over the lcm of the term
     denominators."""
     _check_n(n)
-    tokens = [t.strip() for t in re.split(r"([+-])", text) if t.strip()]
-    if not tokens:
+    if not text.strip():
         raise ValueError("empty divisor literal")
-    # (slot, signed numerator, denominator) per term
-    terms: list[tuple[int, int, int]] = []
-    # optional sign at the start, then strictly alternating term, sign, term, ...
-    sign: Optional[int] = 1
-    pending_sign = False
-    for tok in tokens:
-        if tok in "+-":
-            if pending_sign:
+    # term, sign, term, ..., sign, term, each term signed by the piece before
+    # it; an empty term is a leading, a dangling or a doubled sign
+    pieces = re.split(r"([+-])", text)
+    last = len(pieces) // 2
+    terms: list[tuple[int, int, int]] = []  # (slot, signed numerator, denominator)
+    for i, (sign, tok) in enumerate(zip(["+", *pieces[1::2]], pieces[::2])):
+        tok = tok.strip()
+        if not tok:
+            if i == last:
+                raise ValueError(f"dangling sign in divisor literal {text!r}")
+            if i:
                 raise ValueError(f"two consecutive signs in divisor literal {text!r}")
-            sign = 1 if tok == "+" else -1
-            pending_sign = True
             continue
-        if sign is None:
-            raise ValueError(f"missing +/- between terms in {text!r}")
         m = _TERM.match(tok)
         if m:
             num, den, k = m.group("num", "den", "k")
@@ -775,13 +783,9 @@ def parse_divisor(text: str, n: int) -> SymDivisor:
                 raise ValueError(f"malformed rational literal '{num}/{den}'")
             if k and not 0 < slot < n // 2:
                 raise ValueError(f"D{slot + 1} is not a basis class for n={n}")
-            terms.append((slot, sign * a, d))
+            terms.append((slot, -a if sign == "-" else a, d))
         elif parse_rational(tok) != 0:
             raise ValueError(f"constant term {tok!r} is not a divisor")
-        sign = None
-        pending_sign = False
-    if pending_sign:
-        raise ValueError(f"dangling sign in divisor literal {text!r}")
     den = lcm(*(d for _, _, d in terms))
     summed = [0] * (n // 2)
     for slot, a, d in terms:
@@ -795,17 +799,10 @@ def format_divisor(d: SymDivisor) -> str:
 
     The raw numerators are in lowest terms, so their denominator is already
     the least common one of the nonzero terms."""
-    den = d._den
+    over = f"/{d._den}" if d._den > 1 else ""
     syms = ("psi", *(f"D{k}" for k in delta_range(d.n)))
-    terms = [(sym, num) for sym, num in zip(syms, d._psi + d._delta) if num]
-    if not terms:
+    text = " ".join(f"{'-' if num < 0 else '+'} {abs(num)}{over}*{sym}"
+                    for sym, num in zip(syms, d._psi + d._delta) if num)
+    if not text:
         return "0"
-    rendered = []
-    for i, (sym, num) in enumerate(terms):
-        mag = f"{abs(num)}/{den}" if den > 1 else f"{abs(num)}"
-        if i == 0:
-            prefix = "-" if num < 0 else ""
-            rendered.append(f"{prefix}{mag}*{sym}")
-        else:
-            rendered.append(f"{'-' if num < 0 else '+'} {mag}*{sym}")
-    return " ".join(rendered)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

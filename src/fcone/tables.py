@@ -26,8 +26,6 @@ from .moduli import (
 
 COMBO_COEFFS = ((9, -1, 0), (12, -1, 0), (10, -1, -2))
 
-TABLE_NAMES = ("n6", "n7", "n9", "n10", "n10-fcurves", "t3-certificates")
-
 
 @lru_cache(maxsize=4)
 def fcurve_cone(n: int) -> ConeH:
@@ -267,18 +265,23 @@ def render_t3_certificates_csv(n: int) -> str:
     return _csv(header, rows)
 
 
+# every named table: its renderer of n, and its fixed n, or None for the caller's
+_TABLES = {
+    "n6": (render_rays_csv, 6),
+    "n7": (render_rays_csv, 7),
+    "n9": (render_rays_csv, 9),
+    "n10": (render_rays_csv, 10),
+    "n10-fcurves": (render_fcurves_csv, 10),
+    "t3-certificates": (render_t3_certificates_csv, None),
+}
+TABLE_NAMES = tuple(_TABLES)
+
+
 def table_csv(name: str, n: Optional[int] = None) -> str:
-    """Render one of the named tables; n is only consulted where a table
-    family is parameterized."""
-    fixed = {
-        "n6": lambda: render_rays_csv(6),
-        "n7": lambda: render_rays_csv(7),
-        "n9": lambda: render_rays_csv(9),
-        "n10": lambda: render_rays_csv(10),
-        "n10-fcurves": lambda: render_fcurves_csv(10),
-    }
-    if name in fixed:
-        return fixed[name]()
-    if name == "t3-certificates":
-        return render_t3_certificates_csv(12 if n is None else n)
-    raise ValueError(f"unknown table {name!r}")
+    """Render one of the named tables; only t3-certificates takes n, 12 by default."""
+    if name not in _TABLES:
+        raise ValueError(f"unknown table {name!r}")
+    render, fixed = _TABLES[name]
+    if fixed and n is not None:
+        raise ValueError(f"table {name} takes no --n")
+    return render(fixed or (12 if n is None else n))

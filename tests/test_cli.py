@@ -17,7 +17,7 @@ from fcone.covers import hodge_class
 from fcone.moduli import (SymFCurve, enumerate_sym_fcurves, fcurve_certificate,
                           fcurve_class_vector, format_divisor, parse_divisor,
                           sym_divisor_from_vector, sym_pairing)
-from fcone.tables import triple_cover_divisor
+from fcone.tables import TABLE_NAMES, triple_cover_divisor
 
 from oracles import reference_rank
 
@@ -511,9 +511,11 @@ def test_bad_subcommand_and_choice(capsys):
     ("fnef", "psi"),
     ("rays", "--n", "6", "--frob"),
     ("class", "combo", "--n", "6", "--p", "3", "--lambda", "1/0"),
+    ("fnef", "-D2", "--n", "4"),
 ])
 def test_argparse_errors_are_one_line(capsys, argv):
-    # unknown subcommand, invalid class kind, missing --n, unknown flag, bad rational
+    # unknown subcommand, invalid class kind, missing --n, unknown flag, bad
+    # rational, and a literal starting with a minus that is not after --
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -573,8 +575,7 @@ def cli_argv(draw) -> list[str]:
     elif command == "rays":
         argv = [command, "--n", draw(ints(-1, 16))]
     elif command == "table":
-        argv = [command, draw(st.sampled_from(["n6", "n7", "n9", "n10", "n10-fcurves",
-                                               "t3-certificates"]))]
+        argv = [command, draw(st.sampled_from(TABLE_NAMES))]
         if draw(st.booleans()):
             argv += ["--n", draw(st.sampled_from(["12", "15", "9", "0", "-3"]))]
     else:
@@ -642,6 +643,8 @@ def test_package_main_is_the_cli_main():
     import fcone
 
     assert fcone.main is main
+    with pytest.raises(AttributeError, match="^module 'fcone' has no attribute 'nope'$"):
+        fcone.nope
 
 
 def test_python_m_fcone_usage_error():

@@ -50,6 +50,19 @@ def test_coneh_rejects_bad_input():
         ConeH(2, ((1, 2, 3),))
 
 
+def test_conev_rejects_bad_input():
+    with pytest.raises(ValueError, match="^cone dimension must be at least 1$"):
+        ConeV(0, ())
+    with pytest.raises(ValueError, match=r"^generator \(1, 2, 3\) does not have dimension 2$"):
+        ConeV(2, ((1, 0),), ((1, 2, 3),))
+
+
+def test_one_dimensional_cones_certify_with_no_rows():
+    # rank dim − 1 = 0: exactlin._certificate returns before its scan
+    assert extremality_certificate(ConeH(1, ((1,),)), (1,)) == Certificate((), 0)
+    assert fcurve_certificate(enumerate_sym_fcurves(5)) == []
+
+
 def test_conev_reduces_rays_modulo_lineality():
     cone = ConeV(2, rays=((1, 5),), lineality=((0, 1),))
     assert cone.rays == ((1, 0),)

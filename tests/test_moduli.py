@@ -93,6 +93,10 @@ def test_sym_divisor_validation():
         d.psi = 2
     with pytest.raises(ValueError):
         d.delta(9)
+    # the arithmetic and == of a class against a number are NotImplemented
+    with pytest.raises(TypeError):
+        SymDivisor(6) + 1
+    assert (SymDivisor(6) == 0) is False
 
 
 def test_psi_identity_defines_equality():
@@ -109,6 +113,8 @@ def test_psi_expansions():
     for n, expected in PSI_EXPANSIONS.items():
         got = psi_expand(SymDivisor(n, 1)).delta_vector()
         assert got == tuple(Fraction(x) for x in expected)
+    d = SymDivisor(8, 0, {3: 2})
+    assert psi_expand(d) is d
 
 
 def test_sym_divisor_arithmetic():
@@ -191,6 +197,8 @@ def test_psi_minus_delta_has_degree_one_on_every_fcurve():
         d = SymDivisor(n, 1, {k: -1 for k in delta_range(n)})
         for f in enumerate_sym_fcurves(n):
             assert sym_pairing(d, f) == 1
+    with pytest.raises(ValueError, match="^divisor lives on n=6, curve on n=7$"):
+        sym_pairing(SymDivisor(6, 1), enumerate_sym_fcurves(7)[0])
 
 
 def test_tk_pairing_table():
@@ -222,6 +230,8 @@ def test_proportional():
     assert proportional(zero, zero) == 1
     assert proportional(a, zero) is None
     assert proportional(zero, a) is None
+    with pytest.raises(ValueError, match="^cannot compare divisors with different n$"):
+        proportional(a, SymDivisor(7, 1))
 
 
 def test_canonical_side():
@@ -238,6 +248,17 @@ def test_full_divisor_boundary_keys_merge():
     d = FullDivisor(6, (), {frozenset({1, 2}): 1, frozenset({3, 4, 5, 6}): 2})
     assert d.delta({1, 2}) == 3
     assert d.delta({3, 4}) == 0
+
+
+def test_full_divisor_validation_and_equality():
+    with pytest.raises(ValueError, match="^need 4 psi-coefficients, got 2$"):
+        FullDivisor(4, [1, 2])
+    assert (FullDivisor(4) == 0) is False
+    # one layout: a different ψ, or a different denominator, is another class
+    psi1 = FullDivisor(6, (1, 0, 0, 0, 0, 0))
+    assert psi1 != FullDivisor(6, (0, 1, 0, 0, 0, 0))
+    assert psi1._layout is FullDivisor(6)._layout
+    assert FullDivisor(6, (), {(1, 2): "1/2"}) != FullDivisor(6, (), {(1, 2): 1})
 
 
 class Pairs:
@@ -342,6 +363,10 @@ def test_full_fcurve_validation():
         FullFCurve((frozenset({1}), frozenset({2}), frozenset({3}), frozenset({3, 4})))
     with pytest.raises(ValueError):
         FullFCurve((frozenset({1}), frozenset({2}), frozenset({3}), frozenset({5})))
+    # the blocks are checked before they are sorted by their least marking
+    for blocks in [({1}, {2}, {3}, set()), ({1, 2}, {3}, {4})]:
+        with pytest.raises(ValueError, match="^F-curve needs 4 nonempty blocks$"):
+            FullFCurve(tuple(map(frozenset, blocks)))
 
 
 def test_standard_full_fcurve_blocks():
@@ -385,6 +410,8 @@ def test_full_pairing_rules():
     assert full_pairing(two_blocks, f) == 1
     assert full_pairing(one_block, f) == -1
     assert full_pairing(crossing, f) == 0
+    with pytest.raises(ValueError, match="^divisor lives on n=7, curve on n=6$"):
+        full_pairing(FullDivisor(7), f)
 
 
 def test_full_pairing_matches_symmetric_pairing():
@@ -1060,6 +1087,17 @@ def test_fcurve_tables_stay_at_their_bound_and_go_with_the_clear():
         tracemalloc.stop()
     assert 0 < kept <= moduli._FCURVE_BYTES
     assert retained < 2 ** 20
+
+
+def test_enumerated_fcurve_tables_stay_at_their_bound(monkeypatch):
+    # a table fetched for its curves alone has no packing: it weighs as one
+    # at two bytes a field, and is dropped like any other
+    monkeypatch.setattr(moduli, "_fcurve_tables", {})
+    for n in range(4, 121):
+        enumerate_sym_fcurves(n)
+    kept = moduli._fcurve_tables
+    assert 0 < len(kept) < 117
+    assert sum(t.nbytes() or t.nbytes(2) for t, _ in kept.values()) <= moduli._FCURVE_BYTES
 
 
 def test_fcurve_tables_past_the_budget_go_least_recently_used_first(monkeypatch):

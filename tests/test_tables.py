@@ -6,6 +6,7 @@ import pytest
 from fcone import tables
 from fcone.covers import WeightData, eigen_det_class, weighted_pullbacks
 from fcone.moduli import (
+    SymFCurve,
     delta_range,
     enumerate_sym_fcurves,
     fcurve_class_vector,
@@ -74,6 +75,8 @@ def test_golden_files_match():
 def test_unknown_table_rejected():
     with pytest.raises(ValueError):
         table_csv("n8")
+    with pytest.raises(ValueError, match="^table n6 takes no --n$"):
+        table_csv("n6", n=9)
     assert set(TABLE_NAMES) == {"n6", "n7", "n9", "n10", "n10-fcurves", "t3-certificates"}
 
 
@@ -206,6 +209,19 @@ def test_certificate_rejects_bad_n():
         t3_certificate_blocks(13)
     with pytest.raises(ValueError):
         t3_certificate_blocks(9)
+
+
+def test_certificate_guards(monkeypatch):
+    # a block curve of nonzero degree, then a greedy patch one row short
+    with monkeypatch.context() as m:
+        m.setattr(tables, "_t3_curve_blocks", lambda n: [("base", [SymFCurve((9, 1, 1, 1))])])
+        message = r"^certificate curve F_\{9,1,1,1\} has nonzero degree$"
+        with pytest.raises(RuntimeError, match=message):
+            t3_certificate_blocks(12)
+    certificate = tables.fcurve_certificate
+    monkeypatch.setattr(tables, "fcurve_certificate", lambda curves: certificate(curves)[:-1])
+    with pytest.raises(RuntimeError, match="^certificate for n=12 spans rank 3, need 4$"):
+        t3_certificate_blocks(12)
 
 
 def test_leading_block_window():
