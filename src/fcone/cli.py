@@ -124,7 +124,7 @@ def cmd_class(args) -> int:
     _, build = CLASS_KINDS[args.kind]
     div = build(args)
     vector = div.class_vector()
-    ray = div.ray()
+    ray = vector.ray
     # the ray when it is not the class itself
     prop = ray if any(ray) and vector != ray else None
     if args.json:
@@ -254,6 +254,10 @@ class _Parser(argparse.ArgumentParser):
     as the ValueErrors of ``main`` are; subparsers are made of this class."""
 
     def error(self, message: str):
+        # argparse takes a literal such as -D2 for an option, then misses the divisor
+        head, _, missing = message.partition("the following arguments are required: ")
+        if not head and "divisor" in missing.split(", "):
+            message += f" (a literal starting with - goes after --: {self.prog} --n 4 -- -D2)"
         self.exit(2, f"error: {message}\n")
 
 

@@ -111,10 +111,12 @@ class Certificate:
 def _cleared_signs(c: ConeH, v: Sequence) -> tuple[tuple[int, ...], bytes, bytes]:
     """w, v with its denominators cleared (a positive multiple in integers, so
     every sign against a normal is kept), and the signs of w on the normals.
+    For a class vector (``exactlin.QVector``) w is the ``ray`` it carries.
 
-    The cone keeps the last tuple it signed, by reference so that its id is
-    not reused, with the result: the same tuple object again reads that
-    result.  Lists and other types are signed afresh."""
+    The cone keeps the last tuple it signed, class vectors included, by
+    reference so that its id is not reused, with the result: the same tuple
+    object again reads that result.  A list, or another tuple of equal
+    values, is signed afresh."""
     last = c.__dict__.get("_signed")
     if last is not None and last[0] is v:
         return last[1]
@@ -122,7 +124,7 @@ def _cleared_signs(c: ConeH, v: Sequence) -> tuple[tuple[int, ...], bytes, bytes
         raise ValueError(f"vector of dimension {len(v)} against cone of dimension {c.dim}")
     w = primitive(v, flip_sign=False)
     signed = (w, *c._sign_table.signs(w))
-    if type(v) is tuple:
+    if isinstance(v, tuple):
         object.__setattr__(c, "_signed", (v, signed))
     return signed
 
@@ -130,11 +132,13 @@ def _cleared_signs(c: ConeH, v: Sequence) -> tuple[tuple[int, ...], bytes, bytes
 def contains(c: ConeH, v: Sequence) -> bool:
     """Whether v satisfies every inequality of the cone.
 
-    v may have rational entries; ``primitive`` clears them once.  The signs
-    of all normals then come from the big-int products of the cone's
+    v may have rational entries; ``primitive`` clears them once, or reads
+    the ray that a class vector (``SymDivisor.class_vector``) carries.  The
+    signs of all normals then come from the big-int products of the cone's
     ``exactlin._SignTable``, as in ``moduli.zero_and_negative_fcurves``.
-    When v is a tuple, the cone keeps it and its signs until it signs
-    another tuple.
+    When v is a tuple, class vectors included, the cone keeps it and its
+    signs until it signs another tuple; a list, or another tuple of equal
+    values, is signed afresh.
     """
     return not any(_cleared_signs(c, v)[2])
 

@@ -9,7 +9,9 @@ The package has one integer normal form, and only this module clears
 denominators: ``_over_lcm`` writes values as integer numerators over the lcm
 of their denominators, ``_lowest_terms`` divides out the common factor of
 numerators and denominator, and ``primitive`` scales a vector to coprime
-integers.
+integers.  A ``QVector``, the rational coordinates of a class, carries its
+cleared form: ``ray``, made once from the class's integer numerators, which
+``primitive`` reads instead of clearing the entries again.
 
 All elimination is one integer row scan.  Each row, its denominators
 cleared, is reduced against a sparse echelon basis of the rows kept so far
@@ -38,7 +40,23 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-QVector = tuple[Fraction, ...]
+
+class QVector(tuple):
+    """A tuple of Fractions, equal, hashed and printed as that tuple, which
+    also carries ``ray``: the entries scaled to a primitive integer vector
+    by a positive factor, sign kept.  Immutable.  Slices and ``tuple(v)``
+    are plain tuples; copies and pickles keep ``ray``."""
+
+    def __new__(cls, entries: Iterable[Fraction], ray: tuple[int, ...]):
+        self = super().__new__(cls, entries)
+        object.__setattr__(self, "ray", ray)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QVector is immutable")
+
+    def __reduce__(self):
+        return QVector, (tuple(self), self.ray)
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
@@ -93,9 +111,10 @@ def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
     canonical form for kernel vectors and lineality generators.  Rays and
     inequality normals carry an orientation, so they pass ``flip_sign=False``
     and are only rescaled by a positive rational.  An all-int tuple that
-    needs no change is returned as it is.
+    needs no change is returned as it is, and so is the ``ray`` of a
+    ``QVector`` unless its sign is flipped.
     """
-    ints = _integer_row(v)
+    ints = v.ray if type(v) is QVector else _integer_row(v)
     content = gcd(*ints)
     if content > 1:
         ints = [a // content for a in ints]

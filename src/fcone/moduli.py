@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from fractions import Fraction
@@ -155,18 +156,19 @@ class SymDivisor(_Numerators):
         den = self._den
         return {k: Fraction(c, den) for k, c in zip(delta_range(self.n), self._delta) if c}
 
-    def delta_vector(self) -> QVector:
+    def delta_vector(self) -> tuple[Fraction, ...]:
         den = self._den
         return tuple(Fraction(c, den) for c in self._delta)
 
     def class_vector(self) -> QVector:
-        """Coordinates in the pure-Δ basis (ψ eliminated).  The tuple is made
-        on the first call and kept on the class for as long as it lives, so
-        every call returns the same object."""
+        """Coordinates in the pure-Δ basis (ψ eliminated), carrying the ray
+        of the class as their cleared form.  The tuple is made on the first
+        call and kept on the class for as long as it lives, so every call
+        returns the same object."""
         vector = getattr(self, "_vector", None)
         if vector is None:
             num, den = self._expanded
-            vector = tuple(Fraction(a, den) for a in num)
+            vector = QVector([Fraction(a, den) for a in num], self.ray())
             object.__setattr__(self, "_vector", vector)
         return vector
 
@@ -273,11 +275,16 @@ def enumerate_sym_fcurves(n: int) -> list[SymFCurve]:
 
 
 # Bytes of F-curve sign tables kept over all n.  A table is kept while it
-# packs within them at two bytes a field (numerators below 2^12), up to
-# n = 185, and so is each packing that fits; n = 240 and the packings past
-# the budget are packed chunk by chunk on every call instead.
+# fits them with a packing at two bytes a field (numerators below 2^12), up
+# to n = 147 on CPython 3.11, and so is each packing that fits beside its
+# rows; larger tables and the packings past the budget are packed chunk by
+# chunk on every call instead.
 _FCURVE_BYTES = 8 << 20
 _fcurve_tables: dict = {}
+# A row weighs, beside its packed fields, its parts tuple, its slots in the
+# row list and in the list of made curves, and the curve made from it, with
+# the curve's own parts; as if every curve were made.
+_ROW_BYTES = 2 * sys.getsizeof((1, 1, 1, 1)) + 2 * 8 + sys.getsizeof(SymFCurve((1, 1, 1, 1)))
 
 
 def _fcurves(n: int) -> tuple:
@@ -291,9 +298,10 @@ def _fcurves(n: int) -> tuple:
         parts = [(a, b, c, n - a - b - c) for a in range(n - 3, (n - 1) // 4, -1)
                  for b in range(min(a, n - a - 2), (n - a - 1) // 3, -1)
                  for c in range(min(b, n - a - b - 1), (n - a - b - 1) // 2, -1)]
-        kept = (_SignTable(parts, n // 2 - 1, 7, partial(_fcurve_terms, n), _FCURVE_BYTES),
+        kept = (_SignTable(parts, n // 2 - 1, 7, partial(_fcurve_terms, n),
+                           _FCURVE_BYTES - len(parts) * _ROW_BYTES),
                 [None] * len(parts))
-        if kept[0].nbytes(2) <= _FCURVE_BYTES:
+        if _fcurve_weight(kept[0]) <= _FCURVE_BYTES:
             _fcurve_tables[n] = kept
             _evict_fcurve_tables()
         return kept
@@ -301,10 +309,15 @@ def _fcurves(n: int) -> tuple:
     return kept
 
 
+def _fcurve_weight(table: _SignTable) -> int:
+    """A table's weight against ``_FCURVE_BYTES``: its packings, or one at
+    two bytes a field if none, and ``_ROW_BYTES`` a row."""
+    return (table.nbytes() or table.nbytes(2)) + len(table.rows) * _ROW_BYTES
+
+
 def _evict_fcurve_tables() -> None:
-    """Drop the oldest tables until those kept fit ``_FCURVE_BYTES``; a table
-    weighs its packings, or one at two bytes a field if none."""
-    while sum(t.nbytes() or t.nbytes(2) for t, _ in _fcurve_tables.values()) > _FCURVE_BYTES:
+    """Drop the oldest tables until the weights of those kept fit ``_FCURVE_BYTES``."""
+    while sum(_fcurve_weight(t) for t, _ in _fcurve_tables.values()) > _FCURVE_BYTES:
         del _fcurve_tables[next(iter(_fcurve_tables))]
 
 

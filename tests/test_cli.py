@@ -521,6 +521,21 @@ def test_argparse_errors_are_one_line(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["pair", "fnef", "extremal"])
+def test_a_missing_divisor_names_the_double_dash(capsys, command):
+    # a literal starting with a minus is read as an option, so the divisor
+    # is missing; the message says where such a literal goes
+    code, out, err = run(capsys, command, "-D2", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: the following arguments are required: divisor (a literal starting "
+                   f"with - goes after --: fcone {command} --n 4 -- -D2)\n")
+    # the hint rides only on a missing divisor
+    code, _, err = run(capsys, "rays", "--n", "4", "divisor")
+    assert (code, err) == (2, "error: unrecognized arguments: divisor\n")
+    code, _, err = run(capsys, command, "D2")
+    assert (code, err) == (2, "error: the following arguments are required: --n\n")
+
+
 # literals no subcommand accepts, and a few it reads in unusual ways: digit
 # strings past int()'s limit, an exponent, empty, a zero denominator, bare
 # signs, a D index past every n, non-ASCII letters and digits, a NUL.

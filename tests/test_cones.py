@@ -481,6 +481,39 @@ def test_certificate_after_contains_reads_the_kept_signs(monkeypatch):
     assert cert == extremality_certificate(ConeH(4, cone.normals), ray) and cert is not None
 
 
+def test_a_class_vector_is_signed_once_and_never_cleared(monkeypatch):
+    cone = ConeH(4, fcurve_cone(11).normals)
+    ray = extreme_rays(cone).rays[0]
+    v = sym_divisor_from_vector(11, [Fraction(x, 3) for x in ray]).class_vector()
+    calls = counted_signs(monkeypatch)
+    clears = []
+    over_lcm = exactlin._over_lcm
+    monkeypatch.setattr(exactlin, "_over_lcm",
+                        lambda values: clears.append(values) or over_lcm(values))
+    assert contains(cone, v)
+    cert = extremality_certificate(cone, v)
+    assert calls == [v.ray] and calls[0] is v.ray and clears == []
+    assert cert is not None and cone._signed[0] is v
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_a_class_vector_and_its_plain_copy_get_one_verdict(n):
+    cone = fcurve_cone(n)
+    rays = fcone_rays(n).rays
+    classes = [sym_divisor_from_vector(n, ray) * Fraction(1, i % 5 + 1)
+               for i, ray in enumerate(rays)]
+    # the rays with denominators, a sum of two that is no ray, and negatives
+    # that are not F-nef
+    classes += [classes[0] + classes[-1], -classes[0], classes[0] - 2 * classes[-1]]
+    for d in classes:
+        v = d.class_vector()
+        plain = tuple(v)
+        nef = contains(cone, v)
+        assert nef == contains(cone, plain)
+        if nef:
+            assert extremality_certificate(cone, v) == extremality_certificate(cone, plain)
+
+
 def test_the_kept_signs_are_read_only_for_the_same_tuple_on_the_same_cone(monkeypatch):
     cone = ConeH(4, fcurve_cone(11).normals)
     ray, other = extreme_rays(cone).rays[:2]

@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fcone.exactlin import (
+    QVector,
     _integer_row,
     _kernel,
     _lowest_terms,
@@ -81,6 +84,24 @@ def test_primitive_examples():
     assert primitive([-2, 4]) == (1, -2)
     assert primitive([-2, 4], flip_sign=False) == (-1, 2)
     assert primitive([0, 0, 0]) == (0, 0, 0)
+
+
+def test_a_qvector_is_its_plain_tuple_and_carries_its_ray():
+    entries = (Fraction(-1, 2), Fraction(3, 4), Fraction(0))
+    v = QVector(entries, (-2, 3, 0))
+    assert v == entries and entries == v and hash(v) == hash(entries)
+    assert repr(v) == repr(entries) and str(v) == str(entries)
+    assert {entries: 1}[v] == 1 and v != (-2, 3, 0)
+    for copied in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert type(copied) is QVector and copied == v and copied.ray == (-2, 3, 0)
+    for plain in (v[:], v[1:], tuple(v), v + ()):
+        assert type(plain) is tuple
+    assert v[:] == entries
+    with pytest.raises(AttributeError):
+        v.ray = (1, 0, 0)
+    # primitive reads the ray and flips only its sign
+    assert primitive(v, flip_sign=False) is v.ray
+    assert primitive(v) == (2, -3, 0) == primitive(entries)
 
 
 @given(st.lists(rationals, min_size=1, max_size=6))

@@ -744,6 +744,16 @@ def test_class_vector_ray_and_zero_test_match_the_dense_expansion(d):
     assert d.ray() == primitive(dense, flip_sign=False)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sym_divisors())
+def test_primitive_reads_the_ray_a_class_vector_carries(d):
+    for c in (d, -d):
+        v = c.class_vector()
+        assert v is c.class_vector() and v.ray == c.ray()
+        assert primitive(v, flip_sign=False) == c.ray() == primitive(tuple(v), flip_sign=False)
+        assert primitive(v) == primitive(tuple(v))
+
+
 @settings(max_examples=100, deadline=None)
 @given(sym_divisors(st.integers(4, 16)), st.data())
 def test_sym_divisor_arithmetic_matches_a_fresh_construction(a, data):
@@ -1100,27 +1110,48 @@ def test_enumerated_fcurve_tables_stay_at_their_bound(monkeypatch):
     assert sum(t.nbytes() or t.nbytes(2) for t, _ in kept.values()) <= moduli._FCURVE_BYTES
 
 
+def test_enumerated_fcurve_tables_hold_no_more_than_their_budget(monkeypatch):
+    # the parts tuples, the made curves and the lists holding them count, so
+    # what the kept tables hold stays within the bytes they are allowed
+    monkeypatch.setattr(moduli, "_fcurve_tables", {})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in range(4, 121):
+            enumerate_sym_fcurves(n)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert moduli._fcurve_tables
+    assert sum(moduli._fcurve_weight(t) for t, _ in moduli._fcurve_tables.values()) \
+        <= moduli._FCURVE_BYTES
+    assert held <= moduli._FCURVE_BYTES
+
+
 def test_fcurve_tables_past_the_budget_go_least_recently_used_first(monkeypatch):
     monkeypatch.setattr(moduli, "_fcurve_tables", {})
-    nbytes = {}
+    weight = {}
     for n in (24, 27, 30):
         zero_and_negative_fcurves(triple_cover_divisor(n))
-        nbytes[n] = moduli._fcurve_tables[n][0].nbytes()
-    # room for two of the three packings: each new one evicts the oldest
-    monkeypatch.setattr(moduli, "_FCURVE_BYTES", nbytes[27] + nbytes[30])
+        weight[n] = moduli._fcurve_weight(moduli._fcurve_tables[n][0])
+    # room for two of the three tables: each new one evicts the oldest
+    monkeypatch.setattr(moduli, "_FCURVE_BYTES", weight[27] + weight[30])
     moduli._fcurve_tables.clear()
     for n, kept in [(24, [24]), (27, [24, 27]), (30, [27, 30]), (24, [30, 24])]:
         zero, _ = zero_and_negative_fcurves(triple_cover_divisor(n))
         assert list(moduli._fcurve_tables) == kept
-        assert sum(t.nbytes() for t, _ in moduli._fcurve_tables.values()) <= nbytes[27] + nbytes[30]
+        assert sum(moduli._fcurve_weight(t) for t, _ in moduli._fcurve_tables.values()) \
+            <= weight[27] + weight[30]
         assert zero == zero_and_negative_by_pairing(triple_cover_divisor(n))[0]
 
 
 def test_a_kept_table_packs_a_wider_class_on_every_call(monkeypatch):
-    # the budget holds the table of n = 30 at two bytes a field, not at five
+    # the budget holds the table of n = 30 with its rows at two bytes a field, not at five
     n = 30
+    rows = len(four_part_partitions(n))
     monkeypatch.setattr(moduli, "_fcurve_tables", {})
-    monkeypatch.setattr(moduli, "_FCURVE_BYTES", len(four_part_partitions(n)) * (n // 2 + 1) * 2)
+    monkeypatch.setattr(moduli, "_FCURVE_BYTES", rows * ((n // 2 + 1) * 2 + moduli._ROW_BYTES))
     wide = triple_cover_divisor(n) * -(2 ** 20)
     for d in (triple_cover_divisor(n), wide, wide):
         zero, negative = zero_and_negative_fcurves(d)
