@@ -33,7 +33,7 @@ from .covers import (
     sym_weighted_pullbacks,
 )
 from .eigenforms import eigen_rank_degree_fcurve
-from .exactlin import parse_rational
+from .exactlin import _fraction, parse_rational
 from .moduli import (
     FCURVE_FORMAT,
     _fcurve_terms,
@@ -165,7 +165,7 @@ def cmd_pair(args) -> int:
     # integer degrees over the class's one denominator, one Fraction per value
     num, den = div._expanded
     degrees = [sum([num[i] * c for i, c in _fcurve_terms(args.n, f.parts)]) for f in curves]
-    values = {a: str(Fraction(a, den)) for a in set(degrees)}
+    values = {a: str(_fraction(a, den)) for a in set(degrees)}
     line = FCURVE_FORMAT + " %s"
     print("\n".join([line % (*f.parts, values[a]) for f, a in zip(curves, degrees)]))
     return 0

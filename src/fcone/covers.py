@@ -43,13 +43,15 @@ class WeightData:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        d = tuple(map(int, self.d))
+        object.__setattr__(self, "d", d)
         if self.p < 2:
             raise ValueError("cover degree must be at least 2")
-        if any(x < 0 for x in self.d):
+        if min(d, default=0) < 0:
             raise ValueError("weights must be nonnegative")
-        if sum(self.d) % self.p:
-            raise ValueError(f"degree {self.p} does not divide the total weight {sum(self.d)}")
+        total = sum(d)
+        if total % self.p:
+            raise ValueError(f"degree {self.p} does not divide the total weight {total}")
 
     @property
     def n(self) -> int:

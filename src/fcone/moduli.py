@@ -30,8 +30,8 @@ from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import (QVector, _SignTable, _certificate, _dense, _lowest_terms, _over_lcm,
-                       format_rational, parse_rational, primitive)
+from .exactlin import (QVector, _SignTable, _certificate, _dense, _fraction, _lowest_terms,
+                       _over_lcm, format_rational, parse_rational, primitive)
 
 
 def _check_n(n: int) -> None:
@@ -145,20 +145,20 @@ class SymDivisor(_Numerators):
 
     @property
     def psi(self) -> Fraction:
-        return Fraction(self._psi[0], self._den)
+        return _fraction(self._psi[0], self._den)
 
     def delta(self, k: int) -> Fraction:
         if k not in delta_range(self.n):
             raise ValueError(f"Delta_{k} is not a basis class for n={self.n}")
-        return Fraction(self._delta[k - 2], self._den)
+        return _fraction(self._delta[k - 2], self._den)
 
     def delta_map(self) -> dict[int, Fraction]:
         den = self._den
-        return {k: Fraction(c, den) for k, c in zip(delta_range(self.n), self._delta) if c}
+        return {k: _fraction(c, den) for k, c in zip(delta_range(self.n), self._delta) if c}
 
     def delta_vector(self) -> tuple[Fraction, ...]:
         den = self._den
-        return tuple(Fraction(c, den) for c in self._delta)
+        return tuple(_fraction(c, den) for c in self._delta)
 
     def class_vector(self) -> QVector:
         """Coordinates in the pure-Δ basis (ψ eliminated), carrying the ray
@@ -168,7 +168,7 @@ class SymDivisor(_Numerators):
         vector = getattr(self, "_vector", None)
         if vector is None:
             num, den = self._expanded
-            vector = QVector([Fraction(a, den) for a in num], self.ray())
+            vector = QVector([_fraction(a, den) for a in num], self.ray())
             object.__setattr__(self, "_vector", vector)
         return vector
 
@@ -239,7 +239,9 @@ class SymFCurve:
         parts = tuple(sorted(self.parts, reverse=True))
         if len(parts) != 4 or any(not isinstance(v, int) or v < 1 for v in parts):
             raise ValueError(f"F-curve needs 4 positive parts, got {self.parts}")
-        object.__setattr__(self, "parts", parts)
+        # a descending tuple, as every table row is, is kept: the row is not copied
+        if parts != self.parts:
+            object.__setattr__(self, "parts", parts)
 
     def __getattr__(self, name):
         # reached when lookup fails: an empty slot is filled, any other name raises
@@ -276,15 +278,15 @@ def enumerate_sym_fcurves(n: int) -> list[SymFCurve]:
 
 # Bytes of F-curve sign tables kept over all n.  A table is kept while it
 # fits them with a packing at two bytes a field (numerators below 2^12), up
-# to n = 147 on CPython 3.11, and so is each packing that fits beside its
+# to n = 157 on CPython 3.11, and so is each packing that fits beside its
 # rows; larger tables and the packings past the budget are packed chunk by
 # chunk on every call instead.
 _FCURVE_BYTES = 8 << 20
 _fcurve_tables: dict = {}
 # A row weighs, beside its packed fields, its parts tuple, its slots in the
-# row list and in the list of made curves, and the curve made from it, with
-# the curve's own parts; as if every curve were made.
-_ROW_BYTES = 2 * sys.getsizeof((1, 1, 1, 1)) + 2 * 8 + sys.getsizeof(SymFCurve((1, 1, 1, 1)))
+# row list and in the list of made curves, and the curve made from it, which
+# keeps the row's tuple as its parts; as if every curve were made.
+_ROW_BYTES = sys.getsizeof((1, 1, 1, 1)) + 2 * 8 + sys.getsizeof(SymFCurve((1, 1, 1, 1)))
 
 
 def _fcurves(n: int) -> tuple:
@@ -346,7 +348,7 @@ def sym_pairing(d: SymDivisor, f: SymFCurve) -> Fraction:
     if d.n != f.n:
         raise ValueError(f"divisor lives on n={d.n}, curve on n={f.n}")
     num, den = d._expanded
-    return Fraction(sum([num[i] * c for i, c in f._terms]), den)
+    return _fraction(sum([num[i] * c for i, c in f._terms]), den)
 
 
 def zero_and_negative_fcurves(
@@ -395,7 +397,7 @@ def tk_pairing(d: SymDivisor, k: int) -> Fraction:
     if not 3 <= k <= n // 2:
         raise ValueError(f"T_k needs 3 <= k <= {n // 2}, got k={k}")
     num, den = d._expanded
-    return Fraction(num[k - 2] * (2 - k) + num[k - 3] * k, den)
+    return _fraction(num[k - 2] * (2 - k) + num[k - 3] * k, den)
 
 
 def proportional(d1: SymDivisor, d2: SymDivisor) -> Optional[Fraction]:
@@ -414,7 +416,7 @@ def proportional(d1: SymDivisor, d2: SymDivisor) -> Optional[Fraction]:
         return None
     (num1, den1), (num2, den2) = d1._expanded, d2._expanded
     i = next(i for i, x in enumerate(ray) if x)
-    return Fraction(num1[i] * den2, den1 * num2[i])
+    return _fraction(num1[i] * den2, den1 * num2[i])
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +585,16 @@ class FullDivisor(_Numerators):
     @property
     def psi(self) -> tuple[Fraction, ...]:
         den = self._den
-        return tuple(Fraction(a, den) for a in self._psi)
+        return tuple(_fraction(a, den) for a in self._psi)
 
     def delta(self, side: Iterable[int]) -> Fraction:
         profile = self._layout.index(_side_mask(canonical_side(side, self.n)))
-        return Fraction(self._delta[profile], self._den)
+        return _fraction(self._delta[profile], self._den)
 
     def delta_map(self) -> dict[frozenset[int], Fraction]:
         # one Fraction per distinct numerator: a cover class has at most p+1
         n, den, delta = self.n, self._den, self._delta
-        values = {c: Fraction(c, den) for c in set(delta)}
+        values = {c: _fraction(c, den) for c in set(delta)}
         slot = self._layout.profiles([(i,) for i in range(1, n)])
         masks, sets = _sides(n)
         return {sets.get(m) or sets.setdefault(m, _markings(m)): values[c]
@@ -728,7 +730,7 @@ def full_pairing(d: FullDivisor, f: FullFCurve) -> Fraction:
         total += psi[i]
     for m in slots[3:]:
         total -= delta[m]
-    return Fraction(total, d._den)
+    return _fraction(total, d._den)
 
 
 def symmetrize(d: FullDivisor) -> SymDivisor:

@@ -77,6 +77,26 @@ def test_weight_data_validation():
         WeightData((1, 1, 1, 1), 2, j=2)  # no character field
 
 
+@pytest.mark.parametrize("d, p, error, message", [
+    ((1, 1, 1), 1, ValueError, "cover degree must be at least 2"),
+    ((1, -1, 0), 2, ValueError, "weights must be nonnegative"),
+    ((-1, 1, 2), 1, ValueError, "cover degree must be at least 2"),  # degree first
+    ((1, 1, 1), 2, ValueError, "degree 2 does not divide the total weight 3"),
+    ((1, "x", 1), 2, ValueError, "invalid literal for int() with base 10: 'x'"),
+    ((1, None, 1), 1, TypeError, "int() argument must be a string"),  # converted first
+])
+def test_weight_data_errors_and_their_messages(d, p, error, message):
+    with pytest.raises(error) as raised:
+        WeightData(d, p)
+    assert str(raised.value).startswith(message)
+
+
+def test_weight_data_converts_its_weights_to_ints():
+    w = WeightData([True, 2.0, "3", 0], 2)
+    assert w.d == (1, 2, 3, 0) and all(type(x) is int for x in w.d)
+    assert WeightData((), 2).d == ()
+
+
 def test_genus_values():
     assert genus(WeightData((1, 1, 1, 1), 2)) == 1
     assert genus(WeightData((1,) * 6, 2)) == 2

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from fcone.exactlin import (
     QVector,
+    _fraction,
     _integer_row,
     _kernel,
     _lowest_terms,
@@ -63,6 +64,43 @@ def test_dot_of_mixed_entries(pairs):
     got = dot(u, v)
     assert type(got) is Fraction
     assert got == sum((Fraction(a) * Fraction(b) for a, b in pairs), Fraction(0))
+
+
+integer_parts = st.one_of(st.integers(-60, 60), st.integers())
+
+
+@given(integer_parts, integer_parts)
+@example(0, 5)
+@example(0, -5)
+@example(7, -21)
+@example(-6, -4)
+@example(2 ** 300 * 3, -(2 ** 301))
+@example(5, 0)
+@example(0, 0)
+def test_fraction_from_integer_parts_matches_the_constructor(num, den):
+    if den == 0:
+        with pytest.raises(ZeroDivisionError) as made:
+            _fraction(num, den)
+        with pytest.raises(ZeroDivisionError) as built:
+            Fraction(num, den)
+        assert str(made.value) == str(built.value)
+        return
+    x, ref = _fraction(num, den), Fraction(num, den)
+    assert type(x) is Fraction
+    assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
+    assert type(x.numerator) is int and type(x.denominator) is int
+    assert x == ref and hash(x) == hash(ref)
+    assert repr(x) == repr(ref) and str(x) == str(ref)
+    assert format_rational(x) == format_rational(ref)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is Fraction and (y.numerator, y.denominator) == (x.numerator, x.denominator)
+    z, w = x * 3 - Fraction(1, 7), ref * 3 - Fraction(1, 7)
+    assert (z.numerator, z.denominator) == (w.numerator, w.denominator)
+
+
+def test_fraction_has_the_two_slots_the_helper_fills():
+    # _fraction writes these on a bare instance; a CPython that renames them fails here
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
 def test_parse_rational():

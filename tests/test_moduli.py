@@ -146,6 +146,25 @@ def test_fcurve_type_normalization():
         SymFCurve((1, 1, 1))
 
 
+def test_a_descending_tuple_of_parts_is_kept_as_given():
+    parts = (8, 2, 1, 1)
+    assert SymFCurve(parts).parts is parts
+    for given in ([8, 2, 1, 1], (1, 2, 8, 1), (8, 1, 2, 1)):
+        f = SymFCurve(given)
+        assert type(f.parts) is tuple and f.parts == parts
+    for bad in ((8, 2, 1, 0), (8, 2, 1, 1.0), (8, 2, 1), (8, 2, 1, 1, 1)):
+        with pytest.raises(ValueError, match="F-curve needs 4 positive parts"):
+            SymFCurve(bad)
+
+
+@pytest.mark.parametrize("n", [4, 9, 24, 61])
+def test_a_made_curve_keeps_its_table_row_as_its_parts(n):
+    curves = enumerate_sym_fcurves(n)
+    table, made = moduli._fcurves(n)
+    assert all(f.parts is row and made[i] is f
+               for i, (f, row) in enumerate(zip(curves, table.rows)))
+
+
 def test_enumerate_sym_fcurves_counts_and_order():
     assert [len(enumerate_sym_fcurves(n)) for n in range(5, 11)] == [1, 2, 3, 5, 6, 9]
     tens = [f.parts for f in enumerate_sym_fcurves(10)]
