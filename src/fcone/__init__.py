@@ -4,13 +4,11 @@ pairings, and polyhedral certificates for extremal rays."""
 
 from .exactlin import (
     dot,
-    format_rational,
     independent_rows,
     kernel_basis,
     parse_rational,
     primitive,
     rank,
-    rref,
 )
 from .cones import (
     Certificate,
@@ -53,7 +51,6 @@ from .covers import (
     p5_class,
     pullback_boundary,
     pullback_combo,
-    residue,
     sym_eigen_det_class,
     sym_weighted_pullbacks,
     weighted_pullbacks,

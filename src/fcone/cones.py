@@ -12,8 +12,8 @@ combinatorially, as the AND of the incidence bitsets over a pair's common
 tight set, so the output is exact without any rational arithmetic or rank
 computation.
 
-Canonical forms: normals and rays are primitive integer vectors (no sign
-flip, orientation is meaningful); the lineality basis is the reduced row
+Canonical forms: normals and rays are primitive integer vectors, sign
+kept, as orientation is meaningful; the lineality basis is the reduced row
 echelon basis of the lineality space; rays are reduced modulo lineality
 and sorted lexicographically.  Two ConeV values describing the same cone
 therefore compare equal.
@@ -56,7 +56,7 @@ class ConeH:
                 raise ValueError(f"normal {a} does not have dimension {self.dim}")
             if not any(a):
                 continue
-            v = primitive(a, flip_sign=False)
+            v = primitive(a)
             if v not in seen:
                 seen.add(v)
                 out.append(v)
@@ -93,7 +93,7 @@ class ConeV:
         for r in self.rays:
             # every pivot of the basis is positive, so the ray is only
             # rescaled by positive integers and shifted along the lineality
-            reduced = primitive(_reduce(list(r), lin), flip_sign=False)
+            reduced = primitive(_reduce(list(r), lin))
             if any(reduced):
                 rays.add(reduced)
         object.__setattr__(self, "lineality", tuple(tuple(_dense(b.items(), self.dim)) for _, b in lin))
@@ -122,7 +122,7 @@ def _cleared_signs(c: ConeH, v: Sequence) -> tuple[tuple[int, ...], bytes, bytes
         return last[1]
     if len(v) != c.dim:
         raise ValueError(f"vector of dimension {len(v)} against cone of dimension {c.dim}")
-    w = primitive(v, flip_sign=False)
+    w = primitive(v)
     signed = (w, *c._sign_table.signs(w))
     if isinstance(v, tuple):
         object.__setattr__(c, "_signed", (v, signed))
@@ -247,6 +247,8 @@ def extreme_rays(c: ConeH) -> ConeV:
             av0 = _dot(a, hit)
             v0 = hit if av0 > 0 else tuple(-x for x in hit)
             av0 = abs(av0)
+            # a lineality vector spans a line, so its sign is free: v0 is
+            # oriented above, and a new one keeps the sign primitive gives it
             new_lin = []
             for v in lineality:
                 if v is hit:

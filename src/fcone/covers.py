@@ -8,7 +8,7 @@ boundary pullbacks, and a few named nonnegative combinations.
 
 The class builders return SymDivisor or FullDivisor values with exact
 rational coefficients, held in lowest terms; callers normalize to rays when
-they need to.  genus, exceptional_genus and residue return ints.
+they need to.  genus and exceptional_genus return ints.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ from typing import Mapping, Sequence
 
 from .exactlin import _lowest_terms, _over_lcm, primitive
 from .moduli import FullDivisor, SymDivisor, _Layout, _check_n, _layout_of, _walk, delta_range
-
-
-def residue(a: int, p: int) -> int:
-    """The representative of a mod p in {0, ..., p−1}."""
-    if p < 1:
-        raise ValueError("modulus must be positive")
-    return a % p
 
 
 @dataclass(frozen=True)
@@ -93,16 +86,13 @@ def _split_ram(p: int, total_ram: int) -> range:
     return range(p, total_ram - p + 1)
 
 
-def _genus_value(weights: Sequence[int], p: int) -> int:
-    # Riemann-Hurwitz for y^p = prod (x - x_i)^{d_i}; counts each branch
-    # point with p - gcd(d_i, p) and assumes no ramification elsewhere.
-    chi = 2 * p - sum(p - gcd(x, p) for x in weights)
-    return 1 - chi // 2
-
-
 def genus(w: WeightData) -> int:
     """Genus of the cover; negative values flag disconnected weight data."""
-    return _genus_value(w.d, w.p)
+    # Riemann-Hurwitz for y^p = prod (x - x_i)^{d_i}; counts each branch
+    # point with p - gcd(d_i, p) and assumes no ramification elsewhere.
+    p = w.p
+    chi = 2 * p - sum(p - gcd(x, p) for x in w.d)
+    return 1 - chi // 2
 
 
 def exceptional_genus(di: int, dj: int, p: int) -> int:
@@ -303,7 +293,7 @@ def _symmetric_rays(w: WeightData, rows: Sequence[tuple]) -> list[tuple[int, ...
     found = {}
     for bs, cs in dict.fromkeys(rows):
         column = expanded[bs[0]] if cs == (1,) else _combine(_over_lcm(cs)[0], bs, expanded) or zero
-        found[bs, cs] = primitive(column, flip_sign=False)
+        found[bs, cs] = primitive(column)
     return [found[row] for row in rows]
 
 

@@ -8,10 +8,11 @@ approximate.
 The package has one integer normal form, and only this module clears
 denominators: ``_over_lcm`` writes values as integer numerators over the lcm
 of their denominators, ``_lowest_terms`` divides out the common factor of
-numerators and denominator, and ``primitive`` scales a vector to coprime
-integers.  A ``QVector``, the rational coordinates of a class, carries its
-cleared form: ``ray``, made once from the class's integer numerators, which
-``primitive`` reads instead of clearing the entries again.  The way back
+numerators and denominator, and ``primitive`` scales a vector by a
+positive factor to coprime integers, so its sign is kept.  A ``QVector``,
+the rational coordinates of a class, carries its cleared form: ``ray``,
+made once from the class's integer numerators, which ``primitive`` reads
+instead of clearing the entries again.  The way back
 has one place too: ``_fraction`` makes every ``Fraction`` that the package
 builds from cleared parts, an integer numerator over an integer
 denominator, for each degree, coordinate and ratio read out of them.
@@ -23,10 +24,10 @@ before it) by one combination per basis pivot where the row is nonzero; a
 nonzero remainder joins the basis.  Each caller fixes the pivot rule:
 ``independent_rows`` and ``rank`` take the entry smallest in absolute
 value, which keeps later multipliers small (leftmost pivots made the scan
-two to five times slower on extremality certificates); ``rref``,
-``kernel_basis`` and the lineality of ``cones.ConeV`` take the leftmost
-nonzero entry, which makes the back-reduced basis the canonical RREF and
-leaves its free columns without a pivot.  ``_kernel`` solves a scan's basis
+two to five times slower on extremality certificates); ``kernel_basis``
+and ``_rref``, the lineality of ``cones.ConeV``, take the leftmost nonzero
+entry, which makes the back-reduced basis the canonical RREF and leaves
+its free columns without a pivot.  ``_kernel`` solves a scan's basis
 by back-substitution for ``kernel_basis`` and ``_certificate``, the greedy
 certificate that ``cones`` and ``moduli`` read.
 
@@ -99,10 +100,6 @@ def parse_rational(text: str) -> Fraction:
     except (TypeError, ValueError, ZeroDivisionError):  # TypeError: no match
         raise ValueError(f"malformed rational literal {text!r}") from None
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
 
 def _over_lcm(values: Sequence) -> tuple[list[int], int]:
     """Ints or Fractions as integer numerators over the lcm of their
@@ -128,24 +125,16 @@ def _integer_row(row: Sequence) -> Sequence[int]:
                       for e in row])[0]
 
 
-def primitive(v: Sequence, flip_sign: bool = True) -> tuple[int, ...]:
-    """Scale to a primitive integer vector (entry gcd 1).
-
-    With ``flip_sign`` the first nonzero entry is made positive, the
-    canonical form for kernel vectors and lineality generators.  Rays and
-    inequality normals carry an orientation, so they pass ``flip_sign=False``
-    and are only rescaled by a positive rational.  An all-int tuple that
-    needs no change is returned as it is, and so is the ``ray`` of a
-    ``QVector`` unless its sign is flipped.
+def primitive(v: Sequence) -> tuple[int, ...]:
+    """Scale by a positive rational to a primitive integer vector (entry
+    gcd 1), sign kept: rays and inequality normals carry an orientation.
+    An all-int tuple that needs no change is returned as it is, and so is
+    the ``ray`` of a ``QVector``.
     """
     ints = v.ray if type(v) is QVector else _integer_row(v)
     content = gcd(*ints)
     if content > 1:
         ints = [a // content for a in ints]
-    if flip_sign and content:
-        lead = next(a for a in ints if a != 0)
-        if lead < 0:
-            ints = [-a for a in ints]
     return tuple(ints)
 
 
@@ -386,12 +375,6 @@ def _rref(m: Sequence[Sequence]) -> list[_BasisRow]:
     return sorted(reduced)
 
 
-def rref(m: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of the row space: the reduced row echelon rows, each
-    scaled to a primitive integer vector with a positive pivot."""
-    return tuple(tuple(_dense(b.items(), len(m[0]))) for _, b in _rref(m))
-
-
 def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Basis of the right kernel of ``m``.
 
@@ -401,5 +384,7 @@ def kernel_basis(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
     if not m:
         raise ValueError("kernel of an empty matrix is undetermined, supply rows")
     rows = _rows(m)
-    # leftmost pivots leave the free columns of the RREF without a pivot
-    return [primitive(v) for v in _kernel(_scan(map(_integer_row, rows), True)[0], len(rows[0]))]
+    # leftmost pivots leave the free columns of the RREF without a pivot; each
+    # vector is primitive already, and only its orientation is set here
+    kernel = _kernel(_scan(map(_integer_row, rows), True)[0], len(rows[0]))
+    return [tuple(v) if next(filter(None, v)) > 0 else tuple(-a for a in v) for v in kernel]

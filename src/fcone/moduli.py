@@ -20,7 +20,6 @@ coordinate lists in the test suite.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import (QVector, _SignTable, _certificate, _dense, _fraction, _lowest_terms,
-                       _over_lcm, format_rational, parse_rational, primitive)
+                       _over_lcm, parse_rational, primitive)
 
 
 def _check_n(n: int) -> None:
@@ -156,10 +155,6 @@ class SymDivisor(_Numerators):
         den = self._den
         return {k: _fraction(c, den) for k, c in zip(delta_range(self.n), self._delta) if c}
 
-    def delta_vector(self) -> tuple[Fraction, ...]:
-        den = self._den
-        return tuple(_fraction(c, den) for c in self._delta)
-
     def class_vector(self) -> QVector:
         """Coordinates in the pure-Δ basis (ψ eliminated), carrying the ray
         of the class as their cleared form.  The tuple is made on the first
@@ -176,7 +171,7 @@ class SymDivisor(_Numerators):
         """The primitive integer vector on the ray of the class, sign kept;
         all zeros for the zero class.  Two classes are positive multiples of
         each other exactly when their rays are equal."""
-        return primitive(self._expanded[0], flip_sign=False)
+        return primitive(self._expanded[0])
 
     def is_zero(self) -> bool:
         return not any(self._expanded[0])
@@ -278,15 +273,17 @@ def enumerate_sym_fcurves(n: int) -> list[SymFCurve]:
 
 # Bytes of F-curve sign tables kept over all n.  A table is kept while it
 # fits them with a packing at two bytes a field (numerators below 2^12), up
-# to n = 157 on CPython 3.11, and so is each packing that fits beside its
+# to n = 116 on CPython 3.11, and so is each packing that fits beside its
 # rows; larger tables and the packings past the budget are packed chunk by
 # chunk on every call instead.
 _FCURVE_BYTES = 8 << 20
 _fcurve_tables: dict = {}
 # A row weighs, beside its packed fields, its parts tuple, its slots in the
-# row list and in the list of made curves, and the curve made from it, which
-# keeps the row's tuple as its parts; as if every curve were made.
-_ROW_BYTES = sys.getsizeof((1, 1, 1, 1)) + 2 * 8 + sys.getsizeof(SymFCurve((1, 1, 1, 1)))
+# row list and in the list of made curves, the curve made from it, which
+# keeps the row's tuple as its parts, and that curve's terms, at most seven
+# pairs; as if every curve were made and had read its terms.
+_ROW_BYTES = (sys.getsizeof((1, 1, 1, 1)) + 2 * 8 + sys.getsizeof(SymFCurve((1, 1, 1, 1)))
+              + sys.getsizeof(tuple(range(7))) + 7 * sys.getsizeof((0, 1)))
 
 
 def _fcurves(n: int) -> tuple:
@@ -619,24 +616,6 @@ class FullDivisor(_Numerators):
                      for c, m in zip(get(self._delta), mult) if c])
         return f"FullDivisor(n={self.n}, psi={self.psi}, {terms} boundary terms)"
 
-    def to_json(self) -> str:
-        delta = {
-            ",".join(str(i) for i in sorted(side)): format_rational(c)
-            for side, c in sorted(self.delta_map().items(), key=lambda kv: sorted(kv[0]))
-        }
-        return json.dumps(
-            {"n": self.n, "psi": [format_rational(c) for c in self.psi], "delta": delta}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FullDivisor":
-        data = json.loads(text)
-        delta = {
-            frozenset(int(i) for i in key.split(",")): parse_rational(value)
-            for key, value in data.get("delta", {}).items()
-        }
-        return cls(data["n"], [parse_rational(c) for c in data.get("psi", [])] or (), delta)
-
 
 def _clear(n: int, psi: Sequence, delta: Optional[Mapping]) -> tuple[list[int], list[int], int]:
     """Checked public FullDivisor arguments as (ψ numerators, Δ numerators
@@ -696,9 +675,6 @@ class FullFCurve:
             tuple(min(m, m ^ everything) for m, block in zip(masks, blocks) if len(block) > 1),
             tuple(min(m, m ^ everything) for m in (a | b, a | c, a | e)),
         ))
-
-    def sym_type(self) -> SymFCurve:
-        return SymFCurve(tuple(len(b) for b in self.blocks))
 
 
 def standard_full_fcurve(f: SymFCurve) -> FullFCurve:
